@@ -1,5 +1,6 @@
 //! Golden vectors: byte-exact committed outputs for the codec, the protect
-//! pipeline, and every PSP transformation.
+//! pipeline, every PSP transformation, the receiver's recovery from each
+//! of them, and the receiver's shadow planes.
 //!
 //! The committed fixture (`fixture.ppm`) is the single source input; every
 //! other file under the golden directory is a deterministic function of it
@@ -19,7 +20,9 @@ use std::fmt::Write as _;
 use std::fs;
 use std::path::Path;
 
-use puppies_core::{protect, OwnerKey, PerturbProfile, PrivacyLevel, ProtectOptions, Scheme};
+use puppies_core::{
+    protect, shadow, OwnerKey, PerturbProfile, PrivacyLevel, ProtectOptions, PublicParams, Scheme,
+};
 use puppies_image::io::{read_ppm, write_ppm};
 use puppies_image::{Rect, Rgb, RgbImage};
 use puppies_jpeg::{CoeffImage, EncodeOptions};
@@ -95,15 +98,36 @@ pub fn derive_vectors(img: &RgbImage) -> Vec<(String, Vec<u8>)> {
         .with_image_id(GOLDEN_IMAGE_ID);
     let (jpg, pup) = protect_vector(img, &tf_opts);
     v.push(("protect_tf.jpg".into(), jpg));
-    v.push(("protect_tf.pup".into(), pup));
+    v.push(("protect_tf.pup".into(), pup.clone()));
+
+    // The receiver's shadow planes for the transform-friendly image, as
+    // raw little-endian f32 bits (Y, Cb, Cr planes back to back): the
+    // pixel-domain recovery path is otherwise held only to PSNR floors.
+    let tf_params = PublicParams::from_bytes(&pup).expect("golden params");
+    let grant = OwnerKey::from_seed(GOLDEN_SEED).grant_all();
+    let shadows = shadow::shadow_planes(&tf_params, &grant, 3).expect("golden shadow planes");
+    let shadow_bits = shadows
+        .iter()
+        .flat_map(|p| p.samples().iter().flat_map(|s| s.to_bits().to_le_bytes()))
+        .collect();
+    v.push(("shadow_tf.f32".into(), shadow_bits));
 
     // PSP transformations applied to the Zero-scheme protected image:
     // coefficient-domain ops re-encode losslessly; pixel-domain ops decode,
     // transform, and re-encode at q75 (what a real PSP does).
     let z_opts =
         ProtectOptions::new(Scheme::Zero, PrivacyLevel::Medium).with_image_id(GOLDEN_IMAGE_ID);
-    let (z_jpg, _) = protect_vector(img, &z_opts);
+    let (z_jpg, z_pup) = protect_vector(img, &z_opts);
+    let z_params = PublicParams::from_bytes(&z_pup).expect("golden params");
     let z_coeff = CoeffImage::decode(&z_jpg).expect("decode protected");
+    // Each PSP vector also pins what the receiver recovers from it
+    // (`r_<tag>.ppm`), through the coefficient-domain or shadow path.
+    let recovered = |t: &Transformation, served: &[u8]| {
+        let mut params = z_params.clone();
+        params.transformation = Some(t.clone());
+        let rgb = shadow::recover_transformed(served, &params, &grant).expect("golden recover");
+        ppm_bytes(&rgb)
+    };
     let coeff_ts: [(&str, Transformation); 7] = [
         ("rot90", Transformation::Rotate90),
         ("rot180", Transformation::Rotate180),
@@ -119,7 +143,9 @@ pub fn derive_vectors(img: &RgbImage) -> Vec<(String, Vec<u8>)> {
             .expect("coeff transform")
             .encode(&EncodeOptions::default())
             .expect("encode transform");
+        let rec = recovered(&t, &out);
         v.push((format!("t_{tag}.jpg"), out));
+        v.push((format!("r_{tag}.ppm"), rec));
     }
     let pixel_ts: [(&str, Transformation); 2] = [
         (
@@ -139,6 +165,10 @@ pub fn derive_vectors(img: &RgbImage) -> Vec<(String, Vec<u8>)> {
     for (tag, t) in pixel_ts {
         let out = t.apply_to_rgb(&z_rgb).expect("pixel transform");
         let bytes = puppies_jpeg::encode_rgb(&out, 75).expect("encode transform");
+        if tag == "scale_half" {
+            let rec = recovered(&t, &bytes);
+            v.push((format!("r_{tag}.ppm"), rec));
+        }
         v.push((format!("t_{tag}.jpg"), bytes));
     }
     v
@@ -264,6 +294,11 @@ mod tests {
             "t_recompress_q50.jpg",
             "t_scale_half.jpg",
             "t_gaussian.jpg",
+            "shadow_tf.f32",
+            "r_rot90.ppm",
+            "r_crop.ppm",
+            "r_recompress_q50.ppm",
+            "r_scale_half.ppm",
         ] {
             assert!(names.contains(&needle), "missing {needle}");
         }

@@ -1,9 +1,9 @@
 //! Re-export of the shared worker-pool layer ([`puppies_parallel`]).
 //!
-//! The pool itself lives in its own crate so that `puppies-jpeg` (which
-//! `puppies-core` depends on) can use the same pool for its DCT and
-//! entropy-coding bands without a dependency cycle. Core callers reach it
-//! as `puppies_core::parallel`; see [`WorkerPool`] for the execution
-//! model and [`with_pool`] for scoping a pool to a closure.
+//! The pool runs batches of independent requests; the per-image stages in
+//! this crate (protect, perturbation, recovery) run on the calling thread.
+//! Callers reach the pool as `puppies_core::parallel`; see [`WorkerPool`]
+//! for the execution model and [`with_pool`] for scoping a pool to a
+//! closure.
 
 pub use puppies_parallel::*;

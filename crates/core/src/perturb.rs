@@ -33,7 +33,8 @@ use crate::matrix::{wrap_dc, PrivateMatrix, RangeMatrix, MATRIX_LEN};
 use crate::privacy::PrivacyLevel;
 use crate::{PuppiesError, Result};
 use puppies_image::Rect;
-use puppies_jpeg::{CoeffImage, AC_MAX, AC_MIN, AC_MODULUS, COEFF_MAX, COEFF_MODULUS};
+use puppies_jpeg::{Block, CoeffImage, AC_MAX, AC_MIN, AC_MODULUS, COEFF_MAX, COEFF_MODULUS};
+use puppies_transform::BlockOrientation;
 /// Which PuPPIeS perturbation variant to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Scheme {
@@ -201,11 +202,6 @@ impl ZeroIndex {
         self.entries.push(e);
     }
 
-    /// Appends every entry of `other`, preserving order.
-    pub fn extend_from(&mut self, other: &ZeroIndex) {
-        self.entries.extend_from_slice(&other.entries);
-    }
-
     /// Whether `(component, block, coeff)` is recorded.
     pub fn contains(&self, component: u8, block: u32, coeff: u8) -> bool {
         self.entries
@@ -227,6 +223,19 @@ impl ZeroIndex {
     /// §IV-B.4).
     pub fn encoded_bits(&self) -> usize {
         self.entries.len() * 28
+    }
+
+    /// Per-block coefficient masks of one component: bit `i` of entry `k`
+    /// is set when `(component, k, i)` is recorded. Entries outside the
+    /// first `nblocks` blocks or the 64 coefficients are ignored.
+    pub(crate) fn block_masks(&self, component: u8, nblocks: usize) -> Vec<u64> {
+        let mut masks = vec![0u64; nblocks];
+        for e in &self.entries {
+            if e.component == component && (e.block as usize) < nblocks && e.coeff < 64 {
+                masks[e.block as usize] |= 1 << e.coeff;
+            }
+        }
+        masks
     }
 
     /// A hash set of `(component, block, coeff)` for O(1) recovery lookups.
@@ -311,7 +320,7 @@ pub fn ac_perturbation(profile: &PerturbProfile, keys: &RoiKeys, q: &RangeMatrix
 /// block loop and applied with integer lanes. Slot 0 is zero so the DC lane
 /// passes through the vector pass untouched (DC wraps mod 2048, handled
 /// scalar per block).
-fn ac_perturbation_vector(
+pub(crate) fn ac_perturbation_vector(
     profile: &PerturbProfile,
     keys: &RoiKeys,
     q: &RangeMatrix,
@@ -321,6 +330,30 @@ fn ac_perturbation_vector(
         *slot = ac_perturbation(profile, keys, q, i);
     }
     pvec
+}
+
+/// The exact additive deltas `e − b` (in quantized units, possibly
+/// outside the ring) the perturbation applied to block `k`: the DC delta
+/// for `k`, the AC vector from [`ac_perturbation_vector`], and one modulus
+/// off every coefficient whose bit is set in `wraps` (the block's `WInd`
+/// mask, see [`ZeroIndex::block_masks`]). This is what the shadow-ROI
+/// generator needs (see [`crate::shadow`]).
+pub(crate) fn block_delta(
+    profile: &PerturbProfile,
+    keys: &RoiKeys,
+    pvec: &[i32; MATRIX_LEN],
+    k: u32,
+    wraps: u64,
+) -> [i32; MATRIX_LEN] {
+    let mut delta = *pvec;
+    delta[0] = dc_perturbation(profile, keys, k);
+    let mut bits = wraps;
+    while bits != 0 {
+        let i = bits.trailing_zeros() as usize;
+        delta[i] -= if i == 0 { COEFF_MODULUS } else { AC_MODULUS };
+        bits &= bits - 1;
+    }
+    delta
 }
 
 /// AC lane pass of [`perturb_component`] over one block.
@@ -479,6 +512,33 @@ pub fn recover_component(
     zind: &ZeroIndex,
 ) {
     let positions = comp.blocks_in_region(rect);
+    recover_blocks(
+        comp,
+        component_index,
+        &positions,
+        None,
+        keys,
+        profile,
+        q,
+        zind,
+    );
+}
+
+/// [`recover_component`] over explicit block positions: ROI block `k`
+/// sits at `positions[k]`. With `orient`, a rotation or flip moved the
+/// blocks after perturbation, so each block is recovered in its original
+/// orientation and put back.
+#[allow(clippy::too_many_arguments)]
+fn recover_blocks(
+    comp: &mut puppies_jpeg::Component,
+    component_index: u8,
+    positions: &[(u32, u32)],
+    orient: Option<&BlockOrientation>,
+    keys: &RoiKeys,
+    profile: &PerturbProfile,
+    q: &RangeMatrix,
+    zind: &ZeroIndex,
+) {
     let pvec = ac_perturbation_vector(profile, keys, q);
     let skip_zeros = profile.scheme == Scheme::Zero;
     // Per-block ZInd bitmasks for this component (an untouched zero without
@@ -492,11 +552,9 @@ pub fn recover_component(
         }
     }
     let no_force = [0i32; MATRIX_LEN];
-    for (k, &(bx, by)) in positions.iter().enumerate() {
-        let k32 = k as u32;
-        let block = comp.block_mut(bx, by);
-        block[0] = wrap_dc(block[0] - dc_perturbation(profile, keys, k32));
-        match zmap.get(&k32) {
+    let recover = |block: &mut Block, k: u32| {
+        block[0] = wrap_dc(block[0] - dc_perturbation(profile, keys, k));
+        match zmap.get(&k) {
             Some(&bits) => {
                 let mut force = [0i32; MATRIX_LEN];
                 let mut b = bits;
@@ -507,6 +565,18 @@ pub fn recover_component(
                 recover_block_lanes(block, &pvec, &force, skip_zeros);
             }
             None => recover_block_lanes(block, &pvec, &no_force, skip_zeros),
+        }
+    };
+    for (k, &(bx, by)) in positions.iter().enumerate() {
+        let block = comp.block_mut(bx, by);
+        match orient {
+            None => recover(block, k as u32),
+            Some(o) => {
+                let mut original = [0i32; MATRIX_LEN];
+                o.undo(block, &mut original);
+                recover(&mut original, k as u32);
+                o.apply(&original, block);
+            }
         }
     }
 }
@@ -530,17 +600,13 @@ pub fn perturb_roi(
 }
 
 /// Perturbs several disjoint ROIs across every component of `coeff`,
-/// fanning one job per component onto the current worker pool (components
-/// are the unit of independent mutable state). Every ROI is validated
+/// component by component on the calling thread. Every ROI is validated
 /// before any coefficient is touched, so a bad rect leaves `coeff`
 /// unchanged — unlike a roi-by-roi loop, which would abort midway.
 ///
 /// `keys[r]` holds one [`RoiKeys`] per component for ROI `r`. The returned
-/// records are per-ROI, with entries in exactly the order the serial
-/// roi-major/component-minor loop produces (each component job walks the
-/// ROIs in order, so its entries are the serial loop's per-component
-/// subsequence; merging per-component records in component order restores
-/// the serial interleaving).
+/// records are per-ROI; within one record, entries are grouped by
+/// component in component order.
 ///
 /// # Errors
 /// Returns [`PuppiesError::BadParams`] if a key count does not match the
@@ -563,34 +629,12 @@ pub fn perturb_rois(
         validate_roi(coeff, rect, ks.len())?;
     }
     let _span = puppies_obs::span("core.perturb_rois", "core");
-    let ncomp = coeff.components().len();
     let q = profile.range_matrix();
-    let mut per_comp: Vec<Vec<PerturbRecord>> = (0..ncomp)
-        .map(|_| vec![PerturbRecord::default(); rects.len()])
-        .collect();
-    {
-        let q = &q;
-        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = coeff
-            .components_mut()
-            .iter_mut()
-            .zip(per_comp.iter_mut())
-            .enumerate()
-            .map(|(ci, (comp, recs))| {
-                Box::new(move || {
-                    for ((&rect, ks), rec) in rects.iter().zip(keys).zip(recs.iter_mut()) {
-                        let _roi = puppies_obs::span("core.perturb_roi", "core");
-                        perturb_component(comp, ci as u8, rect, &ks[ci], profile, q, rec);
-                    }
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        puppies_parallel::current().run(jobs);
-    }
     let mut out = vec![PerturbRecord::default(); rects.len()];
-    for recs in per_comp {
-        for (dst, src) in out.iter_mut().zip(&recs) {
-            dst.zind.extend_from(&src.zind);
-            dst.wind.extend_from(&src.wind);
+    for (ci, comp) in coeff.components_mut().iter_mut().enumerate() {
+        for ((&rect, ks), rec) in rects.iter().zip(keys).zip(out.iter_mut()) {
+            let _roi = puppies_obs::span("core.perturb_roi", "core");
+            perturb_component(comp, ci as u8, rect, &ks[ci], profile, &q, rec);
         }
     }
     Ok(out)
@@ -611,13 +655,29 @@ pub fn recover_roi(
 }
 
 /// Exactly inverts [`perturb_rois`] over several ROIs, each with its own
-/// profile and `ZInd` (as recorded in its public [`crate::params::RoiParams`]),
-/// fanning one job per component like the forward direction.
+/// profile and `ZInd` (as recorded in its public [`crate::params::RoiParams`]).
 ///
 /// # Errors
 /// Same validation as [`perturb_rois`].
 pub fn recover_rois(
     coeff: &mut CoeffImage,
+    rois: &[(Rect, &PerturbProfile, &ZeroIndex)],
+    keys: &[Vec<RoiKeys>],
+) -> Result<()> {
+    recover_rois_in(coeff, None, rois, keys)
+}
+
+/// [`recover_rois`] where `orient`, when given, is a rotation or flip
+/// applied to `coeff` after perturbation: ROIs are validated and laid out
+/// in the frame the image had before it, and every block is recovered
+/// where the orientation moved it. This gives exactly what undoing the
+/// orientation, recovering and redoing it gives, without either copy.
+///
+/// # Errors
+/// Same validation as [`perturb_rois`], in the original frame.
+pub(crate) fn recover_rois_in(
+    coeff: &mut CoeffImage,
+    orient: Option<&BlockOrientation>,
     rois: &[(Rect, &PerturbProfile, &ZeroIndex)],
     keys: &[Vec<RoiKeys>],
 ) -> Result<()> {
@@ -628,78 +688,62 @@ pub fn recover_rois(
             rois.len()
         )));
     }
+    let frame = match orient {
+        Some(o) if o.transposes() => (coeff.height(), coeff.width()),
+        _ => (coeff.width(), coeff.height()),
+    };
     for (&(rect, _, _), ks) in rois.iter().zip(keys) {
-        validate_roi(coeff, rect, ks.len())?;
+        validate_roi_in(coeff, frame, rect, ks.len())?;
     }
     let _span = puppies_obs::span("core.recover_rois", "core");
     let qs: Vec<RangeMatrix> = rois.iter().map(|(_, p, _)| p.range_matrix()).collect();
-    {
-        let qs = &qs;
-        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = coeff
-            .components_mut()
-            .iter_mut()
-            .enumerate()
-            .map(|(ci, comp)| {
-                Box::new(move || {
-                    for ((&(rect, profile, zind), ks), q) in rois.iter().zip(keys).zip(qs) {
-                        let _roi = puppies_obs::span("core.recover_roi", "core");
-                        recover_component(comp, ci as u8, rect, &ks[ci], profile, q, zind);
-                    }
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        puppies_parallel::current().run(jobs);
+    let (bw, bh) = (frame.0.div_ceil(8), frame.1.div_ceil(8));
+    for (ci, comp) in coeff.components_mut().iter_mut().enumerate() {
+        for ((&(rect, profile, zind), ks), q) in rois.iter().zip(keys).zip(&qs) {
+            let _roi = puppies_obs::span("core.recover_roi", "core");
+            // The ROI's blocks in the original frame, row-major, then
+            // where the orientation put each.
+            let positions: Vec<(u32, u32)> = (rect.y / 8..rect.bottom().div_ceil(8))
+                .flat_map(|by| (rect.x / 8..rect.right().div_ceil(8)).map(move |bx| (bx, by)))
+                .map(|(bx, by)| orient.map_or((bx, by), |o| o.position(bw, bh, bx, by)))
+                .collect();
+            recover_blocks(
+                comp, ci as u8, &positions, orient, &ks[ci], profile, q, zind,
+            );
+        }
     }
     Ok(())
 }
 
 fn validate_roi(coeff: &CoeffImage, rect: Rect, nkeys: usize) -> Result<()> {
+    validate_roi_in(coeff, (coeff.width(), coeff.height()), rect, nkeys)
+}
+
+/// [`validate_roi`] against a `frame` of `(width, height)`: the image's
+/// own size, or the size it had before a quarter turn.
+fn validate_roi_in(coeff: &CoeffImage, frame: (u32, u32), rect: Rect, nkeys: usize) -> Result<()> {
     if nkeys != coeff.components().len() {
         return Err(PuppiesError::BadParams(format!(
             "{nkeys} key sets for {} components",
             coeff.components().len()
         )));
     }
-    let bounds = Rect::new(0, 0, coeff.width(), coeff.height());
+    let (width, height) = frame;
+    let bounds = Rect::new(0, 0, width, height);
     // The last block row/column may be partial; allow rects that end at the
     // image border even when the border is unaligned.
     let aligned = rect.x % 8 == 0
         && rect.y % 8 == 0
-        && (rect.w % 8 == 0 || rect.right() == coeff.width())
-        && (rect.h % 8 == 0 || rect.bottom() == coeff.height());
+        && (rect.w % 8 == 0 || rect.right() == width)
+        && (rect.h % 8 == 0 || rect.bottom() == height);
     if rect.is_empty() || !bounds.contains_rect(rect) || !aligned {
         return Err(PuppiesError::BadRoi {
             rect,
-            width: coeff.width(),
-            height: coeff.height(),
+            width,
+            height,
         });
     }
     Ok(())
-}
-
-/// The exact additive delta `e − b` (in quantized units, possibly outside
-/// the ring) the perturbation applied to coefficient `i` of block `k`,
-/// reconstructed from the profile, keys and wrap index. This is the value
-/// the shadow-ROI generator needs (see [`crate::shadow`]).
-pub fn effective_delta(
-    profile: &PerturbProfile,
-    keys: &RoiKeys,
-    q: &RangeMatrix,
-    wind: &std::collections::HashSet<(u8, u32, u8)>,
-    component: u8,
-    k: u32,
-    i: usize,
-) -> i32 {
-    let (p, modulus) = if i == 0 {
-        (dc_perturbation(profile, keys, k), COEFF_MODULUS)
-    } else {
-        (ac_perturbation(profile, keys, q, i), AC_MODULUS)
-    };
-    if wind.contains(&(component, k, i as u8)) {
-        p - modulus
-    } else {
-        p
-    }
 }
 
 #[cfg(test)]
@@ -880,26 +924,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_index_extend_from_preserves_order_and_duplicates() {
-        let a = ZeroEntry {
-            component: 0,
-            block: 1,
-            coeff: 2,
-        };
-        let b = ZeroEntry {
-            component: 2,
-            block: 3,
-            coeff: 4,
-        };
-        let mut left = ZeroIndex::from_entries(vec![a]);
-        let right = ZeroIndex::from_entries(vec![b, a]);
-        left.extend_from(&right);
-        assert_eq!(left.entries(), &[a, b, a]);
-        left.extend_from(&ZeroIndex::new());
-        assert_eq!(left.len(), 3);
-    }
-
-    #[test]
     fn all_profiles_roundtrip_exactly() {
         let img = test_image();
         let rect = Rect::new(8, 8, 32, 24);
@@ -1023,7 +1047,7 @@ mod tests {
 
     #[test]
     fn wind_makes_deltas_exact() {
-        // For every perturbed coefficient, e == b + effective_delta with no
+        // For every perturbed coefficient, e == b + block_delta with no
         // modular correction needed.
         let img = test_image();
         let original = CoeffImage::from_rgb(&img, 75);
@@ -1034,17 +1058,18 @@ mod tests {
         let rect = Rect::new(0, 0, 64, 64);
         let record = perturb_roi(&mut perturbed, rect, &keys, &profile).unwrap();
         assert!(!record.wind.is_empty(), "full-range DC must wrap somewhere");
-        let wset = record.wind.to_set();
         for (ci, key) in keys.iter().enumerate() {
             let co = &original.components()[ci];
             let cp = &perturbed.components()[ci];
             let positions = co.blocks_in_region(rect);
+            let pvec = ac_perturbation_vector(&profile, key, &q);
+            let wraps = record.wind.block_masks(ci as u8, positions.len());
             for (k, &(bx, by)) in positions.iter().enumerate() {
                 let bo = co.block(bx, by);
                 let bp = cp.block(bx, by);
+                let d = block_delta(&profile, key, &pvec, k as u32, wraps[k]);
                 for i in 0..64 {
-                    let d = effective_delta(&profile, key, &q, &wset, ci as u8, k as u32, i);
-                    assert_eq!(bo[i] + d, bp[i], "comp {ci} block {k} coeff {i}");
+                    assert_eq!(bo[i] + d[i], bp[i], "comp {ci} block {k} coeff {i}");
                 }
             }
         }

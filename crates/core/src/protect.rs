@@ -3,12 +3,13 @@
 
 use crate::keys::{KeyGrant, OwnerKey};
 use crate::params::{PublicParams, RoiParams};
-use crate::perturb::{perturb_rois, recover_rois, PerturbProfile, RoiKeys, Scheme};
+use crate::perturb::{perturb_rois, recover_rois_in, PerturbProfile, RoiKeys, Scheme};
 use crate::privacy::PrivacyLevel;
 use crate::roi::RoiPlan;
 use crate::{PuppiesError, Result};
 use puppies_image::{Rect, RgbImage};
 use puppies_jpeg::{CoeffImage, EncodeOptions, HuffmanMode};
+use puppies_transform::BlockOrientation;
 
 /// Options controlling [`protect`].
 #[derive(Debug, Clone)]
@@ -233,6 +234,17 @@ pub fn recover_coeff(
     params: &PublicParams,
     grant: &KeyGrant,
 ) -> Result<()> {
+    recover_coeff_in(coeff, None, params, grant)
+}
+
+/// [`recover_coeff`] on an image that the rotation or flip `orient` moved
+/// after perturbation (see [`crate::perturb::recover_rois`]).
+pub(crate) fn recover_coeff_in(
+    coeff: &mut CoeffImage,
+    orient: Option<&BlockOrientation>,
+    params: &PublicParams,
+    grant: &KeyGrant,
+) -> Result<()> {
     let ncomp = coeff.components().len();
     let covered: Vec<_> = params
         .rois
@@ -251,7 +263,7 @@ pub fn recover_coeff(
         .iter()
         .map(|roi| (roi.rect, &roi.profile, &roi.zind))
         .collect();
-    recover_rois(coeff, &rois, &keys)
+    recover_rois_in(coeff, orient, &rois, &keys)
 }
 
 #[cfg(test)]

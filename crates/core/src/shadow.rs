@@ -6,10 +6,12 @@
 //! 1. **Coefficient-domain (lossless) transformations** — block-aligned
 //!    crops, 90°·k rotations, flips, recompression. These permute whole
 //!    blocks (possibly with per-coefficient sign flips), so the receiver
-//!    simply *inverts the transformation on the coefficient image*, runs
-//!    the exact scenario-1 recovery of Lemma III.1, and re-applies the
-//!    transformation. Recovery is **bit-exact** for crop/rotate/flip and
-//!    approximate only for recompression (which is itself lossy).
+//!    runs the exact scenario-1 recovery of Lemma III.1 on each block
+//!    where the transformation put it, undoing the block's sign
+//!    permutation around the recovery — what inverting the transformation,
+//!    recovering and re-applying it would give, without either copy.
+//!    Recovery is **bit-exact** for crop/rotate/flip and approximate only
+//!    for recompression (which is itself lossy).
 //!
 //! 2. **Pixel-domain linear transformations** — scaling, filtering. The
 //!    receiver generates the *shadow ROI* (the pixel-domain image of the
@@ -42,11 +44,12 @@
 
 use crate::keys::KeyGrant;
 use crate::params::PublicParams;
-use crate::perturb::{dc_perturbation, effective_delta, RoiKeys, Scheme};
+use crate::perturb::{ac_perturbation_vector, block_delta, dc_perturbation, RoiKeys, Scheme};
 use crate::{PuppiesError, Result};
 use puppies_image::{Plane, Rect, RgbImage};
+use puppies_jpeg::coeff::clamp_block;
 use puppies_jpeg::{dct, CoeffImage, QuantTable, BLOCK_SIZE};
-use puppies_transform::Transformation;
+use puppies_transform::{BlockOrientation, Transformation};
 
 /// Recovers a protected image that the PSP transformed, dispatching to the
 /// exact coefficient-domain path or the shadow-ROI pixel path.
@@ -74,7 +77,7 @@ pub fn recover_transformed(
         Some(t) => t.clone(),
     };
     if t.is_coeff_domain(params.width, params.height) {
-        recover_coeff_domain(&coeff, &t, params, grant).map(|c| c.to_rgb())
+        recover_coeff_domain_owned(coeff, &t, params, grant).map(|c| c.to_rgb())
     } else {
         recover_pixel_domain(&coeff.to_rgb(), &t, params, grant)
     }
@@ -90,39 +93,70 @@ pub fn recover_coeff_domain(
     params: &PublicParams,
     grant: &KeyGrant,
 ) -> Result<CoeffImage> {
+    recover_coeff_domain_owned(transformed.clone(), t, params, grant)
+}
+
+/// [`recover_coeff_domain`] on an image the caller owns: recovery works
+/// on it in place instead of on a copy.
+fn recover_coeff_domain_owned(
+    transformed: CoeffImage,
+    t: &Transformation,
+    params: &PublicParams,
+    grant: &KeyGrant,
+) -> Result<CoeffImage> {
     match t {
-        Transformation::Rotate90
-        | Transformation::Rotate180
-        | Transformation::Rotate270
-        | Transformation::FlipHorizontal
-        | Transformation::FlipVertical => {
-            let inverse = match t {
-                Transformation::Rotate90 => Transformation::Rotate270,
-                Transformation::Rotate270 => Transformation::Rotate90,
-                other => other.clone(), // 180 and flips are involutions
-            };
-            let mut original_frame = inverse.apply_to_coeff(transformed)?;
-            crate::protect::recover_coeff(&mut original_frame, params, grant)?;
-            Ok(t.apply_to_coeff(&original_frame)?)
-        }
         Transformation::Crop(crop) => recover_cropped(transformed, *crop, params, grant),
         Transformation::Recompress { .. } => recover_recompressed(transformed, params, grant),
-        other => Err(PuppiesError::Transform(
-            puppies_transform::TransformError::NotCoeffDomain(format!("{other:?}")),
-        )),
+        _ => recover_reoriented(transformed, t, params, grant),
     }
+}
+
+/// Recovery after a rotation or flip: each perturbed block is recovered
+/// where the transformation moved it, with its sign permutation undone
+/// around the recovery — exactly what undoing the transformation,
+/// recovering and redoing it gives.
+fn recover_reoriented(
+    mut transformed: CoeffImage,
+    t: &Transformation,
+    params: &PublicParams,
+    grant: &KeyGrant,
+) -> Result<CoeffImage> {
+    let (orient, inverse) = match t {
+        Transformation::Rotate90 => (BlockOrientation::of(t), Transformation::Rotate270),
+        Transformation::Rotate270 => (BlockOrientation::of(t), Transformation::Rotate90),
+        // 180 and flips are involutions.
+        _ => (BlockOrientation::of(t), t.clone()),
+    };
+    let (w, h) = (transformed.width(), transformed.height());
+    let orient = match orient {
+        Some(o) if inverse.is_coeff_domain(w, h) => o,
+        _ => {
+            return Err(PuppiesError::Transform(
+                puppies_transform::TransformError::NotCoeffDomain(format!(
+                    "{inverse:?} on {w}x{h}"
+                )),
+            ))
+        }
+    };
+    // Moving blocks through the coefficient-domain transformation clamps
+    // them into the entropy-codable ranges; a decoded stream may hold
+    // values outside them.
+    for c in transformed.components_mut() {
+        c.blocks_mut().iter_mut().for_each(clamp_block);
+    }
+    crate::protect::recover_coeff_in(&mut transformed, Some(&orient), params, grant)?;
+    Ok(transformed)
 }
 
 /// Recovery after a block-aligned crop: surviving ROI blocks are
 /// unperturbed using their *original* sequence index `k`, which the crop
 /// offset determines (the paper's "transformed ROI" of Fig. 8).
 fn recover_cropped(
-    transformed: &CoeffImage,
+    mut out: CoeffImage,
     crop: Rect,
     params: &PublicParams,
     grant: &KeyGrant,
 ) -> Result<CoeffImage> {
-    let mut out = transformed.clone();
     let ncomp = out.components().len();
     for roi in &params.rois {
         if !grant.covers(params.image_id, roi.index) {
@@ -138,6 +172,7 @@ fn recover_cropped(
         let zset = roi.zind.to_set();
         for ci in 0..ncomp {
             let keys = RoiKeys::from_grant(grant, params.image_id, roi.index, ci as u8)?;
+            let pvec = ac_perturbation_vector(&roi.profile, &keys, &q);
             let comp = &mut out.components_mut()[ci];
             let positions = comp.blocks_in_region(local);
             for &(bx, by) in &positions {
@@ -148,7 +183,7 @@ fn recover_cropped(
                 block[0] =
                     crate::matrix::wrap_dc(block[0] - dc_perturbation(&roi.profile, &keys, k));
                 for (i, coeff) in block.iter_mut().enumerate().skip(1) {
-                    let p = crate::perturb::ac_perturbation(&roi.profile, &keys, &q, i);
+                    let p = pvec[i];
                     if p == 0 {
                         continue;
                     }
@@ -172,11 +207,10 @@ fn recover_cropped(
 /// Approximate — requantization is lossy by itself; the error is bounded
 /// by one original quantization step per coefficient.
 fn recover_recompressed(
-    transformed: &CoeffImage,
+    mut back: CoeffImage,
     params: &PublicParams,
     grant: &KeyGrant,
 ) -> Result<CoeffImage> {
-    let mut back = transformed.clone();
     for (idx, c) in back.components_mut().iter_mut().enumerate() {
         c.requantize(original_table(params.quality, idx));
     }
@@ -201,43 +235,52 @@ fn original_table(quality: u8, component_index: usize) -> QuantTable {
 /// # Errors
 /// Fails if a needed key is missing from the grant.
 pub fn shadow_planes(params: &PublicParams, grant: &KeyGrant, ncomp: usize) -> Result<Vec<Plane>> {
-    let mut planes: Vec<Plane> = (0..ncomp)
-        .map(|_| Plane::new(params.width, params.height))
-        .collect();
+    let (w, h) = (params.width as usize, params.height as usize);
+    let mut planes: Vec<Vec<f32>> = (0..ncomp).map(|_| vec![0.0f32; w * h]).collect();
+    let bs = BLOCK_SIZE as usize;
     for roi in &params.rois {
         if !grant.covers(params.image_id, roi.index) {
             continue;
         }
         let q = roi.range_matrix();
-        let wset = roi.wind.to_set();
-        let blocks_w = roi.rect.w.div_ceil(BLOCK_SIZE);
-        let blocks_h = roi.rect.h.div_ceil(BLOCK_SIZE);
+        let blocks_w = roi.rect.w.div_ceil(BLOCK_SIZE) as usize;
+        let blocks_h = roi.rect.h.div_ceil(BLOCK_SIZE) as usize;
         for (ci, plane) in planes.iter_mut().enumerate() {
             let keys = RoiKeys::from_grant(grant, params.image_id, roi.index, ci as u8)?;
             let quant = original_table(params.quality, ci);
-            for by in 0..blocks_h {
-                for bx in 0..blocks_w {
-                    let k = by * blocks_w + bx;
-                    let mut pert = [0i32; 64];
-                    for (i, slot) in pert.iter_mut().enumerate() {
-                        *slot = effective_delta(&roi.profile, &keys, &q, &wset, ci as u8, k, i);
-                    }
-                    let raw = quant.dequantize(&pert);
-                    let spatial = dct::inverse(&raw);
-                    for y in 0..BLOCK_SIZE {
-                        for x in 0..BLOCK_SIZE {
-                            let px = roi.rect.x + bx * BLOCK_SIZE + x;
-                            let py = roi.rect.y + by * BLOCK_SIZE + y;
-                            if px < params.width && py < params.height {
-                                plane.set(px, py, spatial[(y * BLOCK_SIZE + x) as usize]);
-                            }
-                        }
-                    }
+            // The AC deltas are the same for every block; only the DC delta
+            // (keyed by `k`) and the recorded wraps vary.
+            let pvec = ac_perturbation_vector(&roi.profile, &keys, &q);
+            let wraps = roi.wind.block_masks(ci as u8, blocks_w * blocks_h);
+            // Blocks without wraps differ only in their DC delta, which
+            // takes few distinct values: one IDCT serves each.
+            let mut by_dc: std::collections::HashMap<i32, [f32; 64]> =
+                std::collections::HashMap::new();
+            let shadow_block = |delta: &[i32; 64]| dct::inverse(&quant.dequantize(delta));
+            for (k, &wrap) in wraps.iter().enumerate() {
+                let delta = block_delta(&roi.profile, &keys, &pvec, k as u32, wrap);
+                let computed;
+                let spatial = if wrap == 0 {
+                    by_dc
+                        .entry(delta[0])
+                        .or_insert_with(|| shadow_block(&delta))
+                } else {
+                    computed = shadow_block(&delta);
+                    &computed
+                };
+                let x0 = roi.rect.x as usize + (k % blocks_w) * bs;
+                let y0 = roi.rect.y as usize + (k / blocks_w) * bs;
+                let cols = bs.min(w.saturating_sub(x0));
+                for y in 0..bs.min(h.saturating_sub(y0)) {
+                    plane[(y0 + y) * w + x0..][..cols].copy_from_slice(&spatial[y * bs..][..cols]);
                 }
             }
         }
     }
-    Ok(planes)
+    Ok(planes
+        .into_iter()
+        .map(|samples| Plane::from_raw(params.width, params.height, samples))
+        .collect())
 }
 
 /// Shadow-ROI recovery for pixel-domain transformations (§IV-C.1): apply
@@ -268,11 +311,8 @@ pub fn recover_pixel_domain(
                 planes[ci].height()
             )));
         }
-        let p = &mut planes[ci];
-        for y in 0..p.height() {
-            for x in 0..p.width() {
-                p.set(x, y, p.get(x, y) - t_shadow.get(x, y));
-            }
+        for (p, s) in planes[ci].samples_mut().iter_mut().zip(t_shadow.samples()) {
+            *p -= s;
         }
     }
     Ok(RgbImage::from_ycbcr_planes(&planes))
@@ -330,6 +370,45 @@ mod tests {
         let mut params = protected.params.clone();
         params.transformation = Some(t.clone());
         (bytes, params)
+    }
+
+    #[test]
+    fn in_place_reorientation_recovery_matches_undo_recover_redo() {
+        // Non-square, several ROIs, Zero scheme (ZInd-forced lanes), and
+        // one coefficient outside the codable range: recovering in the
+        // transformed frame must give what undoing the transformation,
+        // recovering and redoing it gives.
+        let img = RgbImage::from_fn(72, 40, |x, y| {
+            Rgb::new((x * 7 + y) as u8, (x + y * 9) as u8, (x * y) as u8)
+        });
+        let key = OwnerKey::from_seed([4u8; 32]);
+        let rois = [Rect::new(8, 0, 24, 16), Rect::new(40, 16, 32, 24)];
+        let protected = protect(&img, &rois, &key, &ProtectOptions::default()).unwrap();
+        let grant = key.grant_all();
+        for t in [
+            Transformation::Rotate90,
+            Transformation::Rotate180,
+            Transformation::Rotate270,
+            Transformation::FlipHorizontal,
+            Transformation::FlipVertical,
+        ] {
+            let mut served = t
+                .apply_to_coeff(&CoeffImage::decode(&protected.bytes).unwrap())
+                .unwrap();
+            served.components_mut()[1].blocks_mut()[3][5] = 4000;
+            let mut params = protected.params.clone();
+            params.transformation = Some(t.clone());
+            let inverse = match t {
+                Transformation::Rotate90 => Transformation::Rotate270,
+                Transformation::Rotate270 => Transformation::Rotate90,
+                ref other => other.clone(),
+            };
+            let mut reference = inverse.apply_to_coeff(&served).unwrap();
+            crate::protect::recover_coeff(&mut reference, &params, &grant).unwrap();
+            let reference = t.apply_to_coeff(&reference).unwrap();
+            let in_place = recover_coeff_domain(&served, &t, &params, &grant).unwrap();
+            assert_eq!(in_place, reference, "{t:?}");
+        }
     }
 
     #[test]

@@ -28,8 +28,9 @@ pub enum Filter {
 /// Panics if either target dimension is zero.
 pub fn scale_rgb(src: &RgbImage, nw: u32, nh: u32, filter: Filter) -> RgbImage {
     assert!(nw > 0 && nh > 0, "target dimensions must be nonzero");
-    let planes = split_channels(src);
-    let scaled = planes.map(|p| scale_plane(&p, nw, nh, filter));
+    // One full-size channel plane at a time: only the scaled planes are
+    // held together.
+    let scaled = [0, 1, 2].map(|c| scale_plane(&channel(src, c), nw, nh, filter));
     merge_channels(&scaled)
 }
 
@@ -66,26 +67,46 @@ fn scale_nearest(src: &Plane, nw: u32, nh: u32) -> Plane {
 }
 
 fn scale_bilinear(src: &Plane, nw: u32, nh: u32) -> Plane {
-    let (w, h) = (src.width() as f64, src.height() as f64);
-    let sx = w / nw as f64;
-    let sy = h / nh as f64;
-    Plane::from_fn(nw, nh, |x, y| {
-        // Pixel-center convention.
-        let fx = (x as f64 + 0.5) * sx - 0.5;
-        let fy = (y as f64 + 0.5) * sy - 0.5;
-        let x0 = fx.floor();
-        let y0 = fy.floor();
-        let tx = (fx - x0) as f32;
-        let ty = (fy - y0) as f32;
-        let (x0, y0) = (x0 as i64, y0 as i64);
-        let p00 = src.get_clamped(x0, y0);
-        let p10 = src.get_clamped(x0 + 1, y0);
-        let p01 = src.get_clamped(x0, y0 + 1);
-        let p11 = src.get_clamped(x0 + 1, y0 + 1);
-        let top = p00 + (p10 - p00) * tx;
-        let bot = p01 + (p11 - p01) * tx;
-        top + (bot - top) * ty
-    })
+    let (w, h) = (src.width(), src.height());
+    // Pixel-center convention. The source taps and weight of each output
+    // column depend only on its x, and those of each row only on its y,
+    // so both are computed once.
+    let xtaps = bilinear_taps(w, nw);
+    let ytaps = bilinear_taps(h, nh);
+    let samples = src.samples();
+    let mut out = Vec::with_capacity(nw as usize * nh as usize);
+    for &(y0, y1, ty) in &ytaps {
+        let top_row = &samples[y0 * w as usize..][..w as usize];
+        let bot_row = &samples[y1 * w as usize..][..w as usize];
+        out.extend(xtaps.iter().map(|&(x0, x1, tx)| {
+            let (p00, p10) = (top_row[x0], top_row[x1]);
+            let (p01, p11) = (bot_row[x0], bot_row[x1]);
+            let top = p00 + (p10 - p00) * tx;
+            let bot = p01 + (p11 - p01) * tx;
+            top + (bot - top) * ty
+        }));
+    }
+    Plane::from_raw(nw, nh, out)
+}
+
+/// The two clamped source indices and the weight of the second, for each
+/// of `n` output samples resampled from `len` source samples.
+fn bilinear_taps(len: u32, n: u32) -> Vec<(usize, usize, f32)> {
+    let scale = len as f64 / n as f64;
+    let last = len as i64 - 1;
+    (0..n)
+        .map(|i| {
+            let f = (i as f64 + 0.5) * scale - 0.5;
+            let i0 = f.floor();
+            let t = (f - i0) as f32;
+            let i0 = i0 as i64;
+            (
+                i0.clamp(0, last) as usize,
+                (i0 + 1).clamp(0, last) as usize,
+                t,
+            )
+        })
+        .collect()
 }
 
 fn scale_box(src: &Plane, nw: u32, nh: u32) -> Plane {
@@ -190,20 +211,17 @@ pub fn rotate_arbitrary(src: &RgbImage, angle: f64, fill: Rgb) -> RgbImage {
 
 /// Splits an RGB image into three float planes (R, G, B order).
 pub fn split_channels(src: &RgbImage) -> [Plane; 3] {
-    let mut planes = [
-        Plane::new(src.width(), src.height()),
-        Plane::new(src.width(), src.height()),
-        Plane::new(src.width(), src.height()),
-    ];
-    for y in 0..src.height() {
-        for x in 0..src.width() {
-            let c = src.get(x, y);
-            planes[0].set(x, y, c.r as f32);
-            planes[1].set(x, y, c.g as f32);
-            planes[2].set(x, y, c.b as f32);
-        }
-    }
-    planes
+    [0, 1, 2].map(|c| channel(src, c))
+}
+
+/// Channel `c` (0 = R, 1 = G, 2 = B) of an RGB image as a float plane.
+fn channel(src: &RgbImage, c: usize) -> Plane {
+    let samples = src
+        .pixels()
+        .iter()
+        .map(|px| [px.r, px.g, px.b][c] as f32)
+        .collect();
+    Plane::from_raw(src.width(), src.height(), samples)
 }
 
 /// Merges three float planes (R, G, B) back into an RGB image with rounding
@@ -217,13 +235,19 @@ pub fn merge_channels(planes: &[Plane; 3]) -> RgbImage {
         planes.iter().all(|p| p.width() == w && p.height() == h),
         "plane sizes differ"
     );
-    RgbImage::from_fn(w, h, |x, y| {
-        Rgb::new(
-            planes[0].get(x, y).round().clamp(0.0, 255.0) as u8,
-            planes[1].get(x, y).round().clamp(0.0, 255.0) as u8,
-            planes[2].get(x, y).round().clamp(0.0, 255.0) as u8,
-        )
-    })
+    let to_u8 = |v: f32| v.round().clamp(0.0, 255.0) as u8;
+    let mut img = RgbImage::new(w, h);
+    let [r, g, b] = planes;
+    for (((px, &r), &g), &b) in img
+        .pixels_mut()
+        .iter_mut()
+        .zip(r.samples())
+        .zip(g.samples())
+        .zip(b.samples())
+    {
+        *px = Rgb::new(to_u8(r), to_u8(g), to_u8(b));
+    }
+    img
 }
 
 #[cfg(test)]

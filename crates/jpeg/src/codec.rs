@@ -89,7 +89,7 @@ pub fn encode(img: &CoeffImage, opts: &EncodeOptions) -> Result<Vec<u8>> {
 
     // Choose Huffman tables. Table class 0 = DC, 1 = AC; id 0 = luma,
     // id 1 = chroma.
-    let (dc_tables, ac_tables, band_masks) = match opts.huffman {
+    let (dc_tables, ac_tables, masks) = match opts.huffman {
         HuffmanMode::Standard => (
             vec![HuffTable::std_dc_luma(), HuffTable::std_dc_chroma()],
             vec![HuffTable::std_ac_luma(), HuffTable::std_ac_chroma()],
@@ -156,133 +156,51 @@ pub fn encode(img: &CoeffImage, opts: &EncodeOptions) -> Result<Vec<u8>> {
     push_segment(&mut out, SOS, &sos);
 
     // Entropy-coded data, interleaved MCUs (one block per component at
-    // 4:4:4). Block-row bands are encoded in parallel into separate bit
-    // writers and spliced in order, which reproduces the serial bit
-    // stream exactly (see `encode_band` for why the DC prediction chain
-    // survives the split).
+    // 4:4:4).
     let _entropy_span = puppies_obs::span("jpeg.entropy_encode", "jpeg");
     let enc_dc: Vec<HuffEncoder> = dc_tables.iter().map(HuffEncoder::new).collect();
     let enc_ac: Vec<HuffEncoder> = ac_tables.iter().map(HuffEncoder::new).collect();
-    let bands = crate::coeff::band_rows(comps[0].blocks_h());
-    let pool = puppies_parallel::current();
-    let bw_blocks = comps[0].blocks_w() as usize;
-    // Pair each band with its tally-pass masks (`build_optimized_tables`
-    // iterates the same `band_rows` split, so index `i` lines up).
-    if let Some(masks) = &band_masks {
-        debug_assert_eq!(masks.len(), bands.len());
-    }
-    let band_inputs: Vec<(std::ops::Range<u32>, Option<&[u64]>)> = bands
-        .iter()
-        .enumerate()
-        .map(|(i, band)| {
-            let m = band_masks.as_ref().map(|ms| ms[i].as_slice());
-            (band.clone(), m)
-        })
-        .collect();
-    let writers = pool.map_slice(&band_inputs, |(band, masks)| {
-        // ~8 entropy bytes per block is a comfortable overestimate for
-        // photographic content; growing past it is still amortized.
-        let mut w = BitWriter::with_capacity(band.len() * bw_blocks * ncomp * 8);
-        encode_band(img, band.clone(), &enc_dc, &enc_ac, *masks, &mut w).map(|()| w)
-    });
-    let mut w = BitWriter::with_capacity(bw_blocks * comps[0].blocks_h() as usize * ncomp * 8);
-    for band_writer in writers {
-        w.append(band_writer?);
+    let nblocks = comps[0].blocks().len();
+    // ~8 entropy bytes per block is a comfortable overestimate for
+    // photographic content; growing past it is still amortized.
+    let mut w = BitWriter::with_capacity(nblocks * ncomp * 8);
+    let mut pred = vec![0i32; ncomp];
+    for i in 0..nblocks {
+        for (ci, c) in comps.iter().enumerate() {
+            let tid = if ci == 0 { 0 } else { 1 };
+            let block = &c.blocks()[i];
+            pred[ci] = if let Some(ms) = &masks {
+                // Reuse the zigzag mask the tally pass computed for this
+                // block (same scan order, same index).
+                let m = ms[i * ncomp + ci];
+                encode_block_natural_masked(&mut w, block, m, pred[ci], &enc_dc[tid], &enc_ac[tid])?
+            } else {
+                encode_block_natural(&mut w, block, pred[ci], &enc_dc[tid], &enc_ac[tid])?
+            };
+        }
     }
     out.extend_from_slice(&w.finish());
     push_marker(&mut out, EOI);
     Ok(out)
 }
 
-/// The DC predictor each component carries *into* block row `row`: the
-/// DC value of that component's last block of the previous row (scan
-/// order is row-major and interleaved per MCU, so within one component
-/// the predecessor of block (0, row) is block (bw-1, row-1)). This is
-/// what makes bands independently encodable: a band's starting
-/// predictors are plain coefficient reads, not a function of the
-/// preceding band's encoder state.
-fn band_entry_predictors(img: &CoeffImage, row: u32) -> Vec<i32> {
-    img.components()
-        .iter()
-        .map(|c| {
-            if row == 0 {
-                0
-            } else {
-                c.block(c.blocks_w() - 1, row - 1)[0]
-            }
-        })
-        .collect()
-}
-
-fn encode_band(
-    img: &CoeffImage,
-    rows: std::ops::Range<u32>,
-    enc_dc: &[HuffEncoder],
-    enc_ac: &[HuffEncoder],
-    masks: Option<&[u64]>,
-    w: &mut BitWriter,
-) -> Result<()> {
-    let comps = img.components();
-    let bw = comps[0].blocks_w();
-    let mut pred = band_entry_predictors(img, rows.start);
-    let mut mi = 0;
-    for by in rows {
-        for bx in 0..bw {
-            for (ci, c) in comps.iter().enumerate() {
-                let tid = if ci == 0 { 0 } else { 1 };
-                let block = c.block(bx, by);
-                pred[ci] = if let Some(ms) = masks {
-                    // Reuse the zigzag mask the tally pass computed for
-                    // this block (same scan order, same index).
-                    let m = ms[mi];
-                    mi += 1;
-                    encode_block_natural_masked(w, block, m, pred[ci], &enc_dc[tid], &enc_ac[tid])?
-                } else {
-                    encode_block_natural(w, block, pred[ci], &enc_dc[tid], &enc_ac[tid])?
-                };
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Builds optimized Huffman tables and returns, per band of
-/// [`crate::coeff::band_rows`], each block's zigzag nonzero mask in scan
-/// order (by, bx, component) so the emission pass can skip recomputing
-/// them.
-fn build_optimized_tables(img: &CoeffImage) -> (Vec<HuffTable>, Vec<HuffTable>, Vec<Vec<u64>>) {
+/// Builds optimized Huffman tables and returns each block's zigzag
+/// nonzero mask in scan order (block, then component) so the emission
+/// pass can skip recomputing them.
+fn build_optimized_tables(img: &CoeffImage) -> (Vec<HuffTable>, Vec<HuffTable>, Vec<u64>) {
     let comps = img.components();
     let ncomp = comps.len();
-    let ntab = ncomp.min(2);
-    let bw = comps[0].blocks_w();
-    // Tally block-row bands in parallel and sum the counters; symbol
-    // frequencies are additive so the merged tally is exact.
-    let bands = crate::coeff::band_rows(comps[0].blocks_h());
-    let pool = puppies_parallel::current();
-    let band_results = pool.map_slice(&bands, |band| {
-        let mut freqs: Vec<SymbolFreqs> = (0..ntab).map(|_| SymbolFreqs::new()).collect();
-        let mut masks: Vec<u64> = Vec::with_capacity(band.len() * bw as usize * ncomp);
-        let mut pred = band_entry_predictors(img, band.start);
-        for by in band.clone() {
-            for bx in 0..bw {
-                for (ci, c) in comps.iter().enumerate() {
-                    let tid = if ci == 0 { 0 } else { 1 };
-                    let (p, m) =
-                        tally_block_natural_mask(&mut freqs[tid], c.block(bx, by), pred[ci]);
-                    pred[ci] = p;
-                    masks.push(m);
-                }
-            }
+    let nblocks = comps[0].blocks().len();
+    let mut freqs: Vec<SymbolFreqs> = (0..ncomp.min(2)).map(|_| SymbolFreqs::new()).collect();
+    let mut masks: Vec<u64> = Vec::with_capacity(nblocks * ncomp);
+    let mut pred = vec![0i32; ncomp];
+    for i in 0..nblocks {
+        for (ci, c) in comps.iter().enumerate() {
+            let tid = if ci == 0 { 0 } else { 1 };
+            let (p, m) = tally_block_natural_mask(&mut freqs[tid], &c.blocks()[i], pred[ci]);
+            pred[ci] = p;
+            masks.push(m);
         }
-        (freqs, masks)
-    });
-    let mut freqs: Vec<SymbolFreqs> = (0..ntab).map(|_| SymbolFreqs::new()).collect();
-    let mut all_masks = Vec::with_capacity(band_results.len());
-    for (band_freqs, masks) in band_results {
-        for (total, part) in freqs.iter_mut().zip(band_freqs.iter()) {
-            total.merge(part);
-        }
-        all_masks.push(masks);
     }
     let dc = freqs
         .iter()
@@ -292,7 +210,7 @@ fn build_optimized_tables(img: &CoeffImage) -> (Vec<HuffTable>, Vec<HuffTable>, 
         .iter()
         .map(|f| HuffTable::build_optimized(&f.ac))
         .collect();
-    (dc, ac, all_masks)
+    (dc, ac, masks)
 }
 
 fn emit_quant_table(out: &mut Vec<u8>, id: u8, table: &QuantTable) {

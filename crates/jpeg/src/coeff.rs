@@ -19,27 +19,6 @@ pub fn clamp_block(b: &mut Block) {
     }
 }
 
-/// Splits `rows` block rows into contiguous bands, at most one per
-/// worker of the current pool. The partition only affects scheduling:
-/// every caller reassembles band outputs in order, so any partition
-/// yields identical results.
-pub(crate) fn band_rows(rows: u32) -> Vec<std::ops::Range<u32>> {
-    let workers = puppies_parallel::current().threads() as u32;
-    let nbands = workers.clamp(1, rows.max(1));
-    let base = rows / nbands;
-    let extra = rows % nbands;
-    let mut bands = Vec::with_capacity(nbands as usize);
-    let mut start = 0;
-    for i in 0..nbands {
-        let len = base + u32::from(i < extra);
-        if len > 0 {
-            bands.push(start..start + len);
-            start += len;
-        }
-    }
-    bands
-}
-
 /// Side length of a JPEG block in samples.
 pub const BLOCK_SIZE: u32 = 8;
 /// Number of coefficients per block.
@@ -73,99 +52,76 @@ impl Component {
         let height = plane.height();
         let blocks_w = width.div_ceil(BLOCK_SIZE);
         let blocks_h = height.div_ceil(BLOCK_SIZE);
-        // Forward-transform block-row bands in parallel. Each band's
-        // blocks depend only on the source plane, and bands are
-        // concatenated in row order, so the block vector is identical to
-        // the serial loop's for any worker count.
-        let bands = band_rows(blocks_h);
-        let pool = puppies_parallel::current();
+        let n = (blocks_w * blocks_h) as usize;
         let folded = quant.folded();
         let samples = plane.samples();
-        let band_blocks = pool.map_slice(&bands, |band| {
-            // Every slot is fully written below (the fused fdct+quantize
-            // fills all 64 coefficients of each block in order), so the
-            // band buffer skips the zero-fill a `vec![...]` would pay.
-            let n = (band.len() as u32 * blocks_w) as usize;
-            let mut blocks: Vec<Block> = Vec::with_capacity(n);
-            let spare = blocks.spare_capacity_mut();
-            let mut raw = [0.0f32; BLOCK_LEN];
-            // Columns whose 8 samples all lie inside the plane; the run
-            // `0..full_cols` of each full-height block row goes through
-            // the batched kernel in one dispatch.
-            let full_cols = width / BLOCK_SIZE;
-            let w = width as usize;
-            let mut idx = 0;
-            for by in band.clone() {
-                let row_full = by * BLOCK_SIZE + BLOCK_SIZE <= height;
-                let mut bx = 0;
-                if row_full && full_cols > 0 {
-                    // Interior span: one dispatch transforms the whole
-                    // run of full blocks (level shift, DCT, quantize and
-                    // range clamp fused), reading the sample rows in
-                    // place and writing the blocks' spare capacity
-                    // back-to-back.
-                    let base = (by * BLOCK_SIZE) as usize * w;
-                    debug_assert!(base + 7 * w + 8 * full_cols as usize <= samples.len());
-                    debug_assert!(idx + full_cols as usize <= n);
+        // Every slot is fully written below (the fused fdct+quantize fills
+        // all 64 coefficients of each block in order), so the block vector
+        // skips the zero-fill a `vec![...]` would pay.
+        let mut blocks: Vec<Block> = Vec::with_capacity(n);
+        let spare = blocks.spare_capacity_mut();
+        let mut raw = [0.0f32; BLOCK_LEN];
+        // Columns whose 8 samples all lie inside the plane; the run
+        // `0..full_cols` of each full-height block row goes through the
+        // batched kernel in one dispatch.
+        let full_cols = width / BLOCK_SIZE;
+        let w = width as usize;
+        let mut idx = 0;
+        for by in 0..blocks_h {
+            let row_full = by * BLOCK_SIZE + BLOCK_SIZE <= height;
+            let mut bx = 0;
+            if row_full && full_cols > 0 {
+                // Interior span: one dispatch transforms the whole run of
+                // full blocks (level shift, DCT, quantize and range clamp
+                // fused), reading the sample rows in place and writing the
+                // blocks' spare capacity back-to-back.
+                let base = (by * BLOCK_SIZE) as usize * w;
+                debug_assert!(base + 7 * w + 8 * full_cols as usize <= samples.len());
+                debug_assert!(idx + full_cols as usize <= n);
 
-                    // SAFETY: `row_full` bounds all 8 sample rows and the
-                    // destination blocks are in-capacity (see the debug
-                    // assertions); every slot of each block is written.
-                    // The pointer derives from the whole spare slice (not
-                    // one element) because the batched write spans
-                    // `full_cols` consecutive blocks.
-                    unsafe {
-                        folded.fdct_quantize_row_band_into(
-                            samples.as_ptr().add(base),
-                            w,
-                            full_cols as usize,
-                            spare.as_mut_ptr().add(idx) as *mut i32,
-                        );
-                    }
-                    idx += full_cols as usize;
-                    bx = full_cols;
+                // SAFETY: `row_full` bounds all 8 sample rows and the
+                // destination blocks are in-capacity (see the debug
+                // assertions); every slot of each block is written. The
+                // pointer derives from the whole spare slice (not one
+                // element) because the batched write spans `full_cols`
+                // consecutive blocks.
+                unsafe {
+                    folded.fdct_quantize_row_band_into(
+                        samples.as_ptr().add(base),
+                        w,
+                        full_cols as usize,
+                        spare.as_mut_ptr().add(idx) as *mut i32,
+                    );
                 }
-                for bx in bx..blocks_w {
-                    // Edge block: replicate-pad via the clamped accessor,
-                    // then run the same fused kernel over the staged raw
-                    // samples.
-                    for y in 0..BLOCK_SIZE {
-                        for x in 0..BLOCK_SIZE {
-                            let sx = (bx * BLOCK_SIZE + x) as i64;
-                            let sy = (by * BLOCK_SIZE + y) as i64;
-                            raw[(y * BLOCK_SIZE + x) as usize] = plane.get_clamped(sx, sy);
-                        }
+                idx += full_cols as usize;
+                bx = full_cols;
+            }
+            for bx in bx..blocks_w {
+                // Edge block: replicate-pad via the clamped accessor, then
+                // run the same fused kernel over the staged raw samples.
+                for y in 0..BLOCK_SIZE {
+                    for x in 0..BLOCK_SIZE {
+                        let sx = (bx * BLOCK_SIZE + x) as i64;
+                        let sy = (by * BLOCK_SIZE + y) as i64;
+                        raw[(y * BLOCK_SIZE + x) as usize] = plane.get_clamped(sx, sy);
                     }
-                    // SAFETY: `raw` is a full contiguous block and the
-                    // destination addresses 64 writable slots in spare
-                    // capacity; all 64 are written.
-                    unsafe {
-                        folded.fdct_quantize_rows_into(
-                            raw.as_ptr(),
-                            8,
-                            spare[idx].as_mut_ptr() as *mut i32,
-                        );
-                    }
-                    idx += 1;
                 }
+                // SAFETY: `raw` is a full contiguous block and the
+                // destination addresses 64 writable slots in spare
+                // capacity; all 64 are written.
+                unsafe {
+                    folded.fdct_quantize_rows_into(
+                        raw.as_ptr(),
+                        8,
+                        spare[idx].as_mut_ptr() as *mut i32,
+                    );
+                }
+                idx += 1;
             }
-            debug_assert_eq!(idx, n);
-            // SAFETY: the loop initialized all `n` blocks.
-            unsafe { blocks.set_len(n) };
-            blocks
-        });
-        // With a single band (serial pools) its vector is the whole
-        // component — move it instead of re-copying every block.
-        let mut band_blocks = band_blocks;
-        let blocks = if band_blocks.len() == 1 {
-            band_blocks.pop().expect("one band")
-        } else {
-            let mut blocks = Vec::with_capacity((blocks_w * blocks_h) as usize);
-            for band in band_blocks {
-                blocks.extend(band);
-            }
-            blocks
-        };
+        }
+        debug_assert_eq!(idx, n);
+        // SAFETY: the loop initialized all `n` blocks.
+        unsafe { blocks.set_len(n) };
         Component {
             id,
             width,
@@ -182,66 +138,32 @@ impl Component {
     /// caller can do shadow-ROI arithmetic before rounding.
     pub fn to_plane(&self) -> Plane {
         let _span = puppies_obs::span("jpeg.idct", "jpeg");
-        let full_w = self.blocks_w * BLOCK_SIZE;
-        // Inverse-transform block-row bands in parallel. A band owns the
-        // 8 sample rows of each of its block rows — disjoint, contiguous
-        // spans of the padded plane — so bands are computed independently
-        // and copied into place in order.
-        let bands = band_rows(self.blocks_h);
-        let pool = puppies_parallel::current();
+        // Each block writes its in-bounds samples straight into the
+        // cropped plane: no padded intermediate, no crop copy.
+        let (w, h) = (self.width as usize, self.height as usize);
+        let mut samples = vec![0.0f32; w * h];
         let folded = self.quant.folded();
-        let band_samples = pool.map_slice(&bands, |band| {
-            let mut samples = vec![0.0f32; (band.len() as u32 * BLOCK_SIZE * full_w) as usize];
-            let mut raw = [0.0f32; BLOCK_LEN];
-            let mut spatial = [0.0f32; BLOCK_LEN];
-            for (row_in_band, by) in band.clone().enumerate() {
-                for bx in 0..self.blocks_w {
-                    let q = &self.blocks[(by * self.blocks_w + bx) as usize];
-                    folded.dequantize_scaled_into(q, &mut raw);
-                    dct::inverse_scaled_into(&raw, &mut spatial);
-                    for y in 0..BLOCK_SIZE as usize {
-                        let row_base = (row_in_band * BLOCK_SIZE as usize + y) * full_w as usize
-                            + (bx * BLOCK_SIZE) as usize;
-                        let dst = &mut samples[row_base..][..BLOCK_SIZE as usize];
-                        let src = &spatial[y * BLOCK_SIZE as usize..][..BLOCK_SIZE as usize];
-                        for x in 0..BLOCK_SIZE as usize {
-                            dst[x] = src[x] + 128.0;
-                        }
+        let mut raw = [0.0f32; BLOCK_LEN];
+        let mut spatial = [0.0f32; BLOCK_LEN];
+        let bs = BLOCK_SIZE as usize;
+        for (by, row) in self.blocks.chunks_exact(self.blocks_w as usize).enumerate() {
+            let y0 = by * bs;
+            let rows = bs.min(h - y0);
+            for (bx, q) in row.iter().enumerate() {
+                let x0 = bx * bs;
+                let cols = bs.min(w - x0);
+                folded.dequantize_scaled_into(q, &mut raw);
+                dct::inverse_scaled_into(&raw, &mut spatial);
+                for y in 0..rows {
+                    let dst = &mut samples[(y0 + y) * w + x0..][..cols];
+                    let src = &spatial[y * bs..][..cols];
+                    for x in 0..cols {
+                        dst[x] = src[x] + 128.0;
                     }
                 }
             }
-            samples
-        });
-        // With a single band (serial pools) its samples are the whole
-        // padded plane — wrap the vector instead of copying it.
-        let mut band_samples = band_samples;
-        let full = if band_samples.len() == 1 {
-            Plane::from_raw(
-                full_w,
-                self.blocks_h * BLOCK_SIZE,
-                band_samples.pop().expect("one band"),
-            )
-        } else {
-            let mut full = Plane::new(full_w, self.blocks_h * BLOCK_SIZE);
-            let out = full.samples_mut();
-            let mut offset = 0;
-            for band in band_samples {
-                out[offset..offset + band.len()].copy_from_slice(&band);
-                offset += band.len();
-            }
-            full
-        };
-        if full.width() == self.width && full.height() == self.height {
-            full
-        } else {
-            let mut cropped = Plane::new(self.width, self.height);
-            let (w, fw) = (self.width as usize, full_w as usize);
-            let src = full.samples();
-            for (y, row) in cropped.samples_mut().chunks_exact_mut(w).enumerate() {
-                row.copy_from_slice(&src[y * fw..y * fw + w]);
-            }
-            cropped
         }
+        Plane::from_raw(self.width, self.height, samples)
     }
 
     /// Component id (1 = Y, 2 = Cb, 3 = Cr).
@@ -405,21 +327,99 @@ pub struct CoeffImage {
 
 impl CoeffImage {
     /// Forward-transforms an RGB image at the given JPEG quality (1..=100).
+    ///
+    /// Colour conversion runs one 8-row block band at a time, straight
+    /// into the forward DCT, so no full-size sample plane is ever built.
+    /// The result is identical to [`RgbImage::to_ycbcr_planes`] followed
+    /// by [`Component::from_plane`] on each plane: the band is padded by
+    /// the same edge replication and goes through the same fused kernel.
     pub fn from_rgb(img: &RgbImage, quality: u8) -> CoeffImage {
         let _span = puppies_obs::span("jpeg.fwd_transform", "jpeg");
-        let planes = {
-            let _cc = puppies_obs::span("jpeg.color_to_ycbcr", "jpeg");
-            img.to_ycbcr_planes()
-        };
+        let (width, height) = (img.width(), img.height());
+        let blocks_w = width.div_ceil(BLOCK_SIZE);
+        let blocks_h = height.div_ceil(BLOCK_SIZE);
         let lq = QuantTable::luma(quality);
         let cq = QuantTable::chroma(quality);
+        let folded = [lq.folded(), cq.folded(), cq.folded()];
         let quants = [lq, cq.clone(), cq];
-        let components = puppies_parallel::current().map_indexed(3, |i| {
-            Component::from_plane(i as u8 + 1, &planes[i], quants[i].clone())
-        });
+        let bs = BLOCK_SIZE as usize;
+        let (w, stride) = (width as usize, (blocks_w * BLOCK_SIZE) as usize);
+        let n = (blocks_w * blocks_h) as usize;
+        let pixels = img.pixels();
+        // One band of 8 sample rows per channel, padded to whole blocks.
+        let mut bands = [
+            vec![0.0f32; bs * stride],
+            vec![0.0f32; bs * stride],
+            vec![0.0f32; bs * stride],
+        ];
+        let mut blocks: [Vec<Block>; 3] = [
+            Vec::with_capacity(n),
+            Vec::with_capacity(n),
+            Vec::with_capacity(n),
+        ];
+        for by in 0..blocks_h as usize {
+            for y in 0..bs {
+                let off = y * stride;
+                let sy = by * bs + y;
+                if sy >= height as usize {
+                    // Below the image: replicate the row above (row 0 of
+                    // a band is always inside the image).
+                    for band in &mut bands {
+                        band.copy_within(off - stride..off, off);
+                    }
+                    continue;
+                }
+                let [yb, cbb, crb] = &mut bands;
+                puppies_image::color::rgb_to_ycbcr_slice(
+                    &pixels[sy * w..][..w],
+                    &mut yb[off..off + w],
+                    &mut cbb[off..off + w],
+                    &mut crb[off..off + w],
+                );
+                for band in &mut bands {
+                    // Right of the image: replicate the last column.
+                    let edge = band[off + w - 1];
+                    band[off + w..off + stride].fill(edge);
+                }
+            }
+            for ((band, out), fq) in bands.iter().zip(&mut blocks).zip(&folded) {
+                // SAFETY: the band holds 8 rows of `stride` samples, so
+                // every one of the `blocks_w` blocks reads in bounds, and
+                // block row `by` addresses `blocks_w` in-capacity slots of
+                // `out`; the kernel writes all 64 slots of each.
+                unsafe {
+                    fq.fdct_quantize_row_band_into(
+                        band.as_ptr(),
+                        stride,
+                        blocks_w as usize,
+                        out.spare_capacity_mut()
+                            .as_mut_ptr()
+                            .add(by * blocks_w as usize) as *mut i32,
+                    );
+                }
+            }
+        }
+        let components = blocks
+            .into_iter()
+            .zip(quants)
+            .enumerate()
+            .map(|(i, (mut b, quant))| {
+                // SAFETY: every block row wrote its `blocks_w` blocks.
+                unsafe { b.set_len(n) };
+                Component {
+                    id: i as u8 + 1,
+                    width,
+                    height,
+                    blocks_w,
+                    blocks_h,
+                    quant,
+                    blocks: b,
+                }
+            })
+            .collect();
         CoeffImage {
-            width: img.width(),
-            height: img.height(),
+            width,
+            height,
             components,
         }
     }
@@ -490,8 +490,11 @@ impl CoeffImage {
         if self.is_gray() {
             return self.to_gray_image().to_rgb();
         }
-        let planes = puppies_parallel::current().map_slice(&self.components, Component::to_plane);
-        let planes: [_; 3] = planes.try_into().expect("color image has 3 components");
+        let planes = [
+            self.components[0].to_plane(),
+            self.components[1].to_plane(),
+            self.components[2].to_plane(),
+        ];
         let _cc = puppies_obs::span("jpeg.color_from_ycbcr", "jpeg");
         RgbImage::from_ycbcr_planes(&planes)
     }
@@ -581,6 +584,33 @@ mod tests {
             assert_eq!(back.width(), w);
             assert_eq!(back.height(), h);
             assert!(psnr_rgb(&img, &back) > 28.0);
+        }
+    }
+
+    #[test]
+    fn from_rgb_matches_planes_then_from_plane() {
+        // `from_rgb` converts colour band by band straight into the
+        // forward DCT; the reference converts whole planes first and
+        // runs `from_plane` on each. Edge blocks (replicated padding on
+        // the right and bottom) are where the two could part.
+        for (w, h) in [(1, 1), (9, 17), (61, 45), (250, 164)] {
+            let img = RgbImage::from_fn(w, h, |x, y| {
+                let v = (x.wrapping_mul(2_654_435_761) ^ y.wrapping_mul(40_503)) >> 7;
+                Rgb::new(v as u8, (v >> 8) as u8, (x * 3 + y * 7) as u8)
+            });
+            for q in [50u8, 75, 95] {
+                let planes = img.to_ycbcr_planes();
+                let quants = [
+                    QuantTable::luma(q),
+                    QuantTable::chroma(q),
+                    QuantTable::chroma(q),
+                ];
+                let reference: Vec<Component> = (0..3)
+                    .map(|i| Component::from_plane(i as u8 + 1, &planes[i], quants[i].clone()))
+                    .collect();
+                let fused = CoeffImage::from_rgb(&img, q);
+                assert_eq!(fused.components(), &reference[..], "{w}x{h} q{q}");
+            }
         }
     }
 

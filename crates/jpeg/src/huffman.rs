@@ -119,34 +119,6 @@ impl BitWriter {
         self.out
     }
 
-    /// Appends another writer's bit stream after this one's, preserving
-    /// the exact bit sequence: the result is byte-identical to having
-    /// `put` every bit into `self` directly. This is what lets the
-    /// encoder entropy-code block bands in parallel and splice them.
-    pub fn append(&mut self, mut other: BitWriter) {
-        self.drain();
-        other.drain();
-        if self.nbits == 0 {
-            // Byte-aligned: other's stuffed bytes are already exactly what
-            // this writer would have produced.
-            self.out.extend_from_slice(&other.out);
-        } else {
-            // Replay other's bytes through `put`, undoing its stuffing
-            // (put re-stuffs at the new alignment). Every 0x00 after an
-            // 0xFF in a writer's output is stuffing by construction.
-            let mut bytes = other.out.iter();
-            while let Some(&byte) = bytes.next() {
-                self.put(byte as u32, 8);
-                if byte == 0xFF {
-                    let stuffing = bytes.next();
-                    debug_assert_eq!(stuffing, Some(&0x00));
-                }
-            }
-        }
-        // After a put, at most 7 bits stay buffered, so this fits in u32.
-        self.put(other.acc as u32, other.nbits);
-    }
-
     /// Number of whole bytes emitted so far (excluding buffered bits).
     pub fn len(&self) -> usize {
         self.out.len()
@@ -749,17 +721,6 @@ impl SymbolFreqs {
     /// Creates zeroed counters.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Adds another tally into this one. Frequencies are additive, so
-    /// block bands can be tallied independently and merged.
-    pub fn merge(&mut self, other: &SymbolFreqs) {
-        for (a, b) in self.dc.iter_mut().zip(other.dc.iter()) {
-            *a += b;
-        }
-        for (a, b) in self.ac.iter_mut().zip(other.ac.iter()) {
-            *a += b;
-        }
     }
 }
 

@@ -136,15 +136,31 @@ impl QuantTable {
     pub fn requantize_to(&self, q: &[i32; 64], coarser: &QuantTable) -> [i32; 64] {
         let mut out = [0i32; 64];
         for i in 0..64 {
-            let raw = q[i] as i64 * self.steps[i] as i64;
-            let step = coarser.steps[i] as i64;
-            // Round half away from zero, matching quantize() on exact values.
-            let v = if raw >= 0 {
-                (raw + step / 2) / step
+            let v = q[i];
+            // Zero stays zero at any step; most coefficients of a photo
+            // are zero.
+            if v == 0 {
+                continue;
+            }
+            // Round half away from zero, matching quantize() on exact
+            // values. With |v| < 2^15 and steps below 2^16, `v·step ±
+            // step/2` fits in i32; larger (malformed) values use i64.
+            out[i] = if v.unsigned_abs() < 1 << 15 {
+                let (raw, step) = (v * self.steps[i] as i32, coarser.steps[i] as i32);
+                if raw >= 0 {
+                    (raw + step / 2) / step
+                } else {
+                    (raw - step / 2) / step
+                }
             } else {
-                (raw - step / 2) / step
+                let (raw, step) = (v as i64 * self.steps[i] as i64, coarser.steps[i] as i64);
+                let r = if raw >= 0 {
+                    (raw + step / 2) / step
+                } else {
+                    (raw - step / 2) / step
+                };
+                r as i32
             };
-            out[i] = v as i32;
         }
         out
     }
@@ -543,6 +559,54 @@ mod tests {
         let re = fine.requantize_to(&q, &coarse);
         let direct = coarse.quantize(&fine.dequantize(&q));
         assert_eq!(re, direct);
+    }
+
+    #[test]
+    fn requantize_matches_wide_arithmetic_at_the_extremes() {
+        // The i32 fast path must agree with plain i64 rounding, including
+        // at the largest steps and on values that need the i64 path.
+        let reference = |v: i32, from: u16, to: u16| {
+            let (raw, step) = (v as i64 * from as i64, to as i64);
+            let r = if raw >= 0 {
+                (raw + step / 2) / step
+            } else {
+                (raw - step / 2) / step
+            };
+            r as i32
+        };
+        let values = [
+            0,
+            1,
+            -1,
+            7,
+            -8,
+            1023,
+            -1024,
+            32_767,
+            -32_767,
+            32_768,
+            -32_768,
+            1 << 20,
+            -(1 << 20),
+        ];
+        for (from, to) in [
+            (1u16, 1u16),
+            (3, 255),
+            (255, 7),
+            (65_535, 65_535),
+            (65_535, 2),
+        ] {
+            let (fine, coarse) = (QuantTable::new([from; 64]), QuantTable::new([to; 64]));
+            for v in values {
+                let mut q = [0i32; 64];
+                q[5] = v;
+                q[63] = -v;
+                let out = fine.requantize_to(&q, &coarse);
+                assert_eq!(out[5], reference(v, from, to), "{v} {from}->{to}");
+                assert_eq!(out[63], reference(-v, from, to), "{} {from}->{to}", -v);
+                assert_eq!(out[0], 0);
+            }
+        }
     }
 
     fn sample_block(seed: u32) -> [f32; 64] {

@@ -1,6 +1,9 @@
-//! The shared worker-pool execution layer behind every parallel stage of
-//! the PuPPIeS pipeline (JPEG transform bands, per-component protection,
-//! PSP batch uploads, experiment sweeps).
+//! The shared worker-pool execution layer for batches of independent
+//! requests in the PuPPIeS stack (PSP batch transforms and downloads,
+//! the multi-backend cluster fan-out, `protect-batch`, experiment
+//! sweeps). Per-image stages do not use it: a single protect, transform
+//! or recovery runs on its calling thread, and concurrent requests are
+//! the parallelism.
 //!
 //! # Design
 //!
@@ -16,9 +19,8 @@
 //!   counterpart regardless of worker count or scheduling;
 //! - make the waiting thread *help*: while its own jobs are
 //!   outstanding it drains other jobs from the shared queue instead of
-//!   blocking. Nested parallelism (a batch job that calls `protect`,
-//!   which fans out JPEG bands) therefore cannot deadlock even with one
-//!   worker thread.
+//!   blocking. Nested parallelism (a batch job that itself submits a
+//!   batch) therefore cannot deadlock even with one worker thread.
 //!
 //! A pool with `threads <= 1` executes everything inline on the calling
 //! thread; combined with ordered reassembly this gives the

@@ -452,67 +452,26 @@ impl Transformation {
                     });
                 }
                 map_components(img, r.w, r.h, |c| {
-                    let (bx0, by0) = (r.x / BLOCK_SIZE, r.y / BLOCK_SIZE);
-                    let (bw, bh) = (r.w / BLOCK_SIZE, r.h / BLOCK_SIZE);
-                    let mut blocks = Vec::with_capacity((bw * bh) as usize);
-                    for by in 0..bh {
-                        for bx in 0..bw {
-                            blocks.push(*c.block(bx0 + bx, by0 + by));
-                        }
+                    let bw = c.blocks_w() as usize;
+                    let (bx0, by0) = ((r.x / BLOCK_SIZE) as usize, (r.y / BLOCK_SIZE) as usize);
+                    let (cw, ch) = ((r.w / BLOCK_SIZE) as usize, (r.h / BLOCK_SIZE) as usize);
+                    let mut blocks = Vec::with_capacity(cw * ch);
+                    for row in c.blocks().chunks_exact(bw).skip(by0).take(ch) {
+                        blocks.extend_from_slice(&row[bx0..bx0 + cw]);
                     }
                     blocks
                 })
             }
-            Transformation::Rotate90 => map_components_quant(img, h, w, transpose_quant, |c| {
-                let (bw, bh) = (c.blocks_w(), c.blocks_h());
-                let mut blocks = Vec::with_capacity((bw * bh) as usize);
-                for nby in 0..bw {
-                    for nbx in 0..bh {
-                        blocks.push(rotate_block_90(c.block(nby, bh - 1 - nbx)));
-                    }
-                }
-                blocks
-            }),
-            Transformation::Rotate180 => map_components(img, w, h, |c| {
-                let (bw, bh) = (c.blocks_w(), c.blocks_h());
-                let mut blocks = Vec::with_capacity((bw * bh) as usize);
-                for by in 0..bh {
-                    for bx in 0..bw {
-                        blocks.push(rotate_block_180(c.block(bw - 1 - bx, bh - 1 - by)));
-                    }
-                }
-                blocks
-            }),
-            Transformation::Rotate270 => map_components_quant(img, h, w, transpose_quant, |c| {
-                let (bw, bh) = (c.blocks_w(), c.blocks_h());
-                let mut blocks = Vec::with_capacity((bw * bh) as usize);
-                for nby in 0..bw {
-                    for nbx in 0..bh {
-                        blocks.push(rotate_block_270(c.block(bw - 1 - nby, nbx)));
-                    }
-                }
-                blocks
-            }),
-            Transformation::FlipHorizontal => map_components(img, w, h, |c| {
-                let (bw, bh) = (c.blocks_w(), c.blocks_h());
-                let mut blocks = Vec::with_capacity((bw * bh) as usize);
-                for by in 0..bh {
-                    for bx in 0..bw {
-                        blocks.push(flip_block_h(c.block(bw - 1 - bx, by)));
-                    }
-                }
-                blocks
-            }),
-            Transformation::FlipVertical => map_components(img, w, h, |c| {
-                let (bw, bh) = (c.blocks_w(), c.blocks_h());
-                let mut blocks = Vec::with_capacity((bw * bh) as usize);
-                for by in 0..bh {
-                    for bx in 0..bw {
-                        blocks.push(flip_block_v(c.block(bx, bh - 1 - by)));
-                    }
-                }
-                blocks
-            }),
+            Transformation::Rotate90 | Transformation::Rotate270 => {
+                let o = BlockOrientation::of(self).expect("rotation");
+                map_components_quant(img, h, w, transpose_quant, |c| o.reorient(c))
+            }
+            Transformation::Rotate180
+            | Transformation::FlipHorizontal
+            | Transformation::FlipVertical => {
+                let o = BlockOrientation::of(self).expect("rotation or flip");
+                map_components(img, w, h, |c| o.reorient(c))
+            }
             Transformation::Recompress { quality } => {
                 if quality == 0 || quality > 100 {
                     return Err(TransformError::InvalidParameter(format!(
@@ -570,55 +529,119 @@ fn transpose_quant(q: &puppies_jpeg::QuantTable) -> puppies_jpeg::QuantTable {
     puppies_jpeg::QuantTable::new(t)
 }
 
-/// Transposes an 8×8 coefficient block (the DCT commutes with spatial
-/// transposition).
-fn transpose_block(b: &Block) -> Block {
-    let mut out = [0i32; 64];
-    for r in 0..8 {
-        for c in 0..8 {
-            out[c * 8 + r] = b[r * 8 + c];
+/// The five lossless orientation changes of a block grid.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Orient {
+    Rot90,
+    Rot180,
+    Rot270,
+    FlipH,
+    FlipV,
+}
+
+/// How a rotation or flip acts on a coefficient image: each block moves
+/// to a new grid position, and its coefficients go through one sign
+/// permutation — output coefficient `j` is `sign[j] * input[src[j]]`.
+///
+/// The DCT commutes with spatial transposition, and a mirror negates the
+/// odd frequencies along its axis. So a horizontal mirror negates odd
+/// columns, a vertical one odd rows, 180° both, and 90°/270° clockwise
+/// transpose and then mirror horizontally/vertically. AC values live in
+/// `[-1023, 1023]`, which is closed under negation, and DC is never
+/// negated.
+#[derive(Debug, Clone)]
+pub struct BlockOrientation {
+    orient: Orient,
+    src: [usize; 64],
+    sign: [i32; 64],
+}
+
+impl BlockOrientation {
+    /// The block orientation of a rotation or flip; `None` for every other
+    /// transformation.
+    pub fn of(t: &Transformation) -> Option<BlockOrientation> {
+        let orient = match t {
+            Transformation::Rotate90 => Orient::Rot90,
+            Transformation::Rotate180 => Orient::Rot180,
+            Transformation::Rotate270 => Orient::Rot270,
+            Transformation::FlipHorizontal => Orient::FlipH,
+            Transformation::FlipVertical => Orient::FlipV,
+            _ => return None,
+        };
+        let mut o = BlockOrientation {
+            orient,
+            src: [0; 64],
+            sign: [1; 64],
+        };
+        for r in 0..8 {
+            for c in 0..8 {
+                let j = r * 8 + c;
+                let (src, odd) = match orient {
+                    Orient::Rot90 => (c * 8 + r, c),
+                    Orient::Rot270 => (c * 8 + r, r),
+                    Orient::Rot180 => (j, r + c),
+                    Orient::FlipH => (j, c),
+                    Orient::FlipV => (j, r),
+                };
+                o.src[j] = src;
+                o.sign[j] = if odd % 2 == 1 { -1 } else { 1 };
+            }
+        }
+        Some(o)
+    }
+
+    /// Whether the grid's width and height trade places (90° and 270°).
+    pub fn transposes(&self) -> bool {
+        matches!(self.orient, Orient::Rot90 | Orient::Rot270)
+    }
+
+    /// Where block `(bx, by)` of a `bw`×`bh` grid lands.
+    pub fn position(&self, bw: u32, bh: u32, bx: u32, by: u32) -> (u32, u32) {
+        match self.orient {
+            Orient::Rot90 => (bh - 1 - by, bx),
+            Orient::Rot180 => (bw - 1 - bx, bh - 1 - by),
+            Orient::Rot270 => (by, bw - 1 - bx),
+            Orient::FlipH => (bw - 1 - bx, by),
+            Orient::FlipV => (bx, bh - 1 - by),
         }
     }
-    out
-}
 
-/// Horizontal mirror in the coefficient domain: negate odd horizontal
-/// frequencies. AC values live in `[-1023, 1023]`, which is closed under
-/// negation, and DC (never negated) keeps its full range.
-fn flip_block_h(b: &Block) -> Block {
-    let mut out = *b;
-    for r in 0..8 {
-        for c in (1..8).step_by(2) {
-            out[r * 8 + c] = -out[r * 8 + c];
+    /// Reorients the coefficients of one block.
+    pub fn apply(&self, b: &Block, out: &mut Block) {
+        for j in 0..64 {
+            out[j] = self.sign[j] * b[self.src[j] & 63];
         }
     }
-    out
-}
 
-/// Vertical mirror in the coefficient domain: negate odd vertical
-/// frequencies.
-fn flip_block_v(b: &Block) -> Block {
-    let mut out = *b;
-    for r in (1..8).step_by(2) {
-        for c in 0..8 {
-            out[r * 8 + c] = -out[r * 8 + c];
+    /// Undoes [`BlockOrientation::apply`].
+    pub fn undo(&self, b: &Block, out: &mut Block) {
+        for j in 0..64 {
+            out[self.src[j] & 63] = self.sign[j] * b[j];
         }
     }
-    out
-}
 
-fn rotate_block_180(b: &Block) -> Block {
-    flip_block_v(&flip_block_h(b))
-}
-
-fn rotate_block_90(b: &Block) -> Block {
-    // 90° clockwise = transpose, then horizontal mirror.
-    flip_block_h(&transpose_block(b))
-}
-
-fn rotate_block_270(b: &Block) -> Block {
-    // 270° clockwise = transpose, then vertical mirror.
-    flip_block_v(&transpose_block(b))
+    /// Reorients a component's block grid, writing each output block once
+    /// into a preallocated grid. The source is walked in square tiles, so
+    /// a quarter turn reads and writes within a few block rows at a time.
+    fn reorient(&self, c: &Component) -> Vec<Block> {
+        const TILE: u32 = 8;
+        let (bw, bh) = (c.blocks_w(), c.blocks_h());
+        let nw = if self.transposes() { bh } else { bw };
+        let src = c.blocks();
+        let mut out = vec![[0i32; 64]; src.len()];
+        for ty in (0..bh).step_by(TILE as usize) {
+            for tx in (0..bw).step_by(TILE as usize) {
+                for by in ty..(ty + TILE).min(bh) {
+                    for bx in tx..(tx + TILE).min(bw) {
+                        let (nx, ny) = self.position(bw, bh, bx, by);
+                        let b = &src[(by * bw + bx) as usize];
+                        self.apply(b, &mut out[(ny * nw + nx) as usize]);
+                    }
+                }
+            }
+        }
+        out
+    }
 }
 
 fn apply_filter_rgb(img: &RgbImage, op: FilterOp) -> Result<RgbImage> {
@@ -940,16 +963,92 @@ mod tests {
         }
     }
 
+    /// Reference block helpers: transpose, and negate odd frequencies.
+    fn transpose_block(b: &Block) -> Block {
+        let mut out = [0i32; 64];
+        for r in 0..8 {
+            for c in 0..8 {
+                out[c * 8 + r] = b[r * 8 + c];
+            }
+        }
+        out
+    }
+
+    fn flip_block_h(b: &Block) -> Block {
+        let mut out = *b;
+        for r in 0..8 {
+            for c in (1..8).step_by(2) {
+                out[r * 8 + c] = -out[r * 8 + c];
+            }
+        }
+        out
+    }
+
+    fn flip_block_v(b: &Block) -> Block {
+        let mut out = *b;
+        for r in (1..8).step_by(2) {
+            for c in 0..8 {
+                out[r * 8 + c] = -out[r * 8 + c];
+            }
+        }
+        out
+    }
+
+    fn oriented(b: &Block, t: &Transformation) -> Block {
+        let mut out = [0i32; 64];
+        BlockOrientation::of(t).unwrap().apply(b, &mut out);
+        out
+    }
+
     #[test]
-    fn block_helpers_are_involutions() {
+    fn sign_permutations_match_transpose_and_flip_composition() {
+        use Transformation::*;
         let mut b = [0i32; 64];
         for (i, v) in b.iter_mut().enumerate() {
             *v = (i as i32 * 31 % 200) - 100;
         }
-        assert_eq!(flip_block_h(&flip_block_h(&b)), b);
-        assert_eq!(flip_block_v(&flip_block_v(&b)), b);
-        assert_eq!(transpose_block(&transpose_block(&b)), b);
-        assert_eq!(rotate_block_180(&rotate_block_180(&b)), b);
-        assert_eq!(rotate_block_270(&rotate_block_90(&b)), b);
+        assert_eq!(oriented(&b, &FlipHorizontal), flip_block_h(&b));
+        assert_eq!(oriented(&b, &FlipVertical), flip_block_v(&b));
+        assert_eq!(oriented(&b, &Rotate180), flip_block_v(&flip_block_h(&b)));
+        assert_eq!(oriented(&b, &Rotate90), flip_block_h(&transpose_block(&b)));
+        assert_eq!(oriented(&b, &Rotate270), flip_block_v(&transpose_block(&b)));
+        // Flips and 180° are involutions; 270° undoes 90°; `undo` inverts.
+        for t in [FlipHorizontal, FlipVertical, Rotate180] {
+            assert_eq!(oriented(&oriented(&b, &t), &t), b, "{t:?}");
+        }
+        assert_eq!(oriented(&oriented(&b, &Rotate90), &Rotate270), b);
+        for t in [Rotate90, Rotate180, Rotate270, FlipHorizontal, FlipVertical] {
+            let mut back = [0i32; 64];
+            BlockOrientation::of(&t)
+                .unwrap()
+                .undo(&oriented(&b, &t), &mut back);
+            assert_eq!(back, b, "{t:?}");
+        }
+        assert!(BlockOrientation::of(&Recompress { quality: 50 }).is_none());
+    }
+
+    #[test]
+    fn block_positions_follow_the_pixel_transformation() {
+        // On a 3×2 grid where each "pixel" stands for one block, every
+        // block position must land where the plane transformation moves
+        // that sample.
+        let (bw, bh) = (3u32, 2u32);
+        for t in [
+            Transformation::Rotate90,
+            Transformation::Rotate180,
+            Transformation::Rotate270,
+            Transformation::FlipHorizontal,
+            Transformation::FlipVertical,
+        ] {
+            let o = BlockOrientation::of(&t).unwrap();
+            let grid = Plane::from_fn(bw, bh, |x, y| (y * bw + x) as f32);
+            let moved = t.apply_to_plane(&grid).unwrap();
+            for by in 0..bh {
+                for bx in 0..bw {
+                    let (nx, ny) = o.position(bw, bh, bx, by);
+                    assert_eq!(moved.get(nx, ny), grid.get(bx, by), "{t:?} ({bx}, {by})");
+                }
+            }
+        }
     }
 }
