@@ -17,13 +17,19 @@
 //! 3. **Recompression fixed point**: repeatedly decoding and re-encoding
 //!    at the same quality must converge — successive iterates stop
 //!    changing (the idempotence window) rather than drifting.
+//! 4. **DC-only decode**: `codec::decode_dc` must accept exactly the
+//!    streams `CoeffImage::decode` accepts, and return the same luma DC
+//!    grid, on every golden JPEG vector and on every prefix truncation and
+//!    single-byte mutation of a small protected stream.
 
+use puppies_core::{protect, OwnerKey, PrivacyLevel, ProtectOptions, Scheme};
 use puppies_image::metrics::{max_abs_diff_rgb, mse_rgb, psnr_rgb};
-use puppies_image::{Rect, RgbImage};
+use puppies_image::{Rect, Rgb, RgbImage};
+use puppies_jpeg::codec::decode_dc;
 use puppies_jpeg::{CoeffImage, EncodeOptions};
 use puppies_transform::Transformation;
 
-use crate::golden::fixture_image;
+use crate::golden::{derive_vectors, fixture_image};
 use crate::report::Report;
 
 /// Pixel-domain reference for a lossless coefficient-domain op: apply the
@@ -190,12 +196,84 @@ pub fn recompression_fixed_point(report: &mut Report) {
     }
 }
 
+/// Whether the DC-only decode of `bytes` agrees with the full decode:
+/// both reject, or both accept with equal dimensions, DC grid and step.
+fn dc_walk_agrees(bytes: &[u8]) -> Result<(), String> {
+    match (CoeffImage::decode(bytes), decode_dc(bytes)) {
+        (Ok(img), Ok(grid)) if img.dc_grid() == grid => Ok(()),
+        (Ok(_), Ok(_)) => Err("both accept, but the luma DC grids differ".into()),
+        (Err(_), Err(_)) => Ok(()),
+        (full, dc) => Err(format!(
+            "decode {:?} vs decode_dc {:?}",
+            full.map(|_| ()),
+            dc.map(|_| ())
+        )),
+    }
+}
+
+/// Family 4: the DC-only decode mode against the full decode.
+pub fn dc_walk_vs_decode(report: &mut Report) {
+    for (name, bytes) in derive_vectors(&fixture_image()) {
+        if name.ends_with(".jpg") {
+            let case = format!("differential/dc-walk/golden/{name}");
+            match dc_walk_agrees(&bytes) {
+                Ok(()) => report.pass(case, None),
+                Err(e) => report.fail(case, e),
+            }
+        }
+    }
+    // A small protected stream: its perturbed ROI blocks carry the large
+    // coefficients and per-image tables a plain encode would not.
+    let img = RgbImage::from_fn(24, 16, |x, y| {
+        Rgb::new((x * 9 + y) as u8, (y * 13) as u8, (x * y) as u8)
+    });
+    let opts = ProtectOptions::new(Scheme::Compression, PrivacyLevel::High).with_image_id(3);
+    let bytes = protect(
+        &img,
+        &[Rect::new(8, 0, 8, 8)],
+        &OwnerKey::from_seed([5; 32]),
+        &opts,
+    )
+    .expect("small fixture protects")
+    .bytes;
+    let truncations = (0..bytes.len()).map(|cut| (format!("cut {cut}"), bytes[..cut].to_vec()));
+    let flips = (0..bytes.len()).flat_map(|pos| {
+        [0x01u8, 0x10, 0x80, 0xFF].map(|mask| {
+            let mut m = bytes.clone();
+            m[pos] ^= mask;
+            (format!("byte {pos} ^ {mask:#04x}"), m)
+        })
+    });
+    for (family, streams) in [
+        ("truncations", truncations.collect::<Vec<_>>()),
+        ("flips", flips.collect()),
+    ] {
+        let case = format!("differential/dc-walk/{family}");
+        let accepted = streams.iter().filter(|(_, s)| decode_dc(s).is_ok()).count();
+        match streams
+            .iter()
+            .find_map(|(what, s)| dc_walk_agrees(s).err().map(|e| format!("{what}: {e}")))
+        {
+            None => report.pass(
+                case,
+                Some(format!(
+                    "{} streams of a {}-byte protected JPEG, {accepted} accepted by both",
+                    streams.len(),
+                    bytes.len()
+                )),
+            ),
+            Some(e) => report.fail(case, e),
+        }
+    }
+}
+
 /// Runs all differential families.
 pub fn run_differential() -> Report {
     let mut report = Report::new();
     coeff_vs_pixel(&mut report);
     codec_roundtrip(&mut report);
     recompression_fixed_point(&mut report);
+    dc_walk_vs_decode(&mut report);
     report
 }
 

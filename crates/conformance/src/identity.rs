@@ -20,11 +20,16 @@
 //!   bit. A signature that shifted with private content would be a
 //!   leakage channel (§VI of the paper); equality here is exact, not
 //!   threshold-based.
+//!
+//! The suite also holds the store's upload path — and the `/search`
+//! probe — which hash through the DC-only decode, to the signature
+//! [`coeff_signature`] computes from the full decode, on every golden
+//! JPEG vector.
 
 use puppies_core::{protect, OwnerKey, ProtectOptions, PublicParams};
 use puppies_image::{Rect, Rgb, RgbImage};
 use puppies_jpeg::{CoeffImage, EncodeOptions};
-use puppies_psp::{coeff_signature, hamming, NEAR_DUP_DISTANCE};
+use puppies_psp::{coeff_signature, hamming, PspServer, NEAR_DUP_DISTANCE};
 use puppies_transform::Transformation;
 
 use crate::report::Report;
@@ -70,8 +75,9 @@ fn protected(img: &RgbImage, seed: u8) -> (Vec<u8>, Vec<u8>) {
     (p.bytes, p.params.to_bytes())
 }
 
-/// The signature exactly as the PSP computes it at upload: decode, mask
-/// the params' ROIs, hash the public DC envelope.
+/// The signature from the full decode: mask the params' ROIs, hash the
+/// public DC envelope. The upload path's DC-only walk is held equal to it
+/// by [`golden_upload_signatures`].
 fn sig_of(bytes: &[u8], params_bytes: &[u8]) -> Result<u64, String> {
     let coeff = CoeffImage::decode(bytes).map_err(|e| format!("decode: {e}"))?;
     let rois: Vec<Rect> = PublicParams::from_bytes(params_bytes)
@@ -97,6 +103,48 @@ fn transformed(bytes: &[u8], t: &Transformation) -> Vec<u8> {
         .expect("coeff transform")
         .encode(&EncodeOptions::default())
         .expect("transform encode")
+}
+
+/// On every golden JPEG vector (with its params, where the golden set has
+/// them), the signature a store records at upload and the one
+/// [`PspServer::probe_signature`] computes must both equal
+/// [`coeff_signature`] over the full decode.
+fn golden_upload_signatures(report: &mut Report) {
+    let vectors = crate::golden::derive_vectors(&crate::golden::fixture_image());
+    let server = PspServer::new();
+    for (name, bytes) in vectors.iter().filter(|(n, _)| n.ends_with(".jpg")) {
+        let case = format!("identity/upload-path/{name}");
+        let pup = name.replace(".jpg", ".pup");
+        let params = vectors
+            .iter()
+            .find(|(n, _)| *n == pup)
+            .map(|(_, p)| p.clone())
+            .unwrap_or_default();
+        let rois: Vec<Rect> = PublicParams::from_bytes(&params)
+            .map(|p| p.rois.iter().map(|r| r.rect).collect())
+            .unwrap_or_default();
+        let want = match CoeffImage::decode(bytes) {
+            Ok(c) => coeff_signature(&c, &rois),
+            Err(e) => {
+                report.fail(case, format!("golden vector does not decode: {e}"));
+                continue;
+            }
+        };
+        let stored = server
+            .upload(bytes.clone(), params.clone())
+            .and_then(|id| server.signature_of(id));
+        let probe = PspServer::probe_signature(bytes, Some(&params));
+        match (stored, probe) {
+            (Ok(Some(s)), Some(p)) if s == want && p == want => report.pass(
+                case,
+                Some(format!("sig {want:016x}, {} ROIs masked", rois.len())),
+            ),
+            (stored, probe) => report.fail(
+                case,
+                format!("full decode {want:016x}, upload {stored:?}, probe {probe:?}"),
+            ),
+        }
+    }
 }
 
 /// The perceptual-identity suite (see module docs).
@@ -234,5 +282,6 @@ pub fn run_identity() -> Report {
         }
     }
 
+    golden_upload_signatures(&mut report);
     report
 }

@@ -10,7 +10,7 @@
 
 use crate::coeff::{CoeffImage, Component};
 use crate::huffman::{
-    decode_block_natural_into, encode_block_natural, encode_block_natural_masked,
+    decode_block_dc, decode_block_natural_into, encode_block_natural, encode_block_natural_masked,
     tally_block_natural_mask, BitReader, BitWriter, HuffDecoder, HuffEncoder, HuffTable,
     SymbolFreqs,
 };
@@ -236,14 +236,145 @@ struct SofComponent {
     quant_id: u8,
 }
 
+/// The luma DC coefficients of a stream, from the DC-only mode of the scan
+/// decoder ([`decode_dc`]): what a reader of the public per-block
+/// brightness needs, without the AC coefficients.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DcGrid {
+    /// Image width in pixels.
+    pub width: u32,
+    /// Image height in pixels.
+    pub height: u32,
+    /// Block columns.
+    pub blocks_w: u32,
+    /// Block rows.
+    pub blocks_h: u32,
+    /// The luma quantization step of the DC coefficient.
+    pub dc_step: u16,
+    /// Quantized luma DC of every block, row-major over the block grid.
+    pub dc: Vec<i32>,
+}
+
+impl DcGrid {
+    /// Block-grid coordinates of every block whose pixel footprint
+    /// intersects `region`; as [`Component::blocks_in_region`].
+    pub fn blocks_in_region(&self, region: puppies_image::Rect) -> Vec<(u32, u32)> {
+        crate::coeff::blocks_in_region(self.width, self.height, region)
+    }
+}
+
 /// Decodes a baseline JFIF byte stream into a [`CoeffImage`].
 ///
 /// # Errors
-/// Returns [`JpegError::Malformed`] for framing errors and
+/// Returns [`JpegError::Malformed`] for framing errors,
 /// [`JpegError::Unsupported`] for features outside the baseline 4:4:4 /
-/// grayscale subset.
+/// grayscale subset, and [`JpegError::CoefficientRange`] for coefficients
+/// the encoder could not write back.
 pub fn decode(bytes: &[u8]) -> Result<CoeffImage> {
     let _span = puppies_obs::span("jpeg.decode", "jpeg");
+    let frame = read_frame(bytes)?;
+    let n = frame.comps.len();
+    let scan = frame.scan()?;
+    let mut blocks: Vec<Vec<[i32; 64]>> = vec![Vec::with_capacity(scan.nblocks); n];
+    let mut blk = [0i32; 64]; // scratch reused across every block
+    scan.run("jpeg.entropy_decode", |ci, r, pred, dct, act| {
+        let p = decode_block_natural_into(&mut blk, r, pred, dct, act)?;
+        blocks[ci].push(blk);
+        Ok(p)
+    })?;
+    let quants = frame.quant_tables()?;
+    let mut components = Vec::with_capacity(n);
+    for ((sc, qt), b) in frame.comps.iter().zip(quants).zip(blocks) {
+        components.push(Component::from_raw(
+            sc.id,
+            frame.width,
+            frame.height,
+            qt,
+            b,
+        )?);
+    }
+    CoeffImage::from_components(frame.width, frame.height, components)
+}
+
+/// The DC-only mode of the scan decoder: parses the same headers, walks
+/// the same symbols with the same checks as [`decode`], but skips every AC
+/// magnitude and keeps only the luma DCs. Returns `Ok` exactly when
+/// [`decode`] does, and then the luma DC grid equals that of the decoded
+/// image.
+///
+/// # Errors
+/// As [`decode`].
+pub fn decode_dc(bytes: &[u8]) -> Result<DcGrid> {
+    let _span = puppies_obs::span("jpeg.decode_dc", "jpeg");
+    let frame = read_frame(bytes)?;
+    let scan = frame.scan()?;
+    let mut dc = Vec::with_capacity(scan.nblocks);
+    scan.run("jpeg.dc_walk", |ci, r, pred, dct, act| {
+        let p = decode_block_dc(r, pred, dct, act)?;
+        if ci == 0 {
+            dc.push(p);
+        }
+        Ok(p)
+    })?;
+    let quants = frame.quant_tables()?;
+    Ok(DcGrid {
+        width: frame.width,
+        height: frame.height,
+        blocks_w: frame.width.div_ceil(crate::BLOCK_SIZE),
+        blocks_h: frame.height.div_ceil(crate::BLOCK_SIZE),
+        dc_step: quants[0].steps()[0],
+        dc,
+    })
+}
+
+/// Everything before the entropy-coded data: frame geometry, the tables,
+/// and where the scan starts.
+struct Frame<'a> {
+    bytes: &'a [u8],
+    width: u32,
+    height: u32,
+    comps: Vec<SofComponent>,
+    quant_tables: Vec<Option<QuantTable>>,
+    dc_tables: Vec<Option<HuffDecoder>>,
+    ac_tables: Vec<Option<HuffDecoder>>,
+    /// The SOS segment payload.
+    sos: &'a [u8],
+    /// Offset of the first entropy-coded byte.
+    scan_start: usize,
+}
+
+/// A checked scan, ready to walk.
+struct Scan<'a> {
+    entropy: &'a [u8],
+    /// Blocks per component.
+    nblocks: usize,
+    /// `(DC, AC)` decoder of each component, in frame order.
+    tables: Vec<(&'a HuffDecoder, &'a HuffDecoder)>,
+}
+
+impl Scan<'_> {
+    /// The scan walk both decode modes share: hands every block of every
+    /// interleaved MCU, in stream order, to `block(component, reader,
+    /// predictor, dc, ac)`, which decodes it and returns the new predictor.
+    fn run(
+        &self,
+        span: &'static str,
+        mut block: impl FnMut(usize, &mut BitReader<'_>, i32, &HuffDecoder, &HuffDecoder) -> Result<i32>,
+    ) -> Result<()> {
+        let _span = puppies_obs::span(span, "jpeg");
+        let mut pred = vec![0i32; self.tables.len()];
+        let mut r = BitReader::new(self.entropy);
+        for _ in 0..self.nblocks {
+            for (ci, &(dct, act)) in self.tables.iter().enumerate() {
+                pred[ci] = block(ci, &mut r, pred[ci], dct, act)?;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Parses markers up to and including SOS.
+fn read_frame(bytes: &[u8]) -> Result<Frame<'_>> {
     let mut pos = 0usize;
     let need = |pos: usize, n: usize| -> Result<()> {
         if pos + n > bytes.len() {
@@ -296,20 +427,19 @@ pub fn decode(bytes: &[u8]) -> Result<CoeffImage> {
             }
             SOS => {
                 let (seg, next) = read_segment(bytes, pos)?;
-                pos = next;
-                let (w, h, sof_comps) =
+                let (w, h, comps) =
                     sof.ok_or_else(|| JpegError::Malformed("SOS before SOF".into()))?;
-                return decode_scan(
+                return Ok(Frame {
                     bytes,
-                    pos,
-                    seg,
-                    w,
-                    h,
-                    &sof_comps,
-                    &quant_tables,
-                    &dc_tables,
-                    &ac_tables,
-                );
+                    width: u32::from(w),
+                    height: u32::from(h),
+                    comps,
+                    quant_tables,
+                    dc_tables,
+                    ac_tables,
+                    sos: seg,
+                    scan_start: next,
+                });
             }
             0xDD => return Err(JpegError::Unsupported("restart intervals (DRI)".into())),
             // Skippable segments: APPn, COM.
@@ -324,6 +454,89 @@ pub fn decode(bytes: &[u8]) -> Result<CoeffImage> {
                 )))
             }
         }
+    }
+}
+
+impl Frame<'_> {
+    /// Checks the SOS header against the frame, locates the entropy-coded
+    /// data, bounds the declared geometry by its length and resolves each
+    /// component's Huffman tables: everything before the first block.
+    fn scan(&self) -> Result<Scan<'_>> {
+        let (bytes, pos, sos) = (self.bytes, self.scan_start, self.sos);
+        let n = self.comps.len();
+        if sos.len() != 1 + 2 * n + 3 || sos[0] as usize != n {
+            return Err(JpegError::Malformed("SOS header mismatch".into()));
+        }
+        // Table selectors per component.
+        let mut sel = Vec::with_capacity(n);
+        for i in 0..n {
+            let cid = sos[1 + 2 * i];
+            if cid != self.comps[i].id {
+                return Err(JpegError::Malformed("SOS component order mismatch".into()));
+            }
+            let t = sos[2 + 2 * i];
+            sel.push(((t >> 4) as usize, (t & 0x0F) as usize));
+        }
+
+        // Locate the end of entropy data (the next non-stuffed, non-RST
+        // marker).
+        let mut end = pos;
+        while end + 1 < bytes.len() {
+            if bytes[end] == 0xFF {
+                let m = bytes[end + 1];
+                if m != 0x00 && !(0xD0..=0xD7).contains(&m) {
+                    break;
+                }
+                end += 2;
+            } else {
+                end += 1;
+            }
+        }
+        let entropy = &bytes[pos..end];
+
+        let nblocks = (self.width.div_ceil(8) as usize) * (self.height.div_ceil(8) as usize);
+        // Guard against lying SOF dimensions before allocating: every block
+        // costs at least 2 entropy bits (shortest DC code + EOB), so the
+        // declared geometry cannot exceed 4 blocks per entropy byte.
+        if nblocks * n > entropy.len().saturating_mul(4).max(4) {
+            return Err(JpegError::Malformed(format!(
+                "{nblocks} declared blocks cannot fit in {} entropy bytes",
+                entropy.len()
+            )));
+        }
+        // Resolve each component's tables once, not once per block.
+        let mut tables: Vec<(&HuffDecoder, &HuffDecoder)> = Vec::with_capacity(n);
+        for &(dci, aci) in &sel {
+            let dct = self
+                .dc_tables
+                .get(dci)
+                .and_then(|t| t.as_ref())
+                .ok_or_else(|| JpegError::Malformed("missing DC table".into()))?;
+            let act = self
+                .ac_tables
+                .get(aci)
+                .and_then(|t| t.as_ref())
+                .ok_or_else(|| JpegError::Malformed("missing AC table".into()))?;
+            tables.push((dct, act));
+        }
+        Ok(Scan {
+            entropy,
+            nblocks,
+            tables,
+        })
+    }
+
+    /// Each component's quantization table, in frame order.
+    fn quant_tables(&self) -> Result<Vec<QuantTable>> {
+        self.comps
+            .iter()
+            .map(|sc| {
+                self.quant_tables
+                    .get(sc.quant_id as usize)
+                    .and_then(|t| t.clone())
+                    .ok_or_else(|| JpegError::Malformed("missing quant table".into()))
+            })
+            .collect()
     }
 }
 
@@ -429,103 +642,6 @@ fn parse_dht(
         seg = &seg[17 + total..];
     }
     Ok(())
-}
-
-#[allow(clippy::too_many_arguments)]
-fn decode_scan(
-    bytes: &[u8],
-    pos: usize,
-    sos: &[u8],
-    width: u16,
-    height: u16,
-    sof_comps: &[SofComponent],
-    quant_tables: &[Option<QuantTable>],
-    dc_tables: &[Option<HuffDecoder>],
-    ac_tables: &[Option<HuffDecoder>],
-) -> Result<CoeffImage> {
-    let n = sof_comps.len();
-    if sos.len() != 1 + 2 * n + 3 || sos[0] as usize != n {
-        return Err(JpegError::Malformed("SOS header mismatch".into()));
-    }
-    // Table selectors per component.
-    let mut sel = Vec::with_capacity(n);
-    for i in 0..n {
-        let cid = sos[1 + 2 * i];
-        if cid != sof_comps[i].id {
-            return Err(JpegError::Malformed("SOS component order mismatch".into()));
-        }
-        let t = sos[2 + 2 * i];
-        sel.push(((t >> 4) as usize, (t & 0x0F) as usize));
-    }
-
-    // Locate the end of entropy data (the next non-stuffed, non-RST marker).
-    let mut end = pos;
-    while end + 1 < bytes.len() {
-        if bytes[end] == 0xFF {
-            let m = bytes[end + 1];
-            if m != 0x00 && !(0xD0..=0xD7).contains(&m) {
-                break;
-            }
-            end += 2;
-        } else {
-            end += 1;
-        }
-    }
-    let entropy = &bytes[pos..end];
-
-    let bw = (width as u32).div_ceil(8);
-    let bh = (height as u32).div_ceil(8);
-    let nblocks = (bw as usize) * (bh as usize);
-    // Guard against lying SOF dimensions before allocating: every block
-    // costs at least 2 entropy bits (shortest DC code + EOB), so the
-    // declared geometry cannot exceed 4 blocks per entropy byte.
-    if nblocks * n > entropy.len().saturating_mul(4).max(4) {
-        return Err(JpegError::Malformed(format!(
-            "{nblocks} declared blocks cannot fit in {} entropy bytes",
-            entropy.len()
-        )));
-    }
-    // Resolve each component's tables once, not once per block.
-    let mut tables: Vec<(&HuffDecoder, &HuffDecoder)> = Vec::with_capacity(n);
-    for &(dci, aci) in &sel {
-        let dct = dc_tables
-            .get(dci)
-            .and_then(|t| t.as_ref())
-            .ok_or_else(|| JpegError::Malformed("missing DC table".into()))?;
-        let act = ac_tables
-            .get(aci)
-            .and_then(|t| t.as_ref())
-            .ok_or_else(|| JpegError::Malformed("missing AC table".into()))?;
-        tables.push((dct, act));
-    }
-    let _entropy_span = puppies_obs::span("jpeg.entropy_decode", "jpeg");
-    let mut blocks: Vec<Vec<[i32; 64]>> = vec![Vec::with_capacity(nblocks); n];
-    let mut pred = vec![0i32; n];
-    let mut r = BitReader::new(entropy);
-    let mut blk = [0i32; 64]; // scratch reused across every block
-    for _ in 0..nblocks {
-        for ci in 0..n {
-            let (dct, act) = tables[ci];
-            pred[ci] = decode_block_natural_into(&mut blk, &mut r, pred[ci], dct, act)?;
-            blocks[ci].push(blk);
-        }
-    }
-
-    let mut components = Vec::with_capacity(n);
-    for (ci, sc) in sof_comps.iter().enumerate() {
-        let qt = quant_tables
-            .get(sc.quant_id as usize)
-            .and_then(|t| t.clone())
-            .ok_or_else(|| JpegError::Malformed("missing quant table".into()))?;
-        components.push(Component::from_raw(
-            sc.id,
-            width as u32,
-            height as u32,
-            qt,
-            std::mem::take(&mut blocks[ci]),
-        )?);
-    }
-    CoeffImage::from_components(width as u32, height as u32, components)
 }
 
 #[cfg(test)]
@@ -653,5 +769,64 @@ mod tests {
         let small = crate::encode_rgb(&img, 30).unwrap().len();
         let large = crate::encode_rgb(&img, 95).unwrap().len();
         assert!(large > small, "{large} <= {small}");
+    }
+
+    /// Offset and length of the first DHT segment's payload.
+    fn dht_payload(bytes: &[u8]) -> (usize, usize) {
+        let at = bytes
+            .windows(2)
+            .position(|m| m == [0xFF, DHT])
+            .expect("stream has a DHT segment");
+        let len = u16::from_be_bytes([bytes[at + 2], bytes[at + 3]]) as usize;
+        (at + 4, len - 2)
+    }
+
+    #[test]
+    fn accepted_dht_mutations_reencode() {
+        // Every single-byte mutation of the DHT segment: whatever the
+        // decoder accepts, the encoder must be able to write back, so a
+        // table that decodes a DC outside [-1024, 1023] or an AC of
+        // category 11 or more must be rejected, in both decode modes.
+        let bytes = crate::encode_rgb(&test_image(64, 48), 75).unwrap();
+        let (start, len) = dht_payload(&bytes);
+        let (mut accepted, mut range_errors) = (0, 0);
+        for pos in start..start + len {
+            for v in 0..=255u8 {
+                let mut m = bytes.clone();
+                m[pos] = v;
+                let full = decode(&m);
+                assert_eq!(full.is_ok(), decode_dc(&m).is_ok(), "byte {pos} = {v:#04x}");
+                match full {
+                    Ok(img) => {
+                        accepted += 1;
+                        if let Err(e) = img.encode(&EncodeOptions::default()) {
+                            panic!("byte {pos} = {v:#04x}: accepted but not re-encodable: {e}");
+                        }
+                    }
+                    Err(JpegError::CoefficientRange { .. }) => range_errors += 1,
+                    Err(_) => {}
+                }
+            }
+        }
+        assert!(
+            accepted > 0 && range_errors > 0,
+            "{accepted} accepted, {range_errors} out of range"
+        );
+    }
+
+    #[test]
+    fn dc_walk_matches_full_decode() {
+        for (w, h) in [(1, 1), (17, 9), (48, 33)] {
+            let img = test_image(w, h);
+            for c in [
+                CoeffImage::from_rgb(&img, 80),
+                CoeffImage::from_gray(&img.to_gray(), 60),
+            ] {
+                for opts in [EncodeOptions::standard(), EncodeOptions::optimized()] {
+                    let bytes = c.encode(&opts).unwrap();
+                    assert_eq!(decode_dc(&bytes).unwrap(), c.dc_grid(), "{w}x{h}");
+                }
+            }
+        }
     }
 }

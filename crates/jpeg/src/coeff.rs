@@ -143,27 +143,38 @@ impl Component {
         let (w, h) = (self.width as usize, self.height as usize);
         let mut samples = vec![0.0f32; w * h];
         let folded = self.quant.folded();
+        let band = BLOCK_SIZE as usize * w;
+        for (by, rows) in samples.chunks_mut(band).enumerate() {
+            self.idct_block_row_into(&folded, by, rows);
+        }
+        Plane::from_raw(self.width, self.height, samples)
+    }
+
+    /// Inverse-transforms block row `by` into `out`, the row's in-bounds
+    /// samples (up to 8 rows of `width`, row-major, level shift applied,
+    /// unclamped). The one IDCT writer behind [`Component::to_plane`] and
+    /// [`CoeffImage::to_rgb`].
+    fn idct_block_row_into(&self, folded: &crate::quant::FoldedQuant, by: usize, out: &mut [f32]) {
+        let bs = BLOCK_SIZE as usize;
+        let w = self.width as usize;
+        let rows = out.len() / w;
+        debug_assert_eq!(rows, bs.min(self.height as usize - by * bs));
+        let row = &self.blocks[by * self.blocks_w as usize..][..self.blocks_w as usize];
         let mut raw = [0.0f32; BLOCK_LEN];
         let mut spatial = [0.0f32; BLOCK_LEN];
-        let bs = BLOCK_SIZE as usize;
-        for (by, row) in self.blocks.chunks_exact(self.blocks_w as usize).enumerate() {
-            let y0 = by * bs;
-            let rows = bs.min(h - y0);
-            for (bx, q) in row.iter().enumerate() {
-                let x0 = bx * bs;
-                let cols = bs.min(w - x0);
-                folded.dequantize_scaled_into(q, &mut raw);
-                dct::inverse_scaled_into(&raw, &mut spatial);
-                for y in 0..rows {
-                    let dst = &mut samples[(y0 + y) * w + x0..][..cols];
-                    let src = &spatial[y * bs..][..cols];
-                    for x in 0..cols {
-                        dst[x] = src[x] + 128.0;
-                    }
+        for (bx, q) in row.iter().enumerate() {
+            let x0 = bx * bs;
+            let cols = bs.min(w - x0);
+            folded.dequantize_scaled_into(q, &mut raw);
+            dct::inverse_scaled_into(&raw, &mut spatial);
+            for y in 0..rows {
+                let dst = &mut out[y * w + x0..][..cols];
+                let src = &spatial[y * bs..][..cols];
+                for x in 0..cols {
+                    dst[x] = src[x] + 128.0;
                 }
             }
         }
-        Plane::from_raw(self.width, self.height, samples)
     }
 
     /// Component id (1 = Y, 2 = Cb, 3 = Cr).
@@ -234,21 +245,7 @@ impl Component {
     /// footprint intersects `region` (pixel coordinates), in row-major
     /// order. This is how a pixel ROI maps onto coefficient blocks.
     pub fn blocks_in_region(&self, region: Rect) -> Vec<(u32, u32)> {
-        let clipped = region.intersect(Rect::new(0, 0, self.width, self.height));
-        if clipped.is_empty() {
-            return Vec::new();
-        }
-        let bx0 = clipped.x / BLOCK_SIZE;
-        let by0 = clipped.y / BLOCK_SIZE;
-        let bx1 = (clipped.right() - 1) / BLOCK_SIZE;
-        let by1 = (clipped.bottom() - 1) / BLOCK_SIZE;
-        let mut out = Vec::new();
-        for by in by0..=by1 {
-            for bx in bx0..=bx1 {
-                out.push((bx, by));
-            }
-        }
-        out
+        blocks_in_region(self.width, self.height, region)
     }
 
     /// Replaces the quantization table by requantizing every block, the
@@ -310,6 +307,27 @@ impl Component {
             blocks,
         })
     }
+}
+
+/// Block-grid coordinates `(bx, by)` of every block of a `width × height`
+/// image whose 8×8 pixel footprint intersects `region`, in row-major
+/// order.
+pub(crate) fn blocks_in_region(width: u32, height: u32, region: Rect) -> Vec<(u32, u32)> {
+    let clipped = region.intersect(Rect::new(0, 0, width, height));
+    if clipped.is_empty() {
+        return Vec::new();
+    }
+    let bx0 = clipped.x / BLOCK_SIZE;
+    let by0 = clipped.y / BLOCK_SIZE;
+    let bx1 = (clipped.right() - 1) / BLOCK_SIZE;
+    let by1 = (clipped.bottom() - 1) / BLOCK_SIZE;
+    let mut out = Vec::new();
+    for by in by0..=by1 {
+        for bx in bx0..=bx1 {
+            out.push((bx, by));
+        }
+    }
+    out
 }
 
 /// A JPEG image in the quantized-coefficient domain: one component for
@@ -485,23 +503,51 @@ impl CoeffImage {
 
     /// Inverse-transforms back to RGB (grayscale replicates the single
     /// component).
+    ///
+    /// Each 8-row block band is inverse-transformed per component into a
+    /// band buffer and converted to RGB straight from it, so no full-size
+    /// sample plane is ever built. The result is identical to
+    /// [`Component::to_plane`] on each component followed by
+    /// [`RgbImage::from_ycbcr_planes`]: the same IDCT writer fills the
+    /// bands, and colour conversion works sample by sample.
     pub fn to_rgb(&self) -> RgbImage {
         let _span = puppies_obs::span("jpeg.inv_transform", "jpeg");
         if self.is_gray() {
             return self.to_gray_image().to_rgb();
         }
-        let planes = [
-            self.components[0].to_plane(),
-            self.components[1].to_plane(),
-            self.components[2].to_plane(),
-        ];
-        let _cc = puppies_obs::span("jpeg.color_from_ycbcr", "jpeg");
-        RgbImage::from_ycbcr_planes(&planes)
+        let w = self.width as usize;
+        let band = BLOCK_SIZE as usize * w;
+        let folded: Vec<_> = self.components.iter().map(|c| c.quant.folded()).collect();
+        let mut bands = [vec![0.0f32; band], vec![0.0f32; band], vec![0.0f32; band]];
+        let mut img = RgbImage::new(self.width, self.height);
+        for (by, out) in img.pixels_mut().chunks_mut(band).enumerate() {
+            let n = out.len();
+            for ((c, fq), b) in self.components.iter().zip(&folded).zip(&mut bands) {
+                c.idct_block_row_into(fq, by, &mut b[..n]);
+            }
+            let [y, cb, cr] = &bands;
+            puppies_image::color::ycbcr_to_rgb_slice(&y[..n], &cb[..n], &cr[..n], out);
+        }
+        img
     }
 
     /// Inverse-transforms the luma component to a grayscale image.
     pub fn to_gray_image(&self) -> GrayImage {
         self.components[0].to_plane().to_gray()
+    }
+
+    /// The luma DC grid, as the DC-only decode
+    /// ([`crate::codec::decode_dc`]) of this image's stream returns it.
+    pub fn dc_grid(&self) -> crate::codec::DcGrid {
+        let luma = &self.components[0];
+        crate::codec::DcGrid {
+            width: self.width,
+            height: self.height,
+            blocks_w: luma.blocks_w,
+            blocks_h: luma.blocks_h,
+            dc_step: luma.quant.steps()[0],
+            dc: luma.blocks.iter().map(|b| b[0]).collect(),
+        }
     }
 
     /// Encodes to a JFIF byte stream; see [`crate::codec`].
@@ -611,6 +657,33 @@ mod tests {
                 let fused = CoeffImage::from_rgb(&img, q);
                 assert_eq!(fused.components(), &reference[..], "{w}x{h} q{q}");
             }
+        }
+    }
+
+    #[test]
+    fn to_rgb_matches_to_plane_then_from_ycbcr_planes() {
+        // `to_rgb` inverse-transforms band by band straight into colour
+        // conversion; the reference builds each full plane with
+        // `to_plane` and converts them together. Cropped edge blocks on
+        // the right and bottom are where the two could part.
+        for (w, h) in [(1, 1), (9, 17), (61, 45), (250, 164)] {
+            let img = RgbImage::from_fn(w, h, |x, y| {
+                let v = (x.wrapping_mul(2_654_435_761) ^ y.wrapping_mul(40_503)) >> 7;
+                Rgb::new(v as u8, (v >> 8) as u8, (x * 3 + y * 7) as u8)
+            });
+            for q in [50u8, 75, 95] {
+                let c = CoeffImage::from_rgb(&img, q);
+                let planes = [
+                    c.components()[0].to_plane(),
+                    c.components()[1].to_plane(),
+                    c.components()[2].to_plane(),
+                ];
+                let reference = RgbImage::from_ycbcr_planes(&planes);
+                assert_eq!(c.to_rgb(), reference, "{w}x{h} q{q}");
+            }
+            let gray = CoeffImage::from_gray(&img.to_gray(), 75);
+            let reference = gray.components()[0].to_plane().to_gray().to_rgb();
+            assert_eq!(gray.to_rgb(), reference, "{w}x{h} gray");
         }
     }
 

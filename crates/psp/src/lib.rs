@@ -33,7 +33,9 @@ pub use client::{Receiver, Sender};
 pub use cluster::fault::{Fault, FaultPlan};
 pub use cluster::{ClusterConfig, ClusterPhotoId, ShardedPspCluster};
 use puppies_core::KeyGrant;
-pub use sig::{coeff_signature, hamming, SigEntry, SigIndex, SigMatch, NEAR_DUP_DISTANCE};
+pub use sig::{
+    coeff_signature, dc_signature, hamming, SigEntry, SigIndex, SigMatch, NEAR_DUP_DISTANCE,
+};
 pub use store::{CacheOutcome, PhotoId, PspConfig, PspServer, ServedPath};
 pub use store_disk::{DiskStore, RecoveryStats};
 pub use wal::{Wal, WalRecord};

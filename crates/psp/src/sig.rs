@@ -10,8 +10,9 @@
 //!   touch AC structure; the DC of every block is public), and
 //! - every coefficient of blocks outside the private ROIs.
 //!
-//! [`coeff_signature`] builds a per-block DC brightness grid from the
-//! luma component, **replaces every block that intersects a private ROI
+//! [`dc_signature`] takes the per-block luma DC brightness grid — from the
+//! DC-only decode of a stream, or [`coeff_signature`] from a decoded
+//! image — **replaces every block that intersects a private ROI
 //! with the mean of the public blocks**, and feeds the grid to
 //! [`puppies_vision::signature::phash64`]. The mask is what makes the
 //! privacy argument airtight: two images that differ only inside a
@@ -32,6 +33,7 @@
 
 use crate::store::PhotoId;
 use puppies_image::Rect;
+use puppies_jpeg::codec::DcGrid;
 use puppies_jpeg::CoeffImage;
 pub use puppies_vision::signature::hamming;
 use puppies_vision::signature::{bands, phash64};
@@ -45,27 +47,30 @@ pub const NEAR_DUP_DISTANCE: u32 = 6;
 /// Computes the 64-bit perceptual signature of a coefficient image from
 /// public data only: the luma DC envelope with every block intersecting a
 /// rect in `masked` (the private ROIs) replaced by the mean public
-/// brightness. Works on perturbed and plain images alike.
+/// brightness. Works on perturbed and plain images alike. Equal to
+/// [`dc_signature`] over the image's [`CoeffImage::dc_grid`].
 pub fn coeff_signature(coeff: &CoeffImage, masked: &[Rect]) -> u64 {
-    let luma = &coeff.components()[0];
-    let (bw, bh) = (luma.blocks_w() as usize, luma.blocks_h() as usize);
+    dc_signature(&coeff.dc_grid(), masked)
+}
+
+/// The signature of [`coeff_signature`] from a luma DC grid alone — what
+/// the DC-only decode ([`puppies_jpeg::codec::decode_dc`]) of a stream
+/// returns, so the upload and search paths never build the AC blocks.
+pub fn dc_signature(grid: &DcGrid, masked: &[Rect]) -> u64 {
+    let (bw, bh) = (grid.blocks_w as usize, grid.blocks_h as usize);
     if bw == 0 || bh == 0 {
         return 0;
     }
-    let dc_step = f32::from(luma.quant().steps()[0]);
-    let mut grid: Vec<f32> = luma
-        .blocks()
-        .iter()
-        .map(|b| b[0] as f32 * dc_step)
-        .collect();
-    let mut mask = vec![false; grid.len()];
+    let dc_step = f32::from(grid.dc_step);
+    let mut brightness: Vec<f32> = grid.dc.iter().map(|&dc| dc as f32 * dc_step).collect();
+    let mut mask = vec![false; brightness.len()];
     for r in masked {
-        for (bx, by) in luma.blocks_in_region(*r) {
+        for (bx, by) in grid.blocks_in_region(*r) {
             mask[by as usize * bw + bx as usize] = true;
         }
     }
     let (mut sum, mut n) = (0.0f64, 0u32);
-    for (v, m) in grid.iter().zip(&mask) {
+    for (v, m) in brightness.iter().zip(&mask) {
         if !m {
             sum += f64::from(*v);
             n += 1;
@@ -76,12 +81,12 @@ pub fn coeff_signature(coeff: &CoeffImage, masked: &[Rect]) -> u64 {
     } else {
         0.0
     };
-    for (v, m) in grid.iter_mut().zip(&mask) {
+    for (v, m) in brightness.iter_mut().zip(&mask) {
         if *m {
             *v = fill;
         }
     }
-    phash64(&grid, bw, bh)
+    phash64(&brightness, bw, bh)
 }
 
 /// One indexed photo: its signature plus the identity facts a match must

@@ -28,11 +28,12 @@
 use crate::cache::{
     content_hash64, fnv64, fnv64_chain, CacheStats, DecodeMemo, ServedPair, TransformCache,
 };
-use crate::sig::{coeff_signature, SigEntry, SigIndex, SigMatch};
+use crate::sig::{dc_signature, SigEntry, SigIndex, SigMatch};
 use crate::{PspError, Result};
 use parking_lot::{Mutex, RwLock};
 use puppies_core::PublicParams;
 use puppies_image::Rect;
+use puppies_jpeg::codec::decode_dc;
 use puppies_jpeg::{CoeffImage, EncodeOptions};
 use puppies_transform::Transformation;
 use std::collections::{HashMap, VecDeque};
@@ -239,7 +240,7 @@ pub struct PspConfig {
     /// [`REQUEST_LOG_CAPACITY`].
     pub request_log_capacity: usize,
     /// Whether the perceptual-identity layer runs: upload-time signature
-    /// extraction, near-duplicate indexing, decode-memo pre-warming and
+    /// extraction, near-duplicate indexing and
     /// the second-level (signature-family) transform-cache key. On by
     /// default; benches disable it to measure the exact-key-only baseline.
     pub signature: bool,
@@ -399,9 +400,9 @@ impl PspServer {
     }
 
     /// Runs the upload-time perceptual-identity pass for a freshly stored
-    /// photo: decode, signature extraction over public data, family
-    /// resolution against the near-duplicate index, decode-memo pre-warm
-    /// for flagged near-duplicates, and index insertion. Records the
+    /// photo: DC-only decode, signature extraction over public data,
+    /// family resolution against the near-duplicate index, and index
+    /// insertion. Records the
     /// photo's `(signature, family root)` on its `identity` slot. A blob
     /// that does not decode simply stays unindexed — the store accepts
     /// arbitrary bytes and the identity layer is best-effort by design.
@@ -414,9 +415,9 @@ impl PspServer {
         // content the server has already hashed never pays the JPEG
         // decode again. Re-uploading identical bytes is the dominant
         // duplicate workload and must stay as cheap as storing them.
-        let (bytes_fnv, content_fnv) = stored.hashes();
+        let (_, content_fnv) = stored.hashes();
         let memoized = self.sig_memo.lock().get(&content_fnv).copied();
-        let (sig, w, h, coeff) = match memoized {
+        let (sig, w, h) = match memoized {
             Some(None) => {
                 // Known-undecodable content: stays unindexed, no retry.
                 let _ = stored.identity.set(None);
@@ -424,11 +425,14 @@ impl PspServer {
             }
             Some(Some((sig, w, h))) => {
                 puppies_obs::counted!("psp.sig.memo_hit");
-                (sig, w, h, None)
+                (sig, w, h)
             }
             None => {
-                let coeff = match CoeffImage::decode(&stored.bytes) {
-                    Ok(c) => c,
+                // The signature reads only the luma DCs: the DC-only walk
+                // accepts exactly the streams a full decode does, without
+                // building the coefficient blocks.
+                let grid = match decode_dc(&stored.bytes) {
+                    Ok(g) => g,
                     Err(_) => {
                         self.sig_memo.lock().insert(content_fnv, None);
                         let _ = stored.identity.set(None);
@@ -438,11 +442,11 @@ impl PspServer {
                 let rois: Vec<Rect> = PublicParams::from_bytes(&stored.params)
                     .map(|p| p.rois.iter().map(|r| r.rect).collect())
                     .unwrap_or_default();
-                let sig = coeff_signature(&coeff, &rois);
+                let sig = dc_signature(&grid, &rois);
                 puppies_obs::counted!("psp.sig.computed");
-                let (w, h) = (coeff.width(), coeff.height());
+                let (w, h) = (grid.width, grid.height);
                 self.sig_memo.lock().insert(content_fnv, Some((sig, w, h)));
-                (sig, w, h, Some(coeff))
+                (sig, w, h)
             }
         };
         let params_fnv = fnv64(&stored.params);
@@ -470,17 +474,6 @@ impl PspServer {
                 puppies_obs::counted!("psp.sig.dedup_exact");
             } else {
                 puppies_obs::counted!("psp.sig.neardup");
-                // A recompressed copy of a known photo is about to draw the
-                // same transform traffic its family does: pre-warm the
-                // decode memo with the decode we already paid for, so a
-                // cold family (nothing cached yet) skips the entropy
-                // decode on this copy's first transform miss. (A re-upload
-                // served from the signature memo has no fresh decode to
-                // donate — and its first copy already pre-warmed.)
-                if let Some(coeff) = coeff {
-                    self.memo.insert(bytes_fnv, Arc::new(coeff));
-                    puppies_obs::counted!("psp.sig.prewarm");
-                }
             }
         }
     }
@@ -975,18 +968,18 @@ impl PspServer {
     }
 
     /// Computes the perceptual signature of an arbitrary candidate image
-    /// the way the store would at upload: decode, then hash the public
-    /// data only (private ROIs from `params`, when given, are masked out).
+    /// the way the store would at upload: DC-only decode, then hash the
+    /// public data only (private ROIs from `params`, when given, are masked out).
     /// Returns `None` for undecodable bytes. This is the probe side of
     /// [`PspServer::search_similar`] — a client hashes its query image
     /// locally or ships the bytes to the `/search` door.
     pub fn probe_signature(bytes: &[u8], params: Option<&[u8]>) -> Option<u64> {
-        let coeff = CoeffImage::decode(bytes).ok()?;
+        let grid = decode_dc(bytes).ok()?;
         let rois: Vec<Rect> = params
             .and_then(|p| PublicParams::from_bytes(p).ok())
             .map(|p| p.rois.iter().map(|r| r.rect).collect())
             .unwrap_or_default();
-        Some(coeff_signature(&coeff, &rois))
+        Some(dc_signature(&grid, &rois))
     }
 
     /// Sublinear near-duplicate search: every stored photo whose signature
