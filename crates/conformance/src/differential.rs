@@ -21,12 +21,17 @@
 //!    streams `CoeffImage::decode` accepts, and return the same luma DC
 //!    grid, on every golden JPEG vector and on every prefix truncation and
 //!    single-byte mutation of a small protected stream.
+//! 5. **Recycled grids**: every golden vector (codec, protect, the PSP's
+//!    coefficient-domain and pixel-domain transforms, and the receiver's
+//!    recoveries) derived from block grids the `puppies_jpeg::grid` pool
+//!    hands back filled with a sentinel must equal the one derived from an
+//!    emptied pool: no stage reads a recycled grid's old coefficients.
 
 use puppies_core::{protect, OwnerKey, PrivacyLevel, ProtectOptions, Scheme};
 use puppies_image::metrics::{max_abs_diff_rgb, mse_rgb, psnr_rgb};
 use puppies_image::{Rect, Rgb, RgbImage};
 use puppies_jpeg::codec::decode_dc;
-use puppies_jpeg::{CoeffImage, EncodeOptions};
+use puppies_jpeg::{grid, CoeffImage, EncodeOptions};
 use puppies_transform::Transformation;
 
 use crate::golden::{derive_vectors, fixture_image};
@@ -267,6 +272,40 @@ pub fn dc_walk_vs_decode(report: &mut Report) {
     }
 }
 
+/// Family 5: golden vectors from poisoned recycled grids against an
+/// emptied pool.
+pub fn recycled_grids(report: &mut Report) {
+    let img = fixture_image();
+    grid::clear();
+    let clean = derive_vectors(&img);
+    // Every grid the clean run used is back in the pool. From here on,
+    // each retained grid and each one given back holds a value no stage
+    // can produce, so every reuse in the second run hands one out.
+    let poisoned = grid::poison(Some([i32::MIN; 64]));
+    let dirty = std::panic::catch_unwind(|| derive_vectors(&img));
+    grid::poison(None);
+    let Ok(dirty) = dirty else {
+        report.fail(
+            "differential/recycled-grids",
+            "deriving the vectors from poisoned grids panicked",
+        );
+        return;
+    };
+    for ((name, want), (_, got)) in clean.iter().zip(&dirty) {
+        let case = format!("differential/recycled-grids/{name}");
+        if want == got {
+            report.pass(case, None);
+        } else {
+            report.fail(
+                case,
+                format!(
+                    "differs when recycled grids hold a sentinel ({poisoned} poisoned up front)"
+                ),
+            );
+        }
+    }
+}
+
 /// Runs all differential families.
 pub fn run_differential() -> Report {
     let mut report = Report::new();
@@ -274,6 +313,7 @@ pub fn run_differential() -> Report {
     codec_roundtrip(&mut report);
     recompression_fixed_point(&mut report);
     dc_walk_vs_decode(&mut report);
+    recycled_grids(&mut report);
     report
 }
 

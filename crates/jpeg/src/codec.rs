@@ -275,7 +275,9 @@ pub fn decode(bytes: &[u8]) -> Result<CoeffImage> {
     let frame = read_frame(bytes)?;
     let n = frame.comps.len();
     let scan = frame.scan()?;
-    let mut blocks: Vec<Vec<[i32; 64]>> = vec![Vec::with_capacity(scan.nblocks); n];
+    // One grid per component, each taken once at full size: the pushes
+    // below never reallocate.
+    let mut blocks: Vec<Vec<[i32; 64]>> = (0..n).map(|_| crate::grid::take(scan.nblocks)).collect();
     let mut blk = [0i32; 64]; // scratch reused across every block
     scan.run("jpeg.entropy_decode", |ci, r, pred, dct, act| {
         let p = decode_block_natural_into(&mut blk, r, pred, dct, act)?;

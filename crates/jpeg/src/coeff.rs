@@ -7,7 +7,7 @@
 //! coding (`codec`) turns the same structure into bytes.
 
 use crate::quant::QuantTable;
-use crate::{dct, JpegError, Result, AC_MAX, AC_MIN, COEFF_MAX, COEFF_MIN};
+use crate::{dct, grid, JpegError, Result, AC_MAX, AC_MIN, COEFF_MAX, COEFF_MIN};
 use puppies_image::{GrayImage, Plane, Rect, RgbImage};
 
 /// Clamps a block into the entropy-codable ranges: DC to `[-1024, 1023]`,
@@ -28,8 +28,9 @@ pub const BLOCK_LEN: usize = 64;
 /// order; index 0 is the DC term.
 pub type Block = [i32; BLOCK_LEN];
 
-/// A single color component (plane) in the coefficient domain.
-#[derive(Debug, Clone, PartialEq)]
+/// A single color component (plane) in the coefficient domain. Its block
+/// grid comes from, and on drop goes back to, the [`crate::grid`] pool.
+#[derive(Debug, PartialEq)]
 pub struct Component {
     /// JPEG component id (1 = Y, 2 = Cb, 3 = Cr).
     id: u8,
@@ -58,7 +59,7 @@ impl Component {
         // Every slot is fully written below (the fused fdct+quantize fills
         // all 64 coefficients of each block in order), so the block vector
         // skips the zero-fill a `vec![...]` would pay.
-        let mut blocks: Vec<Block> = Vec::with_capacity(n);
+        let mut blocks = grid::take(n);
         let spare = blocks.spare_capacity_mut();
         let mut raw = [0.0f32; BLOCK_LEN];
         // Columns whose 8 samples all lie inside the plane; the run
@@ -309,6 +310,29 @@ impl Component {
     }
 }
 
+impl Clone for Component {
+    /// Copies the blocks into a grid from the pool.
+    fn clone(&self) -> Component {
+        let mut blocks = grid::take(self.blocks.len());
+        blocks.extend_from_slice(&self.blocks);
+        Component {
+            id: self.id,
+            width: self.width,
+            height: self.height,
+            blocks_w: self.blocks_w,
+            blocks_h: self.blocks_h,
+            quant: self.quant.clone(),
+            blocks,
+        }
+    }
+}
+
+impl Drop for Component {
+    fn drop(&mut self) {
+        grid::give(std::mem::take(&mut self.blocks));
+    }
+}
+
 /// Block-grid coordinates `(bx, by)` of every block of a `width × height`
 /// image whose 8×8 pixel footprint intersects `region`, in row-major
 /// order.
@@ -370,11 +394,7 @@ impl CoeffImage {
             vec![0.0f32; bs * stride],
             vec![0.0f32; bs * stride],
         ];
-        let mut blocks: [Vec<Block>; 3] = [
-            Vec::with_capacity(n),
-            Vec::with_capacity(n),
-            Vec::with_capacity(n),
-        ];
+        let mut blocks = [grid::take(n), grid::take(n), grid::take(n)];
         for by in 0..blocks_h as usize {
             for y in 0..bs {
                 let off = y * stride;

@@ -14,6 +14,8 @@
 //!   PuPPIeS-C, §IV-B.3)
 //! - [`coeff`] — [`CoeffImage`], the quantized-coefficient representation
 //!   perturbation operates on
+//! - [`grid`] — the process-wide pool every block grid is taken from and
+//!   given back to
 //! - [`codec`] — JFIF marker framing: encode a [`CoeffImage`] to bytes and
 //!   parse it back
 //!
@@ -34,6 +36,7 @@
 pub mod codec;
 pub mod coeff;
 pub mod dct;
+pub mod grid;
 pub mod huffman;
 pub mod quant;
 pub mod zigzag;

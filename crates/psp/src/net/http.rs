@@ -3,7 +3,7 @@
 //! `Content-Length` framing both ways, keep-alive. Deliberately not a
 //! general server: no chunked encoding, no `Expect: continue`, no TLS.
 
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, IoSlice, Read, Write};
 use std::net::TcpStream;
 
 /// Upper bound on the request head (request line + headers) in bytes.
@@ -272,9 +272,7 @@ pub fn write_response(stream: &mut TcpStream, resp: &Response, keep_alive: bool)
         head.push_str("\r\n");
     }
     head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(&resp.body)?;
-    stream.flush()
+    write_head_body(stream, head.as_bytes(), &resp.body)
 }
 
 /// Client side: writes a request with a binary body and optional extra
@@ -307,9 +305,25 @@ pub fn write_request(
         head.push_str("\r\n");
     }
     head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
-    stream.flush()
+    write_head_body(stream, head.as_bytes(), body)
+}
+
+/// Writes a message's head and body with one `write_vectored` call while
+/// the socket takes them whole (one syscall, and on a `TCP_NODELAY`
+/// socket one segment for a small message), looping over partial writes.
+fn write_head_body(w: &mut impl Write, mut head: &[u8], mut body: &[u8]) -> io::Result<()> {
+    while !head.is_empty() || !body.is_empty() {
+        let n = match w.write_vectored(&[IoSlice::new(head), IoSlice::new(body)]) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        let from_head = n.min(head.len());
+        head = &head[from_head..];
+        body = &body[n - from_head..];
+    }
+    w.flush()
 }
 
 /// A parsed response triple: status, headers (lowercased names), body.
@@ -413,6 +427,90 @@ mod tests {
         assert_eq!(status, 200);
         assert_eq!(body, vec![1, 2, 3]);
         assert!(headers.iter().any(|(k, v)| k == "x-cache" && v == "hit"));
+    }
+
+    #[test]
+    fn four_mib_bodies_roundtrip_through_partial_writes() {
+        // A 4 MiB body does not fit the socket buffers, so the vectored
+        // write returns short and the loop resumes mid-head or mid-body.
+        let body: Vec<u8> = (0..4usize << 20).map(|i| (i * 31 % 251) as u8).collect();
+        let (mut client, server) = pipe();
+        let sent = body.clone();
+        let writer = thread::spawn(move || {
+            write_request(&mut client, "POST", "/photos", Some("t"), &[], &sent).unwrap();
+            client
+        });
+        let mut reader = BufReader::new(server);
+        let mut server = match read_request(&mut reader, 8 << 20).unwrap() {
+            ReadOutcome::Request(req) => {
+                assert_eq!(req.bearer(), Some("t"));
+                assert!(req.body == body, "request body differs");
+                reader.into_inner()
+            }
+            other => panic!("unexpected: {other:?}"),
+        };
+        let client = writer.join().unwrap();
+        let resp = Response::ok(body.clone());
+        let writer = thread::spawn(move || {
+            write_response(&mut server, &resp, true).unwrap();
+            server
+        });
+        let (status, _, got) = read_response(&mut BufReader::new(client)).unwrap();
+        assert_eq!(status, 200);
+        assert!(got == body, "response body differs");
+        drop(writer.join().unwrap());
+    }
+
+    /// Takes at most `max` bytes per call, and fails every third call
+    /// with `Interrupted`.
+    struct Trickle {
+        out: Vec<u8>,
+        max: usize,
+        calls: usize,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            if self.calls % 3 == 0 {
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            let mut room = self.max;
+            for b in bufs {
+                let n = b.len().min(room);
+                self.out.extend_from_slice(&b[..n]);
+                room -= n;
+            }
+            Ok(self.max - room)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn vectored_loop_resumes_after_every_partial_write() {
+        let (head, body) = (b"HEAD\r\n\r\n".as_slice(), b"0123456789abcdef".as_slice());
+        for max in 1..=head.len() + body.len() + 1 {
+            let mut w = Trickle {
+                out: Vec::new(),
+                max,
+                calls: 0,
+            };
+            write_head_body(&mut w, head, body).unwrap();
+            assert_eq!(w.out, [head, body].concat(), "max {max}");
+        }
+        // A sink that takes nothing is an error, not a spin.
+        let mut stuck = Trickle {
+            out: Vec::new(),
+            max: 0,
+            calls: 0,
+        };
+        let err = write_head_body(&mut stuck, head, body).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WriteZero);
     }
 
     #[test]

@@ -455,7 +455,7 @@ impl Transformation {
                     let bw = c.blocks_w() as usize;
                     let (bx0, by0) = ((r.x / BLOCK_SIZE) as usize, (r.y / BLOCK_SIZE) as usize);
                     let (cw, ch) = ((r.w / BLOCK_SIZE) as usize, (r.h / BLOCK_SIZE) as usize);
-                    let mut blocks = Vec::with_capacity(cw * ch);
+                    let mut blocks = puppies_jpeg::grid::take(cw * ch);
                     for row in c.blocks().chunks_exact(bw).skip(by0).take(ch) {
                         blocks.extend_from_slice(&row[bx0..bx0 + cw]);
                     }
@@ -621,14 +621,16 @@ impl BlockOrientation {
     }
 
     /// Reorients a component's block grid, writing each output block once
-    /// into a preallocated grid. The source is walked in square tiles, so
-    /// a quarter turn reads and writes within a few block rows at a time.
+    /// into a zero-filled grid from the pool. The source is walked in
+    /// square tiles, so a quarter turn reads and writes within a few block
+    /// rows at a time.
     fn reorient(&self, c: &Component) -> Vec<Block> {
         const TILE: u32 = 8;
         let (bw, bh) = (c.blocks_w(), c.blocks_h());
         let nw = if self.transposes() { bh } else { bw };
         let src = c.blocks();
-        let mut out = vec![[0i32; 64]; src.len()];
+        let mut out = puppies_jpeg::grid::take(src.len());
+        out.resize(src.len(), [0; 64]);
         for ty in (0..bh).step_by(TILE as usize) {
             for tx in (0..bw).step_by(TILE as usize) {
                 for by in ty..(ty + TILE).min(bh) {
