@@ -405,30 +405,71 @@ pub fn cmd_search(args: &[String]) -> CliResult {
 }
 
 /// Human-readable dump of a store's WAL — the failure artifact CI uploads
-/// when the service job trips.
+/// when the service job trips. Blobs print as a SHA-256 prefix and a
+/// length, never their bytes.
 pub fn cmd_wal_dump(args: &[String]) -> CliResult {
+    use puppies_psp::wal::{read_log, WalRecord};
     let dir = flag_value(args, "--dir").ok_or("missing --dir <store-dir>")?;
     let path = std::path::Path::new(dir).join("wal.log");
-    // Read-only: scan the bytes rather than `Wal::replay`, which would
+    // Read-only: stream the file rather than `Wal::replay`, which would
     // truncate a torn tail in place — a dump must not mutate evidence.
-    let data = std::fs::read(&path).map_err(|e| format!("reading {}: {e}", path.display()))?;
-    let (records, good) = puppies_psp::wal::scan(&data);
+    let file =
+        std::fs::File::open(&path).map_err(|e| format!("reading {}: {e}", path.display()))?;
     // Write, don't println!: the dump is routinely piped to `head`, and
     // println! panics on the EPIPE when the pipe closes early.
-    use std::io::Write as _;
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
-    let _ = writeln!(
-        out,
-        "{}: {} record(s), {} torn byte(s) at the tail",
-        path.display(),
-        records.len(),
-        data.len() as u64 - good
-    );
-    for (i, record) in records.iter().enumerate() {
-        if writeln!(out, "{i:>6}: {record:?}").is_err() {
-            break;
+    // Hashes print as the prefix a Blob line and the records naming it
+    // share.
+    let short = |sha: &[u8; 32]| format!("{}…", puppies_psp::net::proto::hex(&sha[..8]));
+    let (mut records, mut blobs) = (0u64, 0u64);
+    let read = read_log(file, |record| {
+        let line = match &record {
+            WalRecord::Blob { sha, bytes } => {
+                blobs += 1;
+                format!("Blob {{ sha256: {}, len: {} }}", short(sha), bytes.len())
+            }
+            WalRecord::Upload {
+                id,
+                bytes_sha,
+                params_sha,
+            }
+            | WalRecord::Transform {
+                id,
+                bytes_sha,
+                params_sha,
+            } => {
+                let kind = if matches!(record, WalRecord::Upload { .. }) {
+                    "Upload"
+                } else {
+                    "Transform"
+                };
+                format!(
+                    "{kind} {{ id: {id}, bytes: {}, params: {} }}",
+                    short(bytes_sha),
+                    short(params_sha)
+                )
+            }
+            other => format!("{other:?}"),
+        };
+        records += 1;
+        writeln!(out, "{:>6}: {line}", records - 1)
+    });
+    match read {
+        Ok(tail) => {
+            let _ = writeln!(
+                out,
+                "{}: {records} record(s) ({blobs} blob(s)), {} torn byte(s) at the tail",
+                path.display(),
+                tail.torn_bytes
+            );
+            Ok(())
         }
+        // The reader of the pipe went away: stop quietly.
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Ok(()),
+        Err(e) => Err(format!(
+            "{}: after {records} record(s): {e}",
+            path.display()
+        )),
     }
-    Ok(())
 }

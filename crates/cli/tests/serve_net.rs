@@ -149,3 +149,142 @@ fn smoke_kill9_and_recovery() {
     server.child.wait().expect("reap server");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A store with two uploads, written through the library.
+fn store_with_uploads(tag: &str) -> (PathBuf, Vec<u8>) {
+    let store = tmp_dir(tag).join("store");
+    let disk = puppies_psp::DiskStore::open(&store, puppies_psp::PspConfig::default(), false)
+        .expect("open store");
+    let bytes = vec![0xAB; 5000];
+    disk.upload(bytes.clone(), vec![0xCD; 10]).expect("upload");
+    disk.upload(vec![0xEF; 3000], vec![0xCD; 10])
+        .expect("upload");
+    (store, bytes)
+}
+
+#[test]
+fn wal_dump_prints_blob_metadata_never_bytes() {
+    let (store, bytes) = store_with_uploads("dump");
+    let dump = run_ok(&["wal-dump", "--dir", store.to_str().unwrap()]);
+    let sha = puppies_psp::sha256::sha256(&bytes);
+    let prefix = puppies_psp::net::proto::hex(&sha[..8]);
+    assert!(
+        dump.contains(&format!("Blob {{ sha256: {prefix}…, len: 5000 }}")),
+        "{dump}"
+    );
+    // Three blobs (the shared params blob is logged once), two uploads
+    // naming them by the same prefix.
+    assert!(dump.contains("5 record(s) (3 blob(s))"), "{dump}");
+    assert!(
+        dump.contains(&format!("Upload {{ id: 0, bytes: {prefix}…, params: ")),
+        "{dump}"
+    );
+    assert_eq!(dump.matches("Upload").count(), 2, "{dump}");
+    assert!(
+        !dump.contains("171, 171"),
+        "blob bytes leaked into the dump"
+    );
+    assert!(dump.len() < 1500, "dump is {} bytes", dump.len());
+    let _ = std::fs::remove_dir_all(store.parent().unwrap());
+}
+
+/// Flips one byte in the middle of a store's `wal.log`.
+fn flip_middle_byte(store: &Path) {
+    let path = store.join("wal.log");
+    let mut log = std::fs::read(&path).unwrap();
+    let mid = log.len() / 2;
+    log[mid] ^= 0x10;
+    std::fs::write(&path, log).unwrap();
+}
+
+#[test]
+fn mid_log_corruption_is_loud_in_dump_and_serve() {
+    let (store, _) = store_with_uploads("corrupt");
+    flip_middle_byte(&store);
+    let dump = bin()
+        .args(["wal-dump", "--dir", store.to_str().unwrap()])
+        .output()
+        .expect("run wal-dump");
+    assert!(!dump.status.success());
+    assert!(String::from_utf8_lossy(&dump.stderr).contains("wal corrupt"));
+
+    // `serve` binds, fails recovery, never turns ready, and exits with
+    // the corruption error (the accept loop must wake up to exit).
+    let mut child = bin()
+        .args([
+            "serve",
+            "--dir",
+            store.to_str().unwrap(),
+            "--addr",
+            "127.0.0.1:0",
+        ])
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn serve");
+    let deadline = std::time::Instant::now() + Duration::from_secs(20);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("poll serve") {
+            break status;
+        }
+        if std::time::Instant::now() > deadline {
+            let _ = child.kill();
+            panic!("serve kept running on a corrupt store");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let mut stderr = String::new();
+    std::io::Read::read_to_string(&mut child.stderr.take().unwrap(), &mut stderr).unwrap();
+    assert!(!status.success());
+    assert!(stderr.contains("wal corrupt"), "stderr: {stderr}");
+    let _ = std::fs::remove_dir_all(store.parent().unwrap());
+}
+
+fn signal(child: &Child, name: &str) {
+    let status = Command::new("kill")
+        .args([name, &child.id().to_string()])
+        .status()
+        .expect("run kill");
+    assert!(status.success(), "kill {name} failed");
+}
+
+#[test]
+fn sighup_reloads_and_sigterm_drains_promptly() {
+    let store = tmp_dir("signals").join("store");
+    std::fs::create_dir_all(&store).unwrap();
+    let mut server = start_server(&store);
+    let upload = |addr: &str| {
+        let mut client = puppies_psp::net::Client::connect(addr).expect("connect");
+        client.upload(&[7; 200], &[1]).is_ok()
+    };
+    run_ok(&["net", "ready", "--addr", &server.addr]);
+    assert!(upload(&server.addr));
+
+    // SIGHUP: the new body cap applies without a restart.
+    std::fs::write(store.join("serve.conf"), "max_body = 64\n").unwrap();
+    signal(&server.child, "-HUP");
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while upload(&server.addr) {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "SIGHUP never reloaded"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+
+    // SIGTERM: the blocked accept loop wakes, drains and exits cleanly.
+    signal(&server.child, "-TERM");
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    let status = loop {
+        if let Some(status) = server.child.try_wait().expect("poll serve") {
+            break status;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "SIGTERM never drained"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert!(status.success(), "serve exited with {status}");
+    let _ = std::fs::remove_dir_all(store.parent().unwrap());
+}

@@ -16,7 +16,7 @@
 //! * a repeated wire request reports a cache hit (`x-cache`) and serves
 //!   the same bytes as the miss that populated it;
 //! * a server restart on the same store directory recovers every upload
-//!   byte-identical (WAL + segment replay as observed by a client).
+//!   byte-identical (WAL replay, blobs included, as observed by a client).
 //!
 //! * the observability surface holds its contract: `/healthz` and
 //!   `/readyz` answer 200 on a recovered server, `/metrics` is

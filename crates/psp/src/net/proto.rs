@@ -9,9 +9,10 @@
 use puppies_image::{Rect, Rgb};
 use puppies_transform::{FilterOp, ScaleFilter, Transformation};
 
-/// Hard cap on any framed payload accepted off the wire (4 MiB), matching
-/// the WAL's record cap so nothing storable is refusable and vice versa.
-pub const MAX_FRAME_LEN: usize = crate::wal::MAX_RECORD_LEN;
+/// Hard cap on any framed payload accepted off the wire (4 MiB). The
+/// WAL's record cap ([`crate::wal::MAX_RECORD_LEN`]) is this plus a blob
+/// frame's header, so every blob the wire accepts fits one WAL frame.
+pub const MAX_FRAME_LEN: usize = 1 << 22;
 
 /// Appends one `[u32 LE len][payload]` frame.
 pub fn put_frame(out: &mut Vec<u8>, payload: &[u8]) {

@@ -2,10 +2,14 @@
 //! [`DiskStore`], with graceful drain on SIGTERM/SIGINT and `serve.conf`
 //! reload on SIGHUP (or `POST /admin/reload`).
 //!
-//! The accept loop runs nonblocking and polls a shutdown flag every 25 ms,
-//! so `kill -TERM` stops new connections immediately; handler threads
-//! notice the drain at their next idle poll (≤500 ms), finish the request
-//! they are on, and exit. The WAL is synced before [`Server::run`]
+//! The accept loop blocks in `accept`, so a new connection is picked up
+//! the moment it arrives. Every way into a drain — `POST /admin/shutdown`,
+//! a failed recovery, SIGTERM/SIGINT (seen by a small watcher thread that
+//! also applies SIGHUP reloads within 25 ms) — sets the drain flag and
+//! then wakes the accept with a connection to the server's own address,
+//! so new connections stop immediately; handler threads notice the drain
+//! at their next idle poll (≤500 ms), finish the request they are on, and
+//! exit. The WAL is synced before [`Server::run`]
 //! returns, so a graceful stop loses nothing even with per-append fsync
 //! disabled. A `kill -9` at any point is also safe — that is the WAL's
 //! job, not the drain's.
@@ -34,7 +38,7 @@ use crate::{PspError, Result};
 use parking_lot::{Mutex, RwLock};
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -46,7 +50,8 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 pub struct ServeConfig {
     /// Bind address, e.g. `127.0.0.1:7070` (port 0 for ephemeral).
     pub addr: String,
-    /// Store directory (WAL, segments, `admin.token`, `serve.conf`).
+    /// Store directory (`wal.log`, `admin.token`, `serve.conf`,
+    /// `access.log`).
     pub dir: PathBuf,
     /// Whether every WAL append fsyncs (durability) — disable only for
     /// benchmarks that measure something other than the disk.
@@ -223,9 +228,30 @@ struct Shared {
     quorum: RwLock<Option<QuorumProbe>>,
     access_log: Mutex<Option<BufWriter<File>>>,
     access_seq: AtomicU64,
+    /// Where a connection reaches the listener, to wake a blocked
+    /// `accept` when a drain starts.
+    wake_addr: SocketAddr,
 }
 
 impl Shared {
+    /// Starts the drain: no new connections, in-flight ones finish.
+    fn begin_drain(&self) {
+        // SeqCst, paired with the accept loop's load: the flag is set
+        // before the wake-up connection exists.
+        self.draining.store(true, Ordering::SeqCst);
+        // Wake the accept loop so it sees the flag; if this connect fails
+        // the listener is already gone, and nothing is blocked on it.
+        let _ = TcpStream::connect_timeout(&self.wake_addr, Duration::from_secs(1));
+    }
+
+    /// Re-reads `serve.conf`; returns the settings now in force.
+    fn reload(&self) -> Tunables {
+        let t = Tunables::load(&self.dir);
+        *self.tunables.write() = t;
+        puppies_obs::counter_add("psp.net.reloads", 1);
+        t
+    }
+
     fn store(&self) -> &DiskStore {
         self.store.get().expect("store-touching route before ready")
     }
@@ -283,7 +309,7 @@ impl Recovery {
                 Ok(stats)
             }
             Err(e) => {
-                self.shared.draining.store(true, Ordering::Relaxed);
+                self.shared.begin_drain();
                 Err(e)
             }
         }
@@ -325,6 +351,15 @@ impl Server {
         };
         let listener = TcpListener::bind(&config.addr)
             .map_err(|e| PspError::Channel(format!("binding {}: {e}", config.addr)))?;
+        let mut wake_addr = listener
+            .local_addr()
+            .map_err(|e| PspError::Channel(format!("local addr: {e}")))?;
+        if wake_addr.ip().is_unspecified() {
+            wake_addr.set_ip(match wake_addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         let access_log = File::options()
             .create(true)
             .append(true)
@@ -343,6 +378,7 @@ impl Server {
             quorum: RwLock::new(None),
             access_log: Mutex::new(access_log),
             access_seq: AtomicU64::new(0),
+            wake_addr,
         });
         let recovery = Recovery {
             shared: Arc::clone(&shared),
@@ -388,14 +424,14 @@ impl Server {
     /// Fails on listener errors or a failed final WAL sync.
     pub fn run(self) -> Result<()> {
         install_signal_handlers();
-        self.listener
-            .set_nonblocking(true)
-            .map_err(|e| PspError::Channel(format!("nonblocking listener: {e}")))?;
+        let watcher = {
+            let shared = Arc::clone(&self.shared);
+            std::thread::spawn(move || watch_signals(&shared))
+        };
         while !self.draining() {
-            if SIG_RELOAD.swap(false, Ordering::Relaxed) {
-                self.reload();
-            }
             match self.listener.accept() {
+                // The wake-up connection, or a client racing the drain.
+                Ok(_) if self.draining() => break,
                 Ok((stream, _peer)) => {
                     let shared = Arc::clone(&self.shared);
                     shared.connections.fetch_add(1, Ordering::Relaxed);
@@ -407,14 +443,16 @@ impl Server {
                         puppies_obs::gauge_add("psp.net.connections", -1);
                     });
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(25));
+                Err(e) => {
+                    self.shared.draining.store(true, Ordering::Relaxed);
+                    let _ = watcher.join();
+                    return Err(PspError::Channel(format!("accept: {e}")));
                 }
-                Err(e) => return Err(PspError::Channel(format!("accept: {e}"))),
             }
         }
         // Drain: handler threads poll `draining` at least every 500 ms.
         self.shared.draining.store(true, Ordering::Relaxed);
+        let _ = watcher.join();
         let deadline = Instant::now() + Duration::from_secs(10);
         while self.shared.connections.load(Ordering::Relaxed) > 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(25));
@@ -430,13 +468,24 @@ impl Server {
     }
 
     fn draining(&self) -> bool {
-        SIG_SHUTDOWN.load(Ordering::Relaxed) || self.shared.draining.load(Ordering::Relaxed)
+        SIG_SHUTDOWN.load(Ordering::Relaxed) || self.shared.draining.load(Ordering::SeqCst)
     }
+}
 
-    fn reload(&self) {
-        let t = Tunables::load(&self.shared.dir);
-        *self.shared.tunables.write() = t;
-        puppies_obs::counter_add("psp.net.reloads", 1);
+/// Turns the process-wide signal flags into actions for one server until
+/// it drains: SIGHUP reloads `serve.conf`, SIGTERM/SIGINT start the drain
+/// (which wakes the blocked accept loop). Signal handlers can only set
+/// flags, so this polls them — off the request path.
+fn watch_signals(shared: &Shared) {
+    while !shared.draining.load(Ordering::Relaxed) {
+        if SIG_SHUTDOWN.load(Ordering::Relaxed) {
+            shared.begin_drain();
+            return;
+        }
+        if SIG_RELOAD.swap(false, Ordering::Relaxed) {
+            shared.reload();
+        }
+        std::thread::sleep(Duration::from_millis(25));
     }
 }
 
@@ -509,7 +558,7 @@ fn handle_connection(shared: &Shared, stream: TcpStream) -> io::Result<()> {
         let shutdown_after = resp.status == 202 && req.path == "/admin/shutdown";
         http::write_response(&mut writer, &resp, keep_alive && !shutdown_after)?;
         if shutdown_after {
-            shared.draining.store(true, Ordering::Relaxed);
+            shared.begin_drain();
             return Ok(());
         }
         if !keep_alive {
@@ -676,9 +725,7 @@ fn route(shared: &Shared, req: &Request) -> Response {
         ("POST", ["grants"]) => deposit_grant(shared, req),
         ("GET", ["grants"]) => drain_grants(shared, req),
         ("POST", ["admin", "reload"]) => admin(shared, req, |shared| {
-            let t = Tunables::load(&shared.dir);
-            *shared.tunables.write() = t;
-            puppies_obs::counter_add("psp.net.reloads", 1);
+            let t = shared.reload();
             Response::text(format!(
                 "max_body:{}\nkeep_alive:{}\naccess_log_sample:{}\nslow_request_us:{}\n",
                 t.max_body, t.keep_alive, t.access_log_sample, t.slow_request_us

@@ -4,15 +4,18 @@
 //! places in the service genuinely need a collision-resistant /
 //! one-way hash rather than the speed-tuned FNV used for cache keys:
 //!
-//! - **segment addressing** ([`crate::store_disk`]): blobs are stored
-//!   under their content hash and deduplicated by file existence, so a
-//!   craftable collision would let one uploader alias another's bytes;
+//! - **blob addressing** ([`crate::store_disk`]): the WAL logs each blob
+//!   once under its content hash and later records name it by that hash,
+//!   so a craftable collision would let one uploader alias another's
+//!   bytes;
 //! - **owner-token derivation** ([`crate::net`]): tokens are derived
 //!   from a server secret and must not be invertible back to it.
 //!
-//! Throughput is irrelevant at PSP scale (hashing is dwarfed by the
-//! fsync next to it), so this is the straightforward one-block-at-a-time
-//! FIPS pseudocode, checked against the standard test vectors below.
+//! This is the straightforward one-block-at-a-time FIPS pseudocode,
+//! checked against the standard test vectors below. It runs at about
+//! 150 MB/s (2-vCPU x86-64 host), which once hid behind three fsyncs per
+//! upload; with one fsync per upload, hashing an upload's bitstream and
+//! params now costs more than that fsync.
 
 /// First 32 bits of the fractional parts of the cube roots of the first
 /// 64 primes (the round constants K).

@@ -178,10 +178,10 @@ type SigMemoEntry = Option<(u64, u32, u32)>;
 
 /// Refcounted exact-duplicate byte sharing for the in-memory store:
 /// uploads with identical bytes share one `Arc<[u8]>` allocation (the
-/// memory-side mirror of the disk store's SHA-addressed segments), and the
-/// aggregate footprint counts each distinct allocation once. Buckets are
-/// keyed by [`content_hash64`] and verified by byte comparison, so hash
-/// collisions cost a compare, never a false share.
+/// memory-side mirror of the WAL, which logs each distinct blob once),
+/// and the aggregate footprint counts each distinct allocation once.
+/// Buckets are keyed by [`content_hash64`] and verified by byte
+/// comparison, so hash collisions cost a compare, never a false share.
 #[derive(Debug, Default)]
 struct ByteInterner {
     table: Mutex<HashMap<u64, InternBucket>>,
@@ -575,11 +575,11 @@ impl PspServer {
     /// replays as an overwrite of the `Upload` before it) and advances the
     /// id allocator past `id`, so post-recovery uploads never collide with
     /// restored photos. Not an API door: it bypasses the request log.
-    pub fn restore_photo(&self, id: PhotoId, bytes: Vec<u8>, params: Vec<u8>) {
-        let (shared, fresh, bytes_key) = self.interner.intern(bytes.into());
+    pub fn restore_photo(&self, id: PhotoId, bytes: Arc<[u8]>, params: Arc<[u8]>) {
+        let (shared, fresh, bytes_key) = self.interner.intern(bytes);
         let stored = Arc::new(StoredPhoto {
             bytes: shared,
-            params: params.into(),
+            params,
             hashes: OnceLock::new(),
             identity: OnceLock::new(),
         });
@@ -617,6 +617,12 @@ impl PspServer {
                 Err(seen) => cur = seen,
             }
         }
+    }
+
+    /// The stored `(bytes, params)` of a photo for the persistence layer:
+    /// the download doors' zero-copy read, kept out of the request log.
+    pub(crate) fn stored_pair(&self, id: PhotoId) -> Result<ServedPair> {
+        self.lookup(id).map(|p| (p.bytes.clone(), p.params.clone()))
     }
 
     /// Downloads the image bytes (any user may call this — the threat
@@ -1327,13 +1333,13 @@ mod tests {
     #[test]
     fn restore_photo_replays_uploads_and_overwrites() {
         let server = PspServer::new();
-        server.restore_photo(PhotoId(3), vec![1, 2, 3], vec![9]);
-        server.restore_photo(PhotoId(7), vec![4, 5], vec![]);
+        server.restore_photo(PhotoId(3), vec![1, 2, 3].into(), vec![9].into());
+        server.restore_photo(PhotoId(7), vec![4, 5].into(), vec![].into());
         assert_eq!(server.len(), 2);
         assert_eq!(server.download(PhotoId(3)).unwrap().as_ref(), &[1, 2, 3]);
         assert_eq!(server.storage_footprint_total(), 4 + 2);
         // A Transform replay overwrites in place without changing counts.
-        server.restore_photo(PhotoId(3), vec![6; 10], vec![7; 2]);
+        server.restore_photo(PhotoId(3), vec![6; 10].into(), vec![7; 2].into());
         assert_eq!(server.len(), 2);
         assert_eq!(server.download(PhotoId(3)).unwrap().as_ref(), &[6u8; 10]);
         assert_eq!(server.storage_footprint_total(), 12 + 2);

@@ -1,52 +1,58 @@
-//! Persistent PSP store: a content-addressed segment directory plus a
-//! write-ahead log wrapped around the in-memory [`PspServer`].
+//! Persistent PSP store: one write-ahead log wrapped around the
+//! in-memory [`PspServer`].
 //!
 //! # On-disk layout
 //!
 //! ```text
 //! <dir>/
-//!   wal.log                    append-only record log (see [`crate::wal`])
-//!   segments/<sha256 hex>.seg  content-addressed blobs (bitstreams, params)
+//!   wal.log    append-only record log (see [`crate::wal`]), blobs included
 //! ```
 //!
-//! Blobs are named by the SHA-256 of their content, so a segment write
-//! is idempotent: re-uploading identical bytes re-references the existing
-//! file, and a crashed write can never damage a referenced segment (new
-//! content lands under a temp name and is atomically renamed into place).
-//! The hash must be collision-resistant — dedup trusts the file name, so
-//! with a craftable hash (FNV, CRC) one uploader could pre-plant a
-//! colliding blob and alias a later upload's content.
+//! Photo bitstreams and parameter blobs live inside the log as
+//! [`WalRecord::Blob`] frames keyed by their SHA-256, and each distinct
+//! blob is logged once: a re-upload of identical bytes frames only its
+//! `Upload` record. The hash must be collision-resistant — dedup trusts
+//! it, so with a craftable hash (FNV, CRC) one uploader could pre-log a
+//! colliding blob and alias a later upload's content. Stores from builds
+//! that kept blobs in a `segments/` directory do not open.
 //!
 //! # Durability protocol
 //!
-//! 1. write + fsync the referenced segment files (rename into place);
-//! 2. apply the change to the in-memory [`PspServer`];
-//! 3. append + fsync the WAL record;
-//! 4. acknowledge the client.
+//! 1. apply the change to the in-memory [`PspServer`];
+//! 2. append `[Blob(bytes)] [Blob(params)] Upload|Transform` — blobs the
+//!    log already holds left out — with one `write_all`, then one
+//!    `sync_data`;
+//! 3. acknowledge the client.
 //!
-//! A crash before (3) loses only unacknowledged work; a crash during (3)
-//! tears at most the final record, which replay truncates. Recovery
-//! ([`DiskStore::open`]) replays the log in order, rebuilding the server
-//! with [`PspServer::restore_photo`] and the grant mailbox verbatim.
-//! Serving reads (`download`, `download_transformed`, …) never touch the
-//! disk — they hit the in-memory sharded store and transform cache, so
-//! persistence costs writes only.
+//! A crash before (2) completes loses only unacknowledged work: it tears
+//! at most that final batch, which replay truncates. The store directory
+//! is fsynced once, when `wal.log` is created, so the log's own name is
+//! durable too. Recovery ([`DiskStore::open`]) streams the log in order,
+//! re-checks every blob's SHA-256, and rebuilds the server with
+//! [`PspServer::restore_photo`] and the grant mailbox verbatim; it fails
+//! loudly on a bad frame with intact frames after it. Serving reads
+//! (`download`, `download_transformed`, …) never touch the disk — they hit
+//! the in-memory sharded store and transform cache, so persistence costs
+//! writes only.
 
+use crate::net::proto::{hex, MAX_FRAME_LEN};
 use crate::sha256::sha256;
 use crate::store::{PhotoId, PspConfig, PspServer};
-use crate::wal::{Wal, WalRecord};
+use crate::wal::{Batch, Wal, WalRecord};
 use crate::{PspError, Result};
 use parking_lot::Mutex;
 use puppies_transform::Transformation;
+use std::collections::{HashMap, HashSet};
 use std::fs;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// What [`DiskStore::open`] found while recovering.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryStats {
-    /// Intact WAL records replayed.
+    /// State changes replayed (every intact record except blobs).
     pub records: u64,
     /// Photos live after replay.
     pub photos: u64,
@@ -64,9 +70,9 @@ pub struct Mailbox {
 #[derive(Debug, Default)]
 struct GrantState {
     /// token bytes → receiver DH public value.
-    tokens: std::collections::HashMap<[u8; 32], u128>,
+    tokens: HashMap<[u8; 32], u128>,
     /// receiver DH public value → pending deposits.
-    mailboxes: std::collections::HashMap<u128, Mailbox>,
+    mailboxes: HashMap<u128, Mailbox>,
 }
 
 /// The persistent server: [`PspServer`] semantics, plus every
@@ -76,19 +82,36 @@ pub struct DiskStore {
     server: PspServer,
     wal: Mutex<Wal>,
     grants: Mutex<GrantState>,
-    segments: PathBuf,
+    /// SHA-256 of every blob the log holds durably (rebuilt at replay):
+    /// a blob in here is never framed again.
+    logged: Mutex<HashSet<[u8; 32]>>,
     recovery: RecoveryStats,
-    /// Whether segment writes sync (mirrors the WAL's setting from
-    /// [`DiskStore::open`]).
+    /// Whether WAL commits sync (the setting from [`DiskStore::open`]).
     fsync: bool,
-    /// Durability-path failures (segment write or WAL append/sync) since
-    /// open. Nonzero means acknowledged-durability can no longer be
-    /// promised, so `/readyz` reports the store degraded.
+    /// Durability-path failures (WAL append/sync) since open. Nonzero
+    /// means acknowledged-durability can no longer be promised, so
+    /// `/readyz` reports the store degraded.
     io_failures: AtomicU64,
 }
 
 fn io_err(e: io::Error, what: &str) -> PspError {
     PspError::Channel(format!("{what}: {e}"))
+}
+
+/// Refuses a payload too large for one WAL frame — the wire's own cap,
+/// so over the wire only a transform that grows a photo (an upscale) can
+/// meet it.
+fn fit_one_frame(blobs: [&[u8]; 2]) -> Result<()> {
+    match blobs.iter().map(|b| b.len()).max() {
+        Some(len) if len > MAX_FRAME_LEN => Err(PspError::Channel(format!(
+            "a {len}-byte blob exceeds the store's {MAX_FRAME_LEN}-byte cap"
+        ))),
+        _ => Ok(()),
+    }
+}
+
+fn corrupt(why: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, why)
 }
 
 impl DiskStore {
@@ -98,19 +121,42 @@ impl DiskStore {
     /// tests/benches that measure something other than disk latency.
     ///
     /// # Errors
-    /// Fails on filesystem errors or a WAL record referencing a missing
-    /// segment (which the durability protocol makes impossible short of
-    /// external tampering).
+    /// Fails on filesystem errors, on a store written by an older build
+    /// (a `segments/` directory), and on a log that is corrupt before its
+    /// tail: a bad frame (a blob failing its SHA-256 included) followed
+    /// by intact ones, or a record naming a blob the log does not hold.
     pub fn open(dir: &Path, config: PspConfig, fsync: bool) -> Result<DiskStore> {
-        let segments = dir.join("segments");
-        fs::create_dir_all(&segments).map_err(|e| io_err(e, "creating segment dir"))?;
+        if dir.join("segments").is_dir() {
+            return Err(PspError::Channel(format!(
+                "{} holds a segments/ directory from an older build; this build keeps \
+                 photo blobs inside wal.log and cannot open that store",
+                dir.display()
+            )));
+        }
+        fs::create_dir_all(dir).map_err(|e| io_err(e, "creating store dir"))?;
         let wal_path = dir.join("wal.log");
-        let replay = Wal::replay(&wal_path).map_err(|e| io_err(e, "replaying wal"))?;
+        let created = !wal_path.exists();
         let server = PspServer::with_config(config);
         let mut grants = GrantState::default();
-        let records = replay.records.len() as u64;
-        for record in &replay.records {
+        // Blobs by SHA-256 as replay meets them. Held until open returns
+        // because a later record may name any earlier blob (dedup).
+        let mut blobs: HashMap<[u8; 32], Arc<[u8]>> = HashMap::new();
+        let mut records = 0u64;
+        let truncated_bytes = Wal::replay(&wal_path, |record| {
+            let blob = |sha: &[u8; 32], id: u64| {
+                blobs.get(sha).cloned().ok_or_else(|| {
+                    corrupt(format!(
+                        "record for photo {id} names blob {} that the log does not hold",
+                        hex(sha)
+                    ))
+                })
+            };
             match record {
+                // `Wal::replay` has checked the content against `sha`.
+                WalRecord::Blob { sha, bytes } => {
+                    blobs.insert(sha, bytes.into());
+                    return Ok(());
+                }
                 WalRecord::Upload {
                     id,
                     bytes_sha,
@@ -121,12 +167,11 @@ impl DiskStore {
                     bytes_sha,
                     params_sha,
                 } => {
-                    let bytes = read_segment(&segments, bytes_sha)?;
-                    let params = read_segment(&segments, params_sha)?;
-                    server.restore_photo(PhotoId(*id), bytes, params);
+                    let (bytes, params) = (blob(&bytes_sha, id)?, blob(&params_sha, id)?);
+                    server.restore_photo(PhotoId(id), bytes, params);
                 }
                 WalRecord::Receiver { dh_public, token } => {
-                    grants.tokens.insert(*token, *dh_public);
+                    grants.tokens.insert(token, dh_public);
                 }
                 WalRecord::GrantDeposit {
                     receiver,
@@ -135,42 +180,50 @@ impl DiskStore {
                 } => {
                     grants
                         .mailboxes
-                        .entry(*receiver)
+                        .entry(receiver)
                         .or_default()
                         .deposits
-                        .push((*sender, ciphertext.clone()));
+                        .push((sender, ciphertext));
                 }
                 WalRecord::GrantDrain { receiver } => {
-                    grants.mailboxes.remove(receiver);
+                    grants.mailboxes.remove(&receiver);
                 }
             }
-        }
+            records += 1;
+            Ok(())
+        })
+        .map_err(|e| io_err(e, "replaying wal"))?;
         let recovery = RecoveryStats {
             records,
             photos: server.len() as u64,
-            truncated_bytes: replay.truncated_bytes,
+            truncated_bytes,
         };
         let wal = Wal::open(&wal_path, fsync).map_err(|e| io_err(e, "opening wal"))?;
+        if created && fsync {
+            fs::File::open(dir)
+                .and_then(|d| d.sync_all())
+                .map_err(|e| io_err(e, "syncing store dir"))?;
+        }
         Ok(DiskStore {
             server,
             wal: Mutex::new(wal),
             grants: Mutex::new(grants),
-            segments,
+            logged: Mutex::new(blobs.into_keys().collect()),
             recovery,
             fsync,
             io_failures: AtomicU64::new(0),
         })
     }
 
-    /// Durability-path failures (segment writes, WAL appends/syncs)
-    /// since open. See [`DiskStore::io_healthy`].
+    /// Durability-path failures (WAL appends/syncs) since open. See
+    /// [`DiskStore::io_healthy`].
     pub fn io_failures(&self) -> u64 {
         self.io_failures.load(Ordering::Relaxed)
     }
 
-    /// `true` while every durability-path write has succeeded. Once a
-    /// segment or WAL write fails the store keeps serving reads but stops
-    /// claiming readiness — acknowledged writes may no longer be durable.
+    /// `true` while every durability-path write has succeeded. Once a WAL
+    /// write fails the store keeps serving reads but stops claiming
+    /// readiness — acknowledged writes may no longer be durable.
     pub fn io_healthy(&self) -> bool {
         self.io_failures() == 0
     }
@@ -201,67 +254,93 @@ impl DiskStore {
         self.recovery
     }
 
-    /// Durable upload: segments + WAL are synced before the id is
-    /// returned, so an acknowledged upload survives `kill -9`.
+    /// Durable upload: the blobs and the `Upload` record are written and
+    /// synced as one batch before the id is returned, so an acknowledged
+    /// upload survives `kill -9`.
     ///
     /// # Errors
     /// Fails on id exhaustion or filesystem errors.
     pub fn upload(&self, bytes: Vec<u8>, params: Vec<u8>) -> Result<PhotoId> {
-        let bytes_sha = sha256(&bytes);
-        let params_sha = sha256(&params);
-        self.note_io(write_segment(
-            &self.segments,
-            &bytes_sha,
-            &bytes,
-            self.fsync,
-        ))?;
-        self.note_io(write_segment(
-            &self.segments,
-            &params_sha,
-            &params,
-            self.fsync,
-        ))?;
+        fit_one_frame([&bytes, &params])?;
+        let shas = [sha256(&bytes), sha256(&params)];
+        let mut batch = self.blob_batch(shas, [&bytes, &params]);
         let id = self.server.upload(bytes, params)?;
-        self.append(&WalRecord::Upload {
+        batch.record(&WalRecord::Upload {
             id: id.0,
-            bytes_sha,
-            params_sha,
-        })?;
+            bytes_sha: shas[0],
+            params_sha: shas[1],
+        });
+        self.commit(&batch, shas)?;
         Ok(id)
     }
 
     /// Durable in-place transform: runs [`PspServer::transform`], then
-    /// persists the rewritten blobs and the WAL record before returning.
+    /// logs the rewritten blobs and the `Transform` record as one synced
+    /// batch before returning.
     ///
     /// # Errors
     /// Fails like the in-memory transform (unknown photo, chain attempt,
     /// codec errors) or on filesystem errors.
     pub fn transform(&self, id: PhotoId, t: &Transformation) -> Result<()> {
+        let (old_bytes, old_params) = self.server.stored_pair(id)?;
         self.server.transform(id, t)?;
         // Chains are rejected and concurrent double transforms refused, so
-        // the bytes now stored are exactly this transform's output.
-        let bytes = self.server.download(id)?;
-        let params = self.server.download_params(id)?;
-        let bytes_sha = sha256(&bytes);
-        let params_sha = sha256(&params);
-        self.note_io(write_segment(
-            &self.segments,
-            &bytes_sha,
-            &bytes,
-            self.fsync,
-        ))?;
-        self.note_io(write_segment(
-            &self.segments,
-            &params_sha,
-            &params,
-            self.fsync,
-        ))?;
-        self.append(&WalRecord::Transform {
-            id: id.0,
-            bytes_sha,
-            params_sha,
-        })?;
-        Ok(())
+        // the pair now stored is exactly this transform's output.
+        let (bytes, params) = self.server.stored_pair(id)?;
+        let logged = fit_one_frame([&bytes, &params]).and_then(|()| {
+            let shas = [sha256(&bytes), sha256(&params)];
+            let mut batch = self.blob_batch(shas, [&bytes, &params]);
+            batch.record(&WalRecord::Transform {
+                id: id.0,
+                bytes_sha: shas[0],
+                params_sha: shas[1],
+            });
+            self.commit(&batch, shas)
+        });
+        if logged.is_err() {
+            // Not durable (an upscale past the blob cap, or a failed
+            // write): serve what the log holds.
+            self.server.restore_photo(id, old_bytes, old_params);
+        }
+        logged
+    }
+
+    /// Starts a batch with a `Blob` frame for each blob the log does not
+    /// hold yet, with room left for the record that names them.
+    fn blob_batch(&self, shas: [[u8; 32]; 2], blobs: [&[u8]; 2]) -> Batch {
+        let fresh = {
+            let logged = self.logged.lock();
+            [
+                !logged.contains(&shas[0]),
+                !logged.contains(&shas[1]) && shas[1] != shas[0],
+            ]
+        };
+        let frames: usize = blobs.iter().map(|b| Batch::blob_frame_len(b.len())).sum();
+        let mut batch = Batch::with_capacity(frames + 128);
+        for i in 0..2 {
+            if fresh[i] {
+                batch.blob(&shas[i], blobs[i]);
+            } else {
+                // An exact duplicate of a logged blob costs no disk bytes;
+                // counted so the dedup layer's savings show up on /metrics
+                // alongside the in-memory interner's.
+                puppies_obs::counted!("psp.sig.segment_shared");
+            }
+        }
+        batch
+    }
+
+    /// Commits a blob batch; once it is durable its blobs count as logged.
+    fn commit(&self, batch: &Batch, shas: [[u8; 32]; 2]) -> Result<()> {
+        let r = self
+            .wal
+            .lock()
+            .commit(batch)
+            .map_err(|e| io_err(e, "appending wal"));
+        if r.is_ok() {
+            self.logged.lock().extend(shas);
+        }
+        self.note_io(r)
     }
 
     /// Registers a receiver token for a DH public value (durable).
@@ -287,8 +366,9 @@ impl DiskStore {
     /// (durable). The PSP never sees the plaintext.
     ///
     /// # Errors
-    /// Fails on filesystem errors.
+    /// Fails on filesystem errors or a ciphertext over the wire's cap.
     pub fn deposit_grant(&self, receiver: u128, sender: u128, ciphertext: Vec<u8>) -> Result<()> {
+        fit_one_frame([&ciphertext, &[]])?;
         // The grants lock is held across the WAL append: if a deposit
         // could slip its record in between a concurrent drain's mailbox
         // removal and that drain's GrantDrain append, replay would order
@@ -360,69 +440,12 @@ impl DiskStore {
     }
 }
 
-/// Segment file path for a content hash.
-fn segment_path(dir: &Path, hash: &[u8; 32]) -> PathBuf {
-    use std::fmt::Write as _;
-    let mut name = String::with_capacity(68);
-    for b in hash {
-        let _ = write!(name, "{b:02x}");
-    }
-    name.push_str(".seg");
-    dir.join(name)
-}
-
-fn read_segment(dir: &Path, hash: &[u8; 32]) -> Result<Vec<u8>> {
-    let path = segment_path(dir, hash);
-    let bytes =
-        fs::read(&path).map_err(|e| io_err(e, &format!("reading segment {}", path.display())))?;
-    if sha256(&bytes) != *hash {
-        return Err(PspError::Channel(format!(
-            "segment {} fails its content hash",
-            path.display()
-        )));
-    }
-    Ok(bytes)
-}
-
-/// Writes a blob content-addressed: skip if present (identical content —
-/// the address is SHA-256, so a differing file at the same name would be
-/// a collision), else write to a temp name, fsync, rename into place.
-/// Idempotent and crash-safe — a torn temp file is never referenced.
-fn write_segment(dir: &Path, hash: &[u8; 32], bytes: &[u8], fsync: bool) -> Result<()> {
-    let path = segment_path(dir, hash);
-    if path.exists() {
-        // Exact duplicate of a stored blob: the SHA-addressed segment is
-        // shared, no new disk bytes. Counted so the dedup layer's savings
-        // show up on /metrics alongside the in-memory interner's.
-        puppies_obs::counted!("psp.sig.segment_shared");
-        return Ok(());
-    }
-    let tmp = path.with_extension(format!(
-        "tmp.{}.{:?}",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    let write = || -> io::Result<()> {
-        let mut f = fs::File::create(&tmp)?;
-        io::Write::write_all(&mut f, bytes)?;
-        if fsync {
-            f.sync_data()?;
-        }
-        drop(f);
-        fs::rename(&tmp, &path)?;
-        Ok(())
-    };
-    write().map_err(|e| {
-        let _ = fs::remove_file(&tmp);
-        io_err(e, &format!("writing segment {}", path.display()))
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::fs::OpenOptions;
     use std::io::Write as _;
+    use std::path::PathBuf;
 
     fn tmp(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -522,13 +545,60 @@ mod tests {
     }
 
     #[test]
-    fn identical_content_shares_one_segment() {
+    fn identical_content_is_logged_once() {
         let dir = tmp("dedup");
+        let wal_len = || fs::metadata(dir.join("wal.log")).unwrap().len();
+        {
+            let store = open(&dir);
+            store.upload(vec![42; 500], vec![7]).unwrap();
+            let first = wal_len();
+            store.upload(vec![42; 500], vec![7]).unwrap();
+            // The second upload logs only its 85-byte `Upload` frame.
+            assert_eq!(wal_len() - first, 85);
+        }
+        // Dedup survives a restart: the replayed set still knows both blobs.
+        let before = wal_len();
         let store = open(&dir);
-        store.upload(vec![42; 500], vec![7]).unwrap();
-        store.upload(vec![42; 500], vec![7]).unwrap();
-        let segs = fs::read_dir(dir.join("segments")).unwrap().count();
-        assert_eq!(segs, 2, "bytes + params, each stored once");
+        assert_eq!(store.recovery().records, 2);
+        let c = store.upload(vec![42; 500], vec![7]).unwrap();
+        assert_eq!(wal_len() - before, 85);
+        drop(store);
+        let store = open(&dir);
+        assert_eq!(store.server().download(c).unwrap().as_ref(), &[42u8; 500]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn payloads_at_the_wire_cap_survive_reopen() {
+        let dir = tmp("cap");
+        let bytes = vec![0xC3; MAX_FRAME_LEN];
+        let id = {
+            let store = open(&dir);
+            store.deposit_grant(5, 6, bytes.clone()).unwrap();
+            store.upload(bytes.clone(), vec![1]).unwrap()
+        };
+        let store = open(&dir);
+        assert_eq!(store.server().download(id).unwrap().as_ref(), &bytes[..]);
+        assert_eq!(store.drain_grants(5).unwrap(), vec![(6, bytes)]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_upload_over_the_wire_cap_is_refused_and_not_logged() {
+        let dir = tmp("overcap");
+        let store = open(&dir);
+        assert!(store.upload(vec![0; MAX_FRAME_LEN + 1], vec![]).is_err());
+        assert_eq!(fs::metadata(dir.join("wal.log")).unwrap().len(), 0);
+        assert!(store.server().is_empty());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn stores_from_older_builds_fail_to_open() {
+        let dir = tmp("older");
+        fs::create_dir_all(dir.join("segments")).unwrap();
+        let err = DiskStore::open(&dir, PspConfig::default(), false).unwrap_err();
+        assert!(err.to_string().contains("older build"), "{err}");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -601,22 +671,27 @@ mod tests {
     }
 
     #[test]
-    fn tampered_segment_detected_at_recovery() {
+    fn flipped_blob_byte_detected_at_recovery() {
         let dir = tmp("tamper");
         {
             let store = open(&dir);
             store.upload(vec![9; 64], vec![]).unwrap();
+            store.upload(vec![8; 64], vec![]).unwrap();
         }
-        // Corrupt the bitstream segment.
-        let seg = fs::read_dir(dir.join("segments"))
-            .unwrap()
-            .map(|e| e.unwrap().path())
-            .find(|p| fs::metadata(p).unwrap().len() == 64)
-            .unwrap();
-        let mut bytes = fs::read(&seg).unwrap();
-        bytes[0] ^= 0xFF;
-        fs::write(&seg, bytes).unwrap();
-        assert!(DiskStore::open(&dir, PspConfig::default(), false).is_err());
+        // Flip a byte inside the first photo's logged bitstream: it fails
+        // its SHA-256 and intact frames follow, so this is not a torn tail
+        // and must not be truncated away.
+        let mut log = fs::read(dir.join("wal.log")).unwrap();
+        let at = log.windows(64).position(|w| w == [9; 64]).unwrap() + 10;
+        let len = log.len();
+        log[at] ^= 0xFF;
+        fs::write(dir.join("wal.log"), &log).unwrap();
+        let err = DiskStore::open(&dir, PspConfig::default(), false).unwrap_err();
+        assert!(err.to_string().contains("wal corrupt"), "{err}");
+        assert_eq!(
+            fs::metadata(dir.join("wal.log")).unwrap().len() as usize,
+            len
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -430,3 +430,22 @@ fn trace_header_stitches_one_tree_and_malformed_headers_are_safe() {
     stop(run);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn fresh_connections_are_accepted_without_a_polling_delay() {
+    // The accept loop blocks in `accept`; a loop that slept between
+    // nonblocking polls made every fresh connection wait for its tick.
+    let dir = tmp("accept");
+    let run = start(&dir);
+    let began = std::time::Instant::now();
+    for _ in 0..40 {
+        Client::connect(&run.addr).unwrap().health().unwrap();
+    }
+    let took = began.elapsed();
+    assert!(
+        took < std::time::Duration::from_millis(400),
+        "40 fresh connections took {took:?}"
+    );
+    stop(run);
+    let _ = std::fs::remove_dir_all(&dir);
+}

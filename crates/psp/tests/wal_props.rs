@@ -1,9 +1,11 @@
 //! Property tests for WAL recovery: any prefix of a recorded log —
 //! including one torn mid-record — recovers exactly the records whose
 //! frames are fully contained in the prefix, in order, losing nothing
-//! that was acknowledged before the cut.
+//! that was acknowledged before the cut; and damage anywhere before the
+//! final frame is an error, never a silently shorter log.
 
 use proptest::prelude::*;
+use puppies_psp::sha256::sha256;
 use puppies_psp::wal::{scan, WalRecord};
 
 fn arb_record() -> impl Strategy<Value = WalRecord> {
@@ -35,6 +37,10 @@ fn arb_record() -> impl Strategy<Value = WalRecord> {
                 ciphertext,
             }),
         any::<u128>().prop_map(|receiver| WalRecord::GrantDrain { receiver }),
+        prop::collection::vec(any::<u8>(), 0..256).prop_map(|bytes| WalRecord::Blob {
+            sha: sha256(&bytes),
+            bytes,
+        }),
     ]
 }
 
@@ -66,7 +72,7 @@ proptest! {
             }
         }
 
-        let (recovered, good) = scan(prefix);
+        let (recovered, good) = scan(prefix).unwrap();
         prop_assert_eq!(recovered.len(), fit, "prefix of {} bytes", prefix.len());
         prop_assert_eq!(&recovered[..], &records[..fit]);
         // `good` is the clean-prefix end offset; everything past it is the
@@ -85,7 +91,7 @@ proptest! {
     ) {
         let mut log: Vec<u8> = records.iter().flat_map(|r| r.to_frame()).collect();
         log.extend_from_slice(&garbage);
-        let (recovered, _) = scan(&log);
+        let (recovered, _) = scan(&log).unwrap();
         prop_assert!(recovered.len() >= records.len());
         prop_assert_eq!(&recovered[..records.len()], &records[..]);
     }
@@ -95,9 +101,29 @@ proptest! {
     #[test]
     fn frames_roundtrip(records in prop::collection::vec(arb_record(), 0..16)) {
         let log: Vec<u8> = records.iter().flat_map(|r| r.to_frame()).collect();
-        let (recovered, good) = scan(&log);
+        let (recovered, good) = scan(&log).unwrap();
         prop_assert_eq!(recovered, records);
         // A log of intact frames scans clean to its end: nothing torn.
         prop_assert_eq!(good as usize, log.len());
+    }
+
+    /// Flipping any bit of any byte of a frame that has another frame
+    /// after it is mid-log corruption: replay must refuse the log rather
+    /// than truncate it to the records before the flip.
+    #[test]
+    fn flipping_a_non_final_frame_is_an_error(
+        records in prop::collection::vec(arb_record(), 2..8),
+        victim in any::<u64>(),
+        offset in any::<u64>(),
+        bit in 0u8..8,
+    ) {
+        let frames: Vec<Vec<u8>> = records.iter().map(WalRecord::to_frame).collect();
+        let v = (victim % (frames.len() as u64 - 1)) as usize;
+        let start: usize = frames[..v].iter().map(Vec::len).sum();
+        let mut log = frames.concat();
+        log[start + (offset % frames[v].len() as u64) as usize] ^= 1 << bit;
+        let scanned = scan(&log);
+        prop_assert!(scanned.is_err(), "flip in frame {} of {} recovered {:?}",
+            v, frames.len(), scanned.map(|(r, _)| r.len()));
     }
 }
