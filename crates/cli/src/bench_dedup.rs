@@ -28,7 +28,7 @@ use crate::bench_psp::{pct, warm_allocator, Rng};
 use puppies_core::{protect, OwnerKey, ProtectOptions};
 use puppies_image::{Rect, Rgb, RgbImage};
 use puppies_jpeg::{CoeffImage, EncodeOptions};
-use puppies_psp::{PhotoId, PspConfig, PspServer, ServedPath, SigEntry, SigIndex};
+use puppies_psp::{ContentId, PhotoId, PspConfig, PspServer, ServedPath, SigEntry, SigIndex};
 use puppies_transform::Transformation;
 use std::time::Instant;
 
@@ -193,7 +193,7 @@ fn run_dup(config: &DupConfig, signature: bool) -> Result<DupStats, String> {
     let mut root_results = Vec::with_capacity(roots.len() * transforms.len());
     for &id in &roots {
         for t in &transforms {
-            let (pair, _, _) = server
+            let (pair, _) = server
                 .download_transformed_traced(id, t)
                 .map_err(|e| format!("dup warm: {e}"))?;
             root_results.push(pair);
@@ -216,7 +216,7 @@ fn run_dup(config: &DupConfig, signature: bool) -> Result<DupStats, String> {
     for &(pi, id) in &dups {
         for (ti, t) in transforms.iter().enumerate() {
             let start = Instant::now();
-            let (pair, _, served) = server
+            let (pair, served) = server
                 .download_transformed_traced(id, t)
                 .map_err(|e| format!("dup serve: {e}"))?;
             lats.push(start.elapsed().as_nanos().min(u32::MAX as u128) as u32);
@@ -249,12 +249,17 @@ fn run_dup(config: &DupConfig, signature: bool) -> Result<DupStats, String> {
 // ---------------------------------------------------------------------------
 
 fn synthetic_entry(sig: u64, n: u64) -> SigEntry {
+    let mut bytes_sha = [0; 32];
+    bytes_sha[..8].copy_from_slice(&n.to_le_bytes());
+    let content = ContentId {
+        bytes_sha,
+        params_sha: [1; 32],
+    };
     SigEntry {
         sig,
         id: PhotoId(n),
-        content_fnv: n,
-        family_fnv: n,
-        params_fnv: 1,
+        content,
+        family: content,
         width: 96,
         height: 72,
     }

@@ -742,18 +742,13 @@ fn audit_serve_paths(
         let (w, h) = (coeff.width(), coeff.height());
         for pass in 0..2 {
             for t in transforms {
-                let (_, _, served) = server
+                let (_, served) = server
                     .download_transformed_traced(id, t)
                     .map_err(|e| format!("serve audit transform: {e}"))?;
                 match served {
                     ServedPath::CoeffDomain => stats.coeff_domain += 1,
                     ServedPath::PixelFallback => stats.pixel_fallback += 1,
                     ServedPath::Cached | ServedPath::SigCached => stats.cached += 1,
-                    ServedPath::NotApplicable => {
-                        return Err(format!(
-                            "serve audit: transform {t:?} reported no served path"
-                        ))
-                    }
                 }
                 if t.is_coeff_domain(w, h) && served == ServedPath::PixelFallback {
                     return Err(format!(
@@ -761,7 +756,7 @@ fn audit_serve_paths(
                          decoded to pixels"
                     ));
                 }
-                if pass == 1 && !matches!(served, ServedPath::Cached | ServedPath::SigCached) {
+                if pass == 1 && !served.cache_hit() {
                     return Err(format!(
                         "serve audit: repeated {t:?} missed the transform cache ({})",
                         served.as_str()

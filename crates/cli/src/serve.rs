@@ -28,18 +28,11 @@
 use crate::{flag_value, has_flag, CliResult};
 use puppies_core::{protect, OwnerKey, ProtectOptions};
 use puppies_image::{Rect, Rgb, RgbImage};
+use puppies_obs::fnv64;
 use puppies_psp::net::{serve, Client, ServeConfig};
 use puppies_psp::{KeyAgreement, PhotoId, PspServer};
 use puppies_transform::Transformation;
 use std::io::Write;
-
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 pub fn cmd_serve(args: &[String]) -> CliResult {
     let dir = flag_value(args, "--dir").ok_or("missing --dir <store-dir>")?;

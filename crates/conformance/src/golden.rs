@@ -26,9 +26,10 @@ use puppies_core::{
 use puppies_image::io::{read_ppm, write_ppm};
 use puppies_image::{Rect, Rgb, RgbImage};
 use puppies_jpeg::{CoeffImage, EncodeOptions};
+use puppies_obs::fnv64;
 use puppies_transform::{FilterOp, ScaleFilter, Transformation};
 
-use crate::report::{fnv64, ByteDiff, Report};
+use crate::report::{ByteDiff, Report};
 
 /// Owner seed for every golden protect vector. Changing it invalidates the
 /// committed vectors, so it is part of the conformance contract.

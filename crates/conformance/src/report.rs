@@ -6,21 +6,8 @@
 //! (byte diffs for golden vectors, PSNR tables for oracles, reproduction
 //! commands for fuzz findings).
 
+use puppies_obs::fnv64;
 use std::fmt::Write as _;
-
-/// 64-bit FNV-1a: the manifest fingerprint for golden vectors.
-///
-/// Hand-rolled because the workspace is offline; collisions are irrelevant
-/// here (the full byte comparison is authoritative — the hash only makes
-/// `MANIFEST.txt` diffs readable in review).
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// First mismatch between two byte strings, with context for the report.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -250,14 +237,6 @@ impl Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fnv64_matches_known_vectors() {
-        // Reference values for the 64-bit FNV-1a parameters.
-        assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv64(b"foobar"), 0x85944171f73967e8);
-    }
 
     #[test]
     fn byte_diff_finds_first_mismatch() {

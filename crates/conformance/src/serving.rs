@@ -145,7 +145,7 @@ pub fn run_serving() -> Report {
             let id = server
                 .upload(bytes.clone(), params.clone())
                 .expect("upload");
-            let ((served_bytes, _), _, served) = match server.download_transformed_traced(id, &t) {
+            let ((served_bytes, _), served) = match server.download_transformed_traced(id, &t) {
                 Ok(r) => r,
                 Err(e) => {
                     report.fail(case, format!("serve failed: {e}"));

@@ -381,6 +381,19 @@ macro_rules! span {
     };
 }
 
+/// FNV-1a 64: the workspace's one fast, non-cryptographic hash. It
+/// checksums WAL frames, fingerprints golden-vector manifests and shards
+/// the metric registry — stable across platforms, unlike `DefaultHasher`.
+/// Anyone can steer it to a collision, so nothing an uploader controls is
+/// keyed by it: content identity and tokens use SHA-256.
+pub fn fnv64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
 /// Adds `n` to the global counter `name`; no-op without a subscriber.
 #[macro_export]
 macro_rules! counted {
@@ -401,6 +414,14 @@ mod tests {
     // The global subscriber is process-wide, so every test touching it
     // runs under this lock to stay order-independent.
     static INSTALL_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    #[test]
+    fn fnv64_matches_known_vectors() {
+        // Reference values for the 64-bit FNV-1a parameters.
+        assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv64(b"foobar"), 0x8594_4171_f739_67e8);
+    }
 
     #[test]
     fn disabled_macros_are_inert() {

@@ -62,17 +62,6 @@ pub struct MetricRegistry {
     shards: [RwLock<HashMap<String, Metric>>; SHARDS],
 }
 
-/// FNV-1a, the workspace's standard tiny hash (same family the golden
-/// manifest uses) — stable across platforms, unlike `DefaultHasher`.
-fn fnv(name: &str) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for b in name.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 impl Default for MetricRegistry {
     fn default() -> Self {
         MetricRegistry {
@@ -83,7 +72,7 @@ impl Default for MetricRegistry {
 
 macro_rules! get_or_insert {
     ($self:ident, $name:ident, $variant:ident, $ty:ty) => {{
-        let shard = &$self.shards[(fnv($name) % SHARDS as u64) as usize];
+        let shard = &$self.shards[(crate::fnv64($name.as_bytes()) % SHARDS as u64) as usize];
         if let Some(Metric::$variant(m)) =
             shard.read().unwrap_or_else(|e| e.into_inner()).get($name)
         {

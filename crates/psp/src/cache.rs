@@ -2,17 +2,23 @@
 //!
 //! Two layers sit in front of the decode→transform→re-encode pipeline:
 //!
-//! - [`TransformCache`] — a byte-budgeted, content-addressed LRU of
-//!   finished transform results. The key is an FNV-1a chain over the
-//!   source bitstream, the source parameter blob, and the
-//!   [`puppies_transform::Transformation::canonical_bytes`] encoding, so a
+//! - [`TransformCache`] — a byte-budgeted LRU of finished transform
+//!   results, keyed by the source photo's [`ContentId`] (the SHA-256 of
+//!   its bitstream and of its parameter blob) plus the
+//!   [`puppies_transform::Transformation::canonical_bytes`] encoding. A
 //!   hit can *never* serve stale bytes: rewriting a photo changes its
-//!   content hash, which changes every key derived from it, and the
+//!   content identity, which changes every key derived from it, and the
 //!   orphaned entries simply age out of the LRU. Content addressing *is*
 //!   the invalidation story.
 //! - [`DecodeMemo`] — a small entry-bounded LRU of decoded
-//!   [`CoeffImage`]s keyed by the same content hash, so several distinct
-//!   transformations of one hot photo pay for its entropy decode once.
+//!   [`CoeffImage`]s keyed by the bitstream's SHA-256 alone (decoding
+//!   never reads the params), so several distinct transformations of one
+//!   hot photo pay for its entropy decode once.
+//!
+//! Keys are compared whole and a hit is served without comparing bytes:
+//! both caches trust SHA-256 equality, as the WAL's blob dedup does. A
+//! key that anyone can collide (a 64-bit FNV, say) would let one uploader
+//! plant results that another photo's receivers are then served.
 //!
 //! Both are internally locked ([`parking_lot::Mutex`], held only for map
 //! bookkeeping — never across codec work) and safe to share across server
@@ -20,9 +26,12 @@
 //! (`psp.cache.hit`, `psp.cache.miss`, `psp.cache.eviction`,
 //! `psp.memo.hit`, `psp.memo.miss`) and the `psp.cache.bytes` gauge.
 
+use crate::store::ContentId;
 use parking_lot::Mutex;
 use puppies_jpeg::CoeffImage;
+use std::borrow::Borrow;
 use std::collections::{HashMap, VecDeque};
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -31,55 +40,9 @@ use std::sync::Arc;
 /// transform cache stores.
 pub type ServedPair = (Arc<[u8]>, Arc<[u8]>);
 
-/// FNV-1a 64-bit offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64-bit prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a 64 over a byte slice (same function the conformance manifest
-/// uses — small enough to keep a private copy rather than a dependency).
-pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
-    fnv64_chain(FNV_OFFSET, bytes)
-}
-
-/// Continues an FNV-1a 64 hash over more bytes, so multi-part keys
-/// (content hash ⨁ transformation encoding) mix rather than concatenate.
-pub(crate) fn fnv64_chain(seed: u64, bytes: &[u8]) -> u64 {
-    let mut h = seed;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// Word-at-a-time content hash for bulk payloads (stored bitstreams):
-/// FNV-style multiply/xor over 8-byte little-endian chunks plus a
-/// length-mixed tail. Byte-at-a-time FNV tops out around 1 GB/s — a real
-/// tax on the upload door, which hashes every incoming image — while the
-/// chunked walk keeps the same distribution quality for the runtime-only
-/// keys it feeds (byte interner, decode memo, transform-cache content
-/// addresses; every consumer verifies candidates by byte comparison, so
-/// a collision costs a compare, never a wrong answer). Not FNV-1a
-/// compatible, and never persisted: WAL checksums and conformance
-/// manifests keep their own byte-exact hashes.
-pub(crate) fn content_hash64(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET ^ (bytes.len() as u64).wrapping_mul(FNV_PRIME);
-    let mut chunks = bytes.chunks_exact(8);
-    for chunk in &mut chunks {
-        let word = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-        h = (h ^ word).wrapping_mul(FNV_PRIME);
-        // A second mix step: one multiply leaves the low bytes of `word`
-        // underdiffused into the high bits the shard/bucket maps use.
-        h ^= h >> 29;
-    }
-    let mut tail = 0u64;
-    for (i, &b) in chunks.remainder().iter().enumerate() {
-        tail |= (b as u64) << (8 * i);
-    }
-    h = (h ^ tail).wrapping_mul(FNV_PRIME);
-    h ^ (h >> 31)
-}
+/// A transform-cache key: the source photo's content identity and the
+/// canonical encoding of the transformation applied to it.
+pub type TransformKey = (ContentId, Vec<u8>);
 
 /// A point-in-time snapshot of a [`TransformCache`]'s counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -110,35 +73,38 @@ impl CacheStats {
     }
 }
 
-/// One cached transform result: the re-encoded bitstream plus the updated
-/// public-parameter blob (with the transformation recorded), both shared.
-#[derive(Clone)]
-struct CacheEntry {
-    bytes: Arc<[u8]>,
-    params: Arc<[u8]>,
+/// One resident entry: its value, its latest recency stamp and what it
+/// charges against the budget.
+struct Slot<V> {
+    value: V,
     stamp: u64,
+    charge: usize,
 }
 
-impl CacheEntry {
-    fn charge(&self) -> usize {
-        self.bytes.len() + self.params.len()
-    }
-}
-
-/// Recency bookkeeping shared by both caches: a stamp queue with lazy
-/// cleanup. Every touch pushes a fresh `(key, stamp)` pair; eviction pops
-/// from the front and skips pairs whose stamp no longer matches the live
-/// entry (they were superseded by a later touch). Amortized O(1) per
-/// operation, no intrusive list.
-struct LruInner {
-    map: HashMap<u64, CacheEntry>,
-    order: VecDeque<(u64, u64)>,
+/// Recency bookkeeping shared by both caches: a map plus a stamp queue
+/// with lazy cleanup. Every touch pushes a fresh `(key, stamp)` pair;
+/// eviction pops from the front and skips pairs whose stamp no longer
+/// matches the live entry (they were superseded by a later touch).
+/// Amortized O(1) per operation, no intrusive list.
+struct Lru<K, V> {
+    map: HashMap<K, Slot<V>>,
+    order: VecDeque<(K, u64)>,
     next_stamp: u64,
-    bytes: usize,
+    /// Sum of the resident entries' charges.
+    charged: usize,
 }
 
-impl LruInner {
-    fn touch(&mut self, key: u64) -> u64 {
+impl<K: Clone + Eq + Hash, V: Clone> Lru<K, V> {
+    fn new() -> Self {
+        Lru {
+            map: HashMap::new(),
+            order: VecDeque::new(),
+            next_stamp: 0,
+            charged: 0,
+        }
+    }
+
+    fn touch(&mut self, key: K) -> u64 {
         let stamp = self.next_stamp;
         self.next_stamp += 1;
         self.order.push_back((key, stamp));
@@ -146,11 +112,64 @@ impl LruInner {
     }
 
     /// Compacts the stamp queue if superseded pairs dominate it, keeping
-    /// its length proportional to the live entry count.
+    /// its length proportional to the live entry count. Runs only after
+    /// the touched entry's stamp is updated.
     fn maybe_compact(&mut self) {
         if self.order.len() > 32 && self.order.len() > self.map.len() * 4 {
-            let LruInner { map, order, .. } = self;
-            order.retain(|&(k, stamp)| map.get(&k).is_some_and(|e| e.stamp == stamp));
+            let Lru { map, order, .. } = self;
+            order.retain(|(k, stamp)| map.get(k).is_some_and(|s| s.stamp == *stamp));
+        }
+    }
+
+    /// The value under `key`, refreshing its recency.
+    fn get<Q>(&mut self, key: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+        Q: Eq + Hash + ?Sized,
+    {
+        let resident = self.map.get_key_value(key)?.0.clone();
+        let stamp = self.touch(resident);
+        let slot = self.map.get_mut(key)?;
+        slot.stamp = stamp;
+        let value = slot.value.clone();
+        self.maybe_compact();
+        Some(value)
+    }
+
+    /// Inserts `value`, then evicts least-recently-used entries until the
+    /// resident charge fits `budget`. Returns how many were evicted.
+    fn insert(&mut self, key: K, value: V, charge: usize, budget: usize) -> u64 {
+        let stamp = self.touch(key.clone());
+        if let Some(old) = self.map.insert(
+            key,
+            Slot {
+                value,
+                stamp,
+                charge,
+            },
+        ) {
+            self.charged -= old.charge;
+        }
+        self.charged += charge;
+        let mut evicted = 0;
+        while self.charged > budget {
+            let Some((victim, vstamp)) = self.order.pop_front() else {
+                break;
+            };
+            // Skip stale queue pairs: a fresher pair covers the entry.
+            if self.map.get(&victim).is_some_and(|s| s.stamp == vstamp) {
+                let old = self.map.remove(&victim).expect("checked above");
+                self.charged -= old.charge;
+                evicted += 1;
+            }
+        }
+        self.maybe_compact();
+        evicted
+    }
+
+    fn remove(&mut self, key: &K) {
+        if let Some(old) = self.map.remove(key) {
+            self.charged -= old.charge;
         }
     }
 }
@@ -158,7 +177,7 @@ impl LruInner {
 /// Content-addressed, byte-budgeted LRU for finished transform results.
 pub struct TransformCache {
     budget: usize,
-    inner: Mutex<LruInner>,
+    inner: Mutex<Lru<Arc<TransformKey>, ServedPair>>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -183,12 +202,7 @@ impl TransformCache {
     pub fn new(budget_bytes: usize) -> Self {
         TransformCache {
             budget: budget_bytes,
-            inner: Mutex::new(LruInner {
-                map: HashMap::new(),
-                order: VecDeque::new(),
-                next_stamp: 0,
-                bytes: 0,
-            }),
+            inner: Mutex::new(Lru::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -196,45 +210,33 @@ impl TransformCache {
     }
 
     /// Looks up a transform result, refreshing its recency on hit.
-    pub fn get(&self, key: u64) -> Option<ServedPair> {
-        if self.budget == 0 {
+    pub fn get(&self, key: &TransformKey) -> Option<ServedPair> {
+        let hit = match self.budget {
+            0 => None,
+            _ => self.inner.lock().get(key),
+        };
+        if hit.is_some() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            puppies_obs::counted!("psp.cache.hit");
+        } else {
             self.misses.fetch_add(1, Ordering::Relaxed);
             puppies_obs::counted!("psp.cache.miss");
-            return None;
         }
-        let mut inner = self.inner.lock();
-        let stamp = inner.touch(key);
-        let hit = match inner.map.get_mut(&key) {
-            Some(e) => {
-                e.stamp = stamp;
-                Some((e.bytes.clone(), e.params.clone()))
-            }
-            None => None,
-        };
-        inner.maybe_compact();
-        drop(inner);
-        match hit {
-            Some(found) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                puppies_obs::counted!("psp.cache.hit");
-                Some(found)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                puppies_obs::counted!("psp.cache.miss");
-                None
-            }
-        }
+        hit
     }
 
     /// Two-level lookup for the perceptual-identity layer: the exact
     /// content key is checked first; only on a miss, and only when the
-    /// photo belongs to a signature family rooted at a *different*
-    /// content key, is the family key consulted. Returns the pair plus
-    /// whether the family key (level 2) served it — the caller owns the
+    /// photo belongs to a signature family rooted at *different* content,
+    /// is the family key consulted. Returns the pair plus whether the
+    /// family key (level 2) served it — the caller owns the
     /// `psp.sig.hit` / `psp.sig.miss` accounting, since only it knows
     /// whether a family existed to consult.
-    pub fn get_two_level(&self, exact: u64, family: Option<u64>) -> Option<(ServedPair, bool)> {
+    pub fn get_two_level(
+        &self,
+        exact: &TransformKey,
+        family: Option<&TransformKey>,
+    ) -> Option<(ServedPair, bool)> {
         if let Some(pair) = self.get(exact) {
             return Some((pair, false));
         }
@@ -247,39 +249,14 @@ impl TransformCache {
     /// Inserts a transform result, evicting least-recently-used entries to
     /// stay within the byte budget. Oversized values (larger than the whole
     /// budget) are dropped rather than wiping the cache for one entry.
-    pub fn insert(&self, key: u64, bytes: Arc<[u8]>, params: Arc<[u8]>) {
+    pub fn insert(&self, key: TransformKey, bytes: Arc<[u8]>, params: Arc<[u8]>) {
         let charge = bytes.len() + params.len();
         if self.budget == 0 || charge > self.budget {
             return;
         }
-        let mut evicted = 0u64;
         let mut inner = self.inner.lock();
-        let stamp = inner.touch(key);
-        if let Some(old) = inner.map.insert(
-            key,
-            CacheEntry {
-                bytes,
-                params,
-                stamp,
-            },
-        ) {
-            inner.bytes -= old.charge();
-        }
-        inner.bytes += charge;
-        while inner.bytes > self.budget {
-            let Some((victim, vstamp)) = inner.order.pop_front() else {
-                break;
-            };
-            // Skip stale queue pairs: the entry was touched again later (or
-            // is the one just inserted) and a fresher pair covers it.
-            if inner.map.get(&victim).is_some_and(|e| e.stamp == vstamp) {
-                let old = inner.map.remove(&victim).expect("checked above");
-                inner.bytes -= old.charge();
-                evicted += 1;
-            }
-        }
-        inner.maybe_compact();
-        let resident = inner.bytes;
+        let evicted = inner.insert(Arc::new(key), (bytes, params), charge, self.budget);
+        let resident = inner.charged;
         drop(inner);
         if evicted > 0 {
             self.evictions.fetch_add(evicted, Ordering::Relaxed);
@@ -300,27 +277,21 @@ impl TransformCache {
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             entries: inner.map.len(),
-            bytes: inner.bytes,
+            bytes: inner.charged,
             capacity_bytes: self.budget,
         }
     }
 }
 
-/// Entry-bounded LRU of decoded coefficient images, keyed by the photo's
-/// content hash. Bounded by count rather than bytes: decoded images are a
-/// small fixed population of hot photos, and an `Arc` clone out of the memo
-/// is what the transform pipeline works from.
+/// Entry-bounded LRU of decoded coefficient images, keyed by the SHA-256
+/// of the bitstream. Bounded by count rather than bytes: decoded images
+/// are a small fixed population of hot photos, and an `Arc` clone out of
+/// the memo is what the transform pipeline works from.
 pub struct DecodeMemo {
     capacity: usize,
-    inner: Mutex<MemoInner>,
+    inner: Mutex<Lru<[u8; 32], Arc<CoeffImage>>>,
     hits: AtomicU64,
     misses: AtomicU64,
-}
-
-struct MemoInner {
-    map: HashMap<u64, (Arc<CoeffImage>, u64)>,
-    order: VecDeque<(u64, u64)>,
-    next_stamp: u64,
 }
 
 impl std::fmt::Debug for DecodeMemo {
@@ -338,75 +309,42 @@ impl DecodeMemo {
     pub fn new(capacity: usize) -> Self {
         DecodeMemo {
             capacity,
-            inner: Mutex::new(MemoInner {
-                map: HashMap::new(),
-                order: VecDeque::new(),
-                next_stamp: 0,
-            }),
+            inner: Mutex::new(Lru::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
     }
 
-    /// Looks up a decoded image by content hash.
-    pub fn get(&self, key: u64) -> Option<Arc<CoeffImage>> {
+    /// Looks up the decoded image of the bitstream with this SHA-256.
+    pub fn get(&self, bytes_sha: &[u8; 32]) -> Option<Arc<CoeffImage>> {
         if self.capacity == 0 {
             return None;
         }
-        let mut inner = self.inner.lock();
-        let stamp = inner.next_stamp;
-        inner.next_stamp += 1;
-        inner.order.push_back((key, stamp));
-        let hit = inner.map.get_mut(&key).map(|(img, s)| {
-            *s = stamp;
-            img.clone()
-        });
-        drop(inner);
-        match &hit {
-            Some(_) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                puppies_obs::counted!("psp.memo.hit");
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                puppies_obs::counted!("psp.memo.miss");
-            }
+        let hit = self.inner.lock().get(bytes_sha);
+        if hit.is_some() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            puppies_obs::counted!("psp.memo.hit");
+        } else {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            puppies_obs::counted!("psp.memo.miss");
         }
         hit
     }
 
     /// Inserts a decoded image, evicting the least-recently-used one past
     /// capacity.
-    pub fn insert(&self, key: u64, img: Arc<CoeffImage>) {
-        if self.capacity == 0 {
-            return;
-        }
-        let mut inner = self.inner.lock();
-        let stamp = inner.next_stamp;
-        inner.next_stamp += 1;
-        inner.order.push_back((key, stamp));
-        inner.map.insert(key, (img, stamp));
-        while inner.map.len() > self.capacity {
-            let Some((victim, vstamp)) = inner.order.pop_front() else {
-                break;
-            };
-            if inner.map.get(&victim).is_some_and(|(_, s)| *s == vstamp) {
-                inner.map.remove(&victim);
-            }
-        }
-        if inner.order.len() > 32 && inner.order.len() > inner.map.len() * 4 {
-            let MemoInner { map, order, .. } = &mut *inner;
-            order.retain(|&(k, stamp)| map.get(&k).is_some_and(|(_, s)| *s == stamp));
+    pub fn insert(&self, bytes_sha: [u8; 32], img: Arc<CoeffImage>) {
+        if self.capacity > 0 {
+            self.inner.lock().insert(bytes_sha, img, 1, self.capacity);
         }
     }
 
-    /// Drops the entry for a content hash (used when a photo is rewritten
-    /// in place, so the superseded decode does not linger until eviction).
-    pub fn invalidate(&self, key: u64) {
-        if self.capacity == 0 {
-            return;
+    /// Drops the entry for a bitstream (used when the store lets go of
+    /// its last copy, so the decode does not linger until eviction).
+    pub fn invalidate(&self, bytes_sha: &[u8; 32]) {
+        if self.capacity > 0 {
+            self.inner.lock().remove(bytes_sha);
         }
-        self.inner.lock().map.remove(&key);
     }
 
     /// (hits, misses) so far.
@@ -426,39 +364,55 @@ mod tests {
         vec![fill; n].into()
     }
 
-    #[test]
-    fn fnv_matches_known_vectors() {
-        // Standard FNV-1a 64 test vectors.
-        assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv64(b"foobar"), 0x85944171f73967e8);
+    fn key(n: u8) -> TransformKey {
+        let content = ContentId {
+            bytes_sha: [n; 32],
+            params_sha: [0; 32],
+        };
+        (content, vec![0x03])
     }
 
     #[test]
     fn hit_returns_inserted_payload() {
         let cache = TransformCache::new(1024);
-        cache.insert(7, blob(10, 1), blob(4, 2));
-        let (b, p) = cache.get(7).expect("hit");
+        cache.insert(key(7), blob(10, 1), blob(4, 2));
+        let (b, p) = cache.get(&key(7)).expect("hit");
         assert_eq!(b.as_ref(), &[1u8; 10][..]);
         assert_eq!(p.as_ref(), &[2u8; 4][..]);
-        assert!(cache.get(8).is_none());
+        assert!(cache.get(&key(8)).is_none());
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.entries, s.bytes), (1, 1, 1, 14));
     }
 
     #[test]
+    fn keys_compare_whole() {
+        let cache = TransformCache::new(1024);
+        cache.insert(key(7), blob(4, 1), blob(0, 0));
+        // Same content, another transformation; same bitstream, other
+        // params: both are different keys.
+        let (content, _) = key(7);
+        assert!(cache.get(&(content, vec![0x04])).is_none());
+        let other_params = ContentId {
+            params_sha: [1; 32],
+            ..content
+        };
+        assert!(cache.get(&(other_params, vec![0x03])).is_none());
+        assert!(cache.get(&key(7)).is_some());
+    }
+
+    #[test]
     fn byte_budget_evicts_lru_first() {
         let cache = TransformCache::new(30);
-        cache.insert(1, blob(10, 1), blob(0, 0));
-        cache.insert(2, blob(10, 2), blob(0, 0));
-        cache.insert(3, blob(10, 3), blob(0, 0));
+        cache.insert(key(1), blob(10, 1), blob(0, 0));
+        cache.insert(key(2), blob(10, 2), blob(0, 0));
+        cache.insert(key(3), blob(10, 3), blob(0, 0));
         // Touch 1 so 2 becomes the LRU, then overflow.
-        assert!(cache.get(1).is_some());
-        cache.insert(4, blob(10, 4), blob(0, 0));
-        assert!(cache.get(2).is_none(), "LRU entry should be evicted");
-        assert!(cache.get(1).is_some());
-        assert!(cache.get(3).is_some());
-        assert!(cache.get(4).is_some());
+        assert!(cache.get(&key(1)).is_some());
+        cache.insert(key(4), blob(10, 4), blob(0, 0));
+        assert!(cache.get(&key(2)).is_none(), "LRU entry should be evicted");
+        assert!(cache.get(&key(1)).is_some());
+        assert!(cache.get(&key(3)).is_some());
+        assert!(cache.get(&key(4)).is_some());
         let s = cache.stats();
         assert_eq!(s.evictions, 1);
         assert!(s.bytes <= 30);
@@ -467,55 +421,55 @@ mod tests {
     #[test]
     fn oversized_value_is_dropped_not_cached() {
         let cache = TransformCache::new(16);
-        cache.insert(1, blob(8, 1), blob(0, 0));
-        cache.insert(2, blob(100, 2), blob(0, 0));
-        assert!(cache.get(2).is_none());
-        assert!(cache.get(1).is_some(), "resident entries survive");
+        cache.insert(key(1), blob(8, 1), blob(0, 0));
+        cache.insert(key(2), blob(100, 2), blob(0, 0));
+        assert!(cache.get(&key(2)).is_none());
+        assert!(cache.get(&key(1)).is_some(), "resident entries survive");
         assert_eq!(cache.stats().evictions, 0);
     }
 
     #[test]
     fn reinsert_same_key_updates_accounting() {
         let cache = TransformCache::new(100);
-        cache.insert(1, blob(40, 1), blob(0, 0));
-        cache.insert(1, blob(20, 2), blob(0, 0));
+        cache.insert(key(1), blob(40, 1), blob(0, 0));
+        cache.insert(key(1), blob(20, 2), blob(0, 0));
         let s = cache.stats();
         assert_eq!((s.entries, s.bytes), (1, 20));
-        assert_eq!(cache.get(1).unwrap().0.as_ref(), &[2u8; 20][..]);
+        assert_eq!(cache.get(&key(1)).unwrap().0.as_ref(), &[2u8; 20][..]);
     }
 
     #[test]
     fn two_level_prefers_exact_then_falls_back_to_family() {
         let cache = TransformCache::new(1024);
-        cache.insert(100, blob(4, 1), blob(0, 0));
+        cache.insert(key(100), blob(4, 1), blob(0, 0));
         // Exact hit never consults the family key.
-        let (pair, via_family) = cache.get_two_level(100, Some(200)).unwrap();
+        let (pair, via_family) = cache.get_two_level(&key(100), Some(&key(200))).unwrap();
         assert_eq!(pair.0.as_ref(), &[1u8; 4][..]);
         assert!(!via_family);
         // Exact miss + family resident: level-2 hit.
-        let (pair, via_family) = cache.get_two_level(999, Some(100)).unwrap();
+        let (pair, via_family) = cache.get_two_level(&key(99), Some(&key(100))).unwrap();
         assert_eq!(pair.0.as_ref(), &[1u8; 4][..]);
         assert!(via_family);
         // Family equal to the exact key is not re-probed.
-        assert!(cache.get_two_level(999, Some(999)).is_none());
+        assert!(cache.get_two_level(&key(99), Some(&key(99))).is_none());
         // No family: plain miss.
-        assert!(cache.get_two_level(999, None).is_none());
+        assert!(cache.get_two_level(&key(99), None).is_none());
     }
 
     #[test]
     fn zero_budget_disables() {
         let cache = TransformCache::new(0);
-        cache.insert(1, blob(4, 1), blob(0, 0));
-        assert!(cache.get(1).is_none());
+        cache.insert(key(1), blob(4, 1), blob(0, 0));
+        assert!(cache.get(&key(1)).is_none());
         assert_eq!(cache.stats().entries, 0);
     }
 
     #[test]
     fn stamp_queue_stays_bounded_under_rehits() {
         let cache = TransformCache::new(1024);
-        cache.insert(1, blob(8, 1), blob(0, 0));
+        cache.insert(key(1), blob(8, 1), blob(0, 0));
         for _ in 0..10_000 {
-            assert!(cache.get(1).is_some());
+            assert!(cache.get(&key(1)).is_some());
         }
         let order_len = cache.inner.lock().order.len();
         assert!(order_len <= 64, "stamp queue grew to {order_len}");
@@ -528,15 +482,15 @@ mod tests {
             75,
         ));
         let memo = DecodeMemo::new(2);
-        memo.insert(1, img.clone());
-        memo.insert(2, img.clone());
-        assert!(memo.get(1).is_some());
-        memo.insert(3, img.clone());
-        assert!(memo.get(2).is_none(), "LRU evicted");
-        assert!(memo.get(1).is_some());
-        assert!(memo.get(3).is_some());
-        memo.invalidate(1);
-        assert!(memo.get(1).is_none());
+        memo.insert([1; 32], img.clone());
+        memo.insert([2; 32], img.clone());
+        assert!(memo.get(&[1; 32]).is_some());
+        memo.insert([3; 32], img.clone());
+        assert!(memo.get(&[2; 32]).is_none(), "LRU evicted");
+        assert!(memo.get(&[1; 32]).is_some());
+        assert!(memo.get(&[3; 32]).is_some());
+        memo.invalidate(&[1; 32]);
+        assert!(memo.get(&[1; 32]).is_none());
         let (h, m) = memo.counters();
         assert!(h >= 3 && m >= 2);
     }

@@ -13,6 +13,7 @@
 use crate::{PspError, Result};
 use puppies_core::keys::MatrixKind;
 use puppies_core::{KeyGrant, MatrixId, PrivateMatrix};
+use puppies_obs::fnv64;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha20Rng;
 
@@ -84,11 +85,11 @@ impl SecureChannel {
         SecureChannel { key }
     }
 
-    /// Encrypts a payload (ChaCha keystream XOR, with a checksum for
-    /// tamper/mismatch detection).
+    /// Encrypts a payload (ChaCha keystream XOR, with an FNV-1a 64
+    /// checksum for tamper/mismatch detection).
     pub fn encrypt(&self, plain: &[u8]) -> Vec<u8> {
         let mut out = Vec::with_capacity(plain.len() + 8);
-        out.extend_from_slice(&checksum(plain).to_le_bytes());
+        out.extend_from_slice(&fnv64(plain).to_le_bytes());
         out.extend_from_slice(plain);
         let mut rng = ChaCha20Rng::from_seed(self.key);
         for b in &mut out {
@@ -112,21 +113,11 @@ impl SecureChannel {
         }
         let want = u64::from_le_bytes(buf[..8].try_into().expect("length checked"));
         let plain = buf[8..].to_vec();
-        if checksum(&plain) != want {
+        if fnv64(&plain) != want {
             return Err(PspError::Channel("checksum mismatch".into()));
         }
         Ok(plain)
     }
-}
-
-fn checksum(data: &[u8]) -> u64 {
-    // FNV-1a.
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01B3);
-    }
-    h
 }
 
 /// Serializes a grant's explicit matrices (11-bit entries packed as u16

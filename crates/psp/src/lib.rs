@@ -36,7 +36,7 @@ use puppies_core::KeyGrant;
 pub use sig::{
     coeff_signature, dc_signature, hamming, SigEntry, SigIndex, SigMatch, NEAR_DUP_DISTANCE,
 };
-pub use store::{CacheOutcome, PhotoId, PspConfig, PspServer, ServedPath};
+pub use store::{ContentId, PhotoId, PspConfig, PspServer, ServedPath};
 pub use store_disk::{DiskStore, RecoveryStats};
 pub use wal::{Wal, WalRecord};
 

@@ -24,15 +24,14 @@
 //! format plus per-endpoint rolling-window SLO families ([`super::slo`]).
 //! Requests carrying an `x-puppies-trace` header are adopted as children
 //! of the caller's span, so one Chrome trace stitches client, server, and
-//! backends. A sampled structured access log (JSON lines, `access.log` in
-//! the store dir) records what the fixed in-memory ring cannot retain.
+//! backends. A structured access log (JSON lines, `access.log` in the
+//! store dir) records a sample of requests plus every slow one.
 
 use super::http::{self, ReadOutcome, Request, Response};
 use super::proto;
 use super::slo::{Sample, SloConfig, SloRegistry};
-use crate::cache::fnv64_chain;
-use crate::sha256::{ct_eq, sha256, sha256_concat};
-use crate::store::{PhotoId, PspConfig};
+use crate::sha256::{ct_eq, sha256_concat};
+use crate::store::{PhotoId, PspConfig, ServedPath};
 use crate::store_disk::{DiskStore, RecoveryStats};
 use crate::{PspError, Result};
 use parking_lot::{Mutex, RwLock};
@@ -173,24 +172,8 @@ fn install_signal_handlers() {
 #[cfg(not(unix))]
 fn install_signal_handlers() {}
 
-/// Fallback entropy for platforms without `/dev/urandom`: wall clock,
-/// monotonic clock, pid, and a fresh allocation's address, folded through
-/// FNV. Only ever used hardened through SHA-256 (see [`random_token`]).
-fn entropy64(salt: u64) -> u64 {
-    let nanos = SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map(|d| d.subsec_nanos() as u64 ^ d.as_secs())
-        .unwrap_or(0);
-    let tick = Instant::now();
-    let addr = &tick as *const _ as u64;
-    let mut h = fnv64_chain(salt, &nanos.to_le_bytes());
-    h = fnv64_chain(h, &std::process::id().to_le_bytes());
-    h = fnv64_chain(h, &addr.to_le_bytes());
-    h
-}
-
 /// 32 token bytes from the OS CSPRNG (`/dev/urandom`) when it exists,
-/// else the clock/pid/address mix whitened through SHA-256.
+/// else SHA-256 over the wall clock, the pid and a stack address.
 fn random_token() -> [u8; 32] {
     let mut out = [0u8; 32];
     if std::fs::File::open("/dev/urandom")
@@ -199,13 +182,15 @@ fn random_token() -> [u8; 32] {
     {
         return out;
     }
-    let mut seed = [0u8; 32];
-    let mut h = entropy64(0xcbf2_9ce4_8422_2325);
-    for chunk in seed.chunks_mut(8) {
-        h = entropy64(h);
-        chunk.copy_from_slice(&h.to_le_bytes());
-    }
-    sha256(&seed)
+    let nanos = SystemTime::now()
+        .duration_since(UNIX_EPOCH)
+        .map_or(0, |d| d.as_nanos());
+    let addr = &out as *const _ as usize;
+    sha256_concat(&[
+        &nanos.to_le_bytes(),
+        &std::process::id().to_le_bytes(),
+        &addr.to_le_bytes(),
+    ])
 }
 
 /// Reports cluster backend health as `(healthy, total, k)` for readiness:
@@ -531,6 +516,7 @@ fn handle_connection(shared: &Shared, stream: TcpStream) -> io::Result<()> {
             .and_then(puppies_obs::TraceContext::parse);
         let endpoint = endpoint_key(&req);
         let sw = puppies_obs::Stopwatch::start();
+        let mut served = None;
         let resp = {
             let _span = match &trace {
                 Some(ctx) => {
@@ -538,7 +524,7 @@ fn handle_connection(shared: &Shared, stream: TcpStream) -> io::Result<()> {
                 }
                 None => puppies_obs::span("psp.net.request", "net.server"),
             };
-            route(shared, &req)
+            route(shared, &req, &mut served)
         };
         puppies_obs::counter_add("psp.net.requests", 1);
         let dur_us = sw.record_us("psp.net.req_us");
@@ -552,6 +538,7 @@ fn handle_connection(shared: &Shared, stream: TcpStream) -> io::Result<()> {
             endpoint,
             &req,
             &resp,
+            served,
             dur_us,
             trace.as_ref(),
         );
@@ -600,40 +587,25 @@ fn endpoint_metric(key: &'static str) -> &'static str {
 }
 
 /// Feeds one finished request into the SLO window and, subject to
-/// sampling and the slow threshold, the structured access log.
+/// sampling and the slow threshold, the structured access log. `served`
+/// is the path a transform-door response took, as its handler reported.
+#[allow(clippy::too_many_arguments)]
 fn observe_request(
     shared: &Shared,
     tunables: &Tunables,
     endpoint: &'static str,
     req: &Request,
     resp: &Response,
+    served: Option<ServedPath>,
     dur_us: u64,
     trace: Option<&puppies_obs::TraceContext>,
 ) {
-    let resp_header = |name: &str| {
-        resp.headers
-            .iter()
-            .find(|(k, _)| *k == name)
-            .map(|(_, v)| v.as_str())
-    };
-    let cache = resp_header("x-cache");
-    let served = resp_header("x-served-path");
     shared.slo.record(
         endpoint,
         Sample {
             ok: resp.status < 500,
             latency_us: dur_us,
-            cache_hit: cache.map(|c| c == "hit"),
-            coeff_served: match served {
-                Some("coeff-domain") => Some(true),
-                Some("pixel-fallback") => Some(false),
-                _ => None,
-            },
-            sig_hit: match served {
-                Some("sig-cached") => Some(true),
-                Some("cached") => Some(false),
-                _ => None,
-            },
+            served,
         },
     );
     let slow = dur_us >= tunables.slow_request_us;
@@ -654,11 +626,12 @@ fn observe_request(
         req.body.len(),
         resp.body.len(),
     );
-    if let Some(c) = cache {
-        line.push_str(&format!(",\"cache\":\"{}\"", puppies_obs::escape_json(c)));
-    }
     if let Some(s) = served {
-        line.push_str(&format!(",\"served\":\"{}\"", puppies_obs::escape_json(s)));
+        line.push_str(&format!(
+            ",\"cache\":\"{}\",\"served\":\"{}\"",
+            cache_header(s),
+            s.as_str()
+        ));
     }
     if let Some(t) = trace {
         line.push_str(&format!(",\"trace\":\"{}\"", t.header_value()));
@@ -695,7 +668,18 @@ fn respond<T>(out: Result<T>, ok: impl FnOnce(T) -> Response) -> Response {
     }
 }
 
-fn route(shared: &Shared, req: &Request) -> Response {
+/// `x-cache` value for a transform response.
+fn cache_header(served: ServedPath) -> &'static str {
+    if served.cache_hit() {
+        "hit"
+    } else {
+        "miss"
+    }
+}
+
+/// Dispatches one request. The transform door reports the path it served
+/// through `served`; every other route leaves it `None`.
+fn route(shared: &Shared, req: &Request, served: &mut Option<ServedPath>) -> Response {
     let segs: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
     match (req.method.as_str(), segs.as_slice()) {
         // Liveness, readiness, and metrics answer before the store is
@@ -717,7 +701,7 @@ fn route(shared: &Shared, req: &Request) -> Response {
             })
         }),
         ("POST", ["photos", id, "transformed"]) => {
-            with_id(id, |id| download_transformed(shared, req, id))
+            with_id(id, |id| download_transformed(shared, req, id, served))
         }
         ("POST", ["photos", id, "transform"]) => with_id(id, |id| transform(shared, req, id)),
         ("POST", ["search"]) => search(shared, req),
@@ -863,20 +847,22 @@ fn search(shared: &Shared, req: &Request) -> Response {
     Response::text(body)
 }
 
-fn download_transformed(shared: &Shared, req: &Request, id: PhotoId) -> Response {
+fn download_transformed(
+    shared: &Shared,
+    req: &Request,
+    id: PhotoId,
+    served: &mut Option<ServedPath>,
+) -> Response {
     let Some(t) = proto::decode_transformation(&req.body) else {
         return Response::status(400, "bad transformation encoding");
     };
     respond(
         shared.store().server().download_transformed_traced(id, &t),
-        |((bytes, params), outcome, served)| {
-            let cache = match outcome {
-                crate::store::CacheOutcome::Hit => "hit",
-                _ => "miss",
-            };
+        |((bytes, params), path)| {
+            *served = Some(path);
             Response::ok(proto::encode_pair(&bytes, &params))
-                .with_header("x-cache", cache)
-                .with_header("x-served-path", served.as_str())
+                .with_header("x-cache", cache_header(path))
+                .with_header("x-served-path", path.as_str())
         },
     )
 }

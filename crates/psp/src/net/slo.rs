@@ -16,6 +16,7 @@
 //! monotone signal that alerting can rate() without re-deriving window
 //! state.
 
+use crate::store::ServedPath;
 use puppies_obs::{escape_prom_label, Histogram};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -65,14 +66,10 @@ pub struct Sample {
     pub ok: bool,
     /// Service time in microseconds.
     pub latency_us: u64,
-    /// Transform door only: did the result cache serve it?
-    pub cache_hit: Option<bool>,
-    /// Transform door only, cache misses only: coefficient-domain
-    /// (`true`) vs pixel-fallback (`false`).
-    pub coeff_served: Option<bool>,
-    /// Transform door only, cache hits only: served via the perceptual
-    /// signature (family) key (`true`) vs the exact content key (`false`).
-    pub sig_hit: Option<bool>,
+    /// Transform door only: the path that served it. Feeds the cache hit
+    /// rate (all transform serves), the coeff-domain share (misses) and
+    /// the signature-family share (hits).
+    pub served: Option<ServedPath>,
 }
 
 /// A slot's epoch tag is `epoch + 1` so the zero-initialized ring reads
@@ -184,22 +181,27 @@ impl Tracker {
         let slot = self.slot_for(epoch);
         slot.requests.fetch_add(1, Ordering::Relaxed);
         slot.latency.record(sample.latency_us);
-        if let Some(hit) = sample.cache_hit {
-            slot.cache_lookups.fetch_add(1, Ordering::Relaxed);
-            if hit {
-                slot.cache_hits.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        if let Some(coeff) = sample.coeff_served {
-            slot.coeff_lookups.fetch_add(1, Ordering::Relaxed);
-            if coeff {
-                slot.coeff.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        if let Some(sig) = sample.sig_hit {
-            slot.sig_lookups.fetch_add(1, Ordering::Relaxed);
-            if sig {
-                slot.sig_hits.fetch_add(1, Ordering::Relaxed);
+        if let Some(served) = sample.served {
+            let tally = |hits: &AtomicU64, lookups: &AtomicU64, hit: bool| {
+                lookups.fetch_add(1, Ordering::Relaxed);
+                if hit {
+                    hits.fetch_add(1, Ordering::Relaxed);
+                }
+            };
+            tally(&slot.cache_hits, &slot.cache_lookups, served.cache_hit());
+            match served {
+                // Hits split by key: signature family vs exact content.
+                ServedPath::Cached | ServedPath::SigCached => tally(
+                    &slot.sig_hits,
+                    &slot.sig_lookups,
+                    served == ServedPath::SigCached,
+                ),
+                // Misses split by pipeline: coefficients vs pixels.
+                ServedPath::CoeffDomain | ServedPath::PixelFallback => tally(
+                    &slot.coeff,
+                    &slot.coeff_lookups,
+                    served == ServedPath::CoeffDomain,
+                ),
             }
         }
         self.requests_total.fetch_add(1, Ordering::Relaxed);
@@ -524,9 +526,11 @@ mod tests {
                 Sample {
                     ok: true,
                     latency_us: 200,
-                    cache_hit: Some(hit),
-                    coeff_served: if hit { None } else { Some(true) },
-                    sig_hit: if hit { Some(false) } else { None },
+                    served: Some(if hit {
+                        ServedPath::Cached
+                    } else {
+                        ServedPath::CoeffDomain
+                    }),
                 },
             );
         }
@@ -536,9 +540,7 @@ mod tests {
             Sample {
                 ok: true,
                 latency_us: 900,
-                cache_hit: Some(false),
-                coeff_served: Some(false),
-                sig_hit: None,
+                served: Some(ServedPath::PixelFallback),
             },
         );
         let w = reg.snapshot_at(0, "transformed").window;
@@ -558,9 +560,11 @@ mod tests {
                 Sample {
                     ok: true,
                     latency_us: 40,
-                    cache_hit: Some(true),
-                    coeff_served: None,
-                    sig_hit: Some(sig),
+                    served: Some(if sig {
+                        ServedPath::SigCached
+                    } else {
+                        ServedPath::Cached
+                    }),
                 },
             );
         }
@@ -602,9 +606,7 @@ mod tests {
             Sample {
                 ok: false,
                 latency_us: 5000,
-                cache_hit: Some(false),
-                coeff_served: Some(true),
-                sig_hit: None,
+                served: Some(ServedPath::CoeffDomain),
             },
         );
         let text = reg.render_prometheus();

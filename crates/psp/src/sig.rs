@@ -31,7 +31,7 @@
 //! sublinear in the store size — the property `bench psp --dup` measures
 //! at 1k/10k/100k entries.
 
-use crate::store::PhotoId;
+use crate::store::{ContentId, PhotoId};
 use puppies_image::Rect;
 use puppies_jpeg::codec::DcGrid;
 use puppies_jpeg::CoeffImage;
@@ -97,16 +97,14 @@ pub struct SigEntry {
     pub sig: u64,
     /// The photo this entry describes.
     pub id: PhotoId,
-    /// FNV-1a content key of the photo (bytes chained with params) — the
-    /// transform-cache keyspace this entry lives in.
-    pub content_fnv: u64,
-    /// Content key of the *family root*: the first photo this signature
-    /// family resolved to. Duplicates share the root's cached transform
-    /// results (see `PspServer::serve_transform`).
-    pub family_fnv: u64,
-    /// FNV-1a of the raw params bytes; near-duplicate matching requires
-    /// equal params so the served params are interchangeable.
-    pub params_fnv: u64,
+    /// The photo's content identity — the transform-cache keyspace this
+    /// entry lives in. Near-duplicate matching requires equal
+    /// `params_sha`, so the served params are interchangeable.
+    pub content: ContentId,
+    /// Content identity of the *family root*: the first photo this
+    /// signature family resolved to. Duplicates share the root's cached
+    /// transform results (see `PspServer::serve_transform`).
+    pub family: ContentId,
     /// Pixel dimensions; matching requires equality.
     pub width: u32,
     pub height: u32,
@@ -228,7 +226,7 @@ impl SigIndex {
         out
     }
 
-    /// The family a new photo with `(sig, params_fnv, width, height)`
+    /// The family a new photo with `(sig, params_sha, width, height)`
     /// belongs to: the best-matching compatible entry within
     /// [`NEAR_DUP_DISTANCE`], or `None` when the photo starts a new
     /// family. Compatibility (equal params and dimensions) is what lets
@@ -236,14 +234,14 @@ impl SigIndex {
     pub fn family_of(
         &mut self,
         sig: u64,
-        params_fnv: u64,
+        params_sha: &[u8; 32],
         width: u32,
         height: u32,
     ) -> Option<SigEntry> {
         self.lookup(sig, NEAR_DUP_DISTANCE)
             .into_iter()
             .map(|m| m.entry)
-            .find(|e| e.params_fnv == params_fnv && e.width == width && e.height == height)
+            .find(|e| e.content.params_sha == *params_sha && e.width == width && e.height == height)
     }
 }
 
@@ -253,12 +251,17 @@ mod tests {
     use puppies_image::{Rgb, RgbImage};
 
     fn entry(sig: u64, id: u64) -> SigEntry {
+        let mut bytes_sha = [0; 32];
+        bytes_sha[..8].copy_from_slice(&id.to_le_bytes());
+        let content = ContentId {
+            bytes_sha,
+            params_sha: [7; 32],
+        };
         SigEntry {
             sig,
             id: PhotoId(id),
-            content_fnv: id.wrapping_mul(0x9E37_79B9),
-            family_fnv: id.wrapping_mul(0x9E37_79B9),
-            params_fnv: 7,
+            content,
+            family: content,
             width: 96,
             height: 72,
         }
@@ -360,10 +363,19 @@ mod tests {
     fn family_requires_compatible_identity() {
         let mut idx = SigIndex::new();
         idx.insert(entry(100, 1));
-        assert!(idx.family_of(100, 7, 96, 72).is_some());
-        assert!(idx.family_of(100, 8, 96, 72).is_none(), "params differ");
-        assert!(idx.family_of(100, 7, 96, 80).is_none(), "size differs");
-        assert!(idx.family_of(!100, 7, 96, 72).is_none(), "signature far");
+        assert!(idx.family_of(100, &[7; 32], 96, 72).is_some());
+        assert!(
+            idx.family_of(100, &[8; 32], 96, 72).is_none(),
+            "params differ"
+        );
+        assert!(
+            idx.family_of(100, &[7; 32], 96, 80).is_none(),
+            "size differs"
+        );
+        assert!(
+            idx.family_of(!100, &[7; 32], 96, 72).is_none(),
+            "signature far"
+        );
     }
 
     #[test]

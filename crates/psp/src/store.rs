@@ -8,16 +8,27 @@
 //! The store is built for the ROADMAP's "heavy traffic" PSP rather than a
 //! single-threaded simulation:
 //!
-//! - **Sharding** — photos live in `N` power-of-two shards (keyed by the
-//!   low bits of [`PhotoId`]), each behind its own `RwLock`, so concurrent
-//!   requests for different photos never serialize on one map lock.
+//! - **Sharding** — photos live in 16 shards (keyed by the low bits of
+//!   [`PhotoId`]), each behind its own `RwLock`, so concurrent requests
+//!   for different photos never serialize on one map lock.
 //! - **Zero-copy payloads** — stored bytes and params are `Arc<[u8]>`;
 //!   [`PspServer::download`] clones a pointer under a brief read lock
 //!   instead of memcpying the bitstream.
-//! - **Transform-result cache** — finished transforms are cached
-//!   content-addressed (a word-at-a-time hash over source bytes, chained
-//!   over params + the canonical transformation encoding, see
-//!   [`crate::cache`]), so repeat transform traffic never touches the
+//! - **One content identity** — a photo's [`ContentId`] is the SHA-256
+//!   of its bitstream and of its params, the pair its WAL record names.
+//!   The byte interner, decode memo, signature memo, near-duplicate index
+//!   and transform cache all key by it (or by the bitstream digest alone
+//!   where the params do not matter) and compare it whole, so no upload
+//!   can make another photo's *exact-key* lookups hit its entries. The
+//!   signature-family layer is a different matter: a miss probes the
+//!   family root's entries, and a forged upload that becomes the root
+//!   can plant what later family members are served (ROADMAP item 8).
+//!   [`PspServer::upload`] hashes both blobs; the durable store
+//!   ([`crate::store_disk`]) hands down the digests it computes for the
+//!   WAL, so there each blob is hashed once.
+//! - **Transform-result cache** — finished transforms are cached under
+//!   (content identity, canonical transformation encoding), see
+//!   [`crate::cache`], so repeat transform traffic never touches the
 //!   codec.
 //! - **Decode memo** — transform misses on the same hot photo share one
 //!   entropy decode.
@@ -25,9 +36,8 @@
 //!   [`PspServer::transform_batch`] fan independent requests across the
 //!   ambient [`puppies_core::parallel`] worker pool.
 
-use crate::cache::{
-    content_hash64, fnv64, fnv64_chain, CacheStats, DecodeMemo, ServedPair, TransformCache,
-};
+use crate::cache::{CacheStats, DecodeMemo, ServedPair, TransformCache};
+use crate::sha256::sha256;
 use crate::sig::{dc_signature, SigEntry, SigIndex, SigMatch};
 use crate::{PspError, Result};
 use parking_lot::{Mutex, RwLock};
@@ -36,14 +46,34 @@ use puppies_image::Rect;
 use puppies_jpeg::codec::decode_dc;
 use puppies_jpeg::{CoeffImage, EncodeOptions};
 use puppies_transform::Transformation;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
 
 /// Identifies a stored photo.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PhotoId(pub u64);
+
+/// A photo's content identity: the SHA-256 of its bitstream and of its
+/// public-parameter blob — the pair its WAL `Upload`/`Transform` record
+/// names.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct ContentId {
+    /// SHA-256 of the bitstream.
+    pub bytes_sha: [u8; 32],
+    /// SHA-256 of the public-parameter blob.
+    pub params_sha: [u8; 32],
+}
+
+impl ContentId {
+    /// Hashes both blobs.
+    pub fn of(bytes: &[u8], params: &[u8]) -> ContentId {
+        ContentId {
+            bytes_sha: sha256(bytes),
+            params_sha: sha256(params),
+        }
+    }
+}
 
 #[derive(Debug)]
 struct StoredPhoto {
@@ -51,54 +81,26 @@ struct StoredPhoto {
     /// Opaque public-parameter blob (the PSP never parses it — it lives in
     /// the image "description").
     params: Arc<[u8]>,
-    /// `(content_hash64(bytes), chain(that, params))`, primed at upload
-    /// from the single hashing pass the byte interner already pays — the
-    /// bitstream is never hashed twice. The first component keys the
-    /// decode memo (decode depends only on the bytes), the second is the
-    /// photo's content address for transform-cache and signature-memo
-    /// keys.
-    hashes: OnceLock<(u64, u64)>,
-    /// Perceptual identity: `Some((signature, family-root content key))`
+    content: ContentId,
+    /// Perceptual identity: `Some((signature, family root's content))`
     /// once the upload-time indexer has run and the bytes decoded; `None`
     /// inside when the bytes are not a decodable JPEG. Unset while the
     /// signature layer is disabled (see [`PspConfig::signature`]).
-    identity: OnceLock<Option<(u64, u64)>>,
+    identity: OnceLock<Option<(u64, ContentId)>>,
 }
 
 impl StoredPhoto {
-    fn hashes(&self) -> (u64, u64) {
-        *self.hashes.get_or_init(|| {
-            let bytes_key = content_hash64(&self.bytes);
-            (bytes_key, fnv64_chain(bytes_key, &self.params))
-        })
-    }
-
     fn size(&self) -> u64 {
         (self.bytes.len() + self.params.len()) as u64
     }
-}
-
-/// Whether a request could be served from the transform-result cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CacheOutcome {
-    /// The operation does not consult the cache (upload/download doors).
-    #[default]
-    NotApplicable,
-    /// Served from the transform-result cache.
-    Hit,
-    /// Fell through to the decode→transform→re-encode pipeline.
-    Miss,
 }
 
 /// Which pipeline produced a transform response: the quantized-coefficient
 /// hot path (no decode to pixels), the pixel-domain fallback (decode →
 /// transform → re-encode), or the transform-result cache (no codec work at
 /// all). The PSP's decode-free serving claim is measured from these.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServedPath {
-    /// The operation does not serve transforms (upload/download doors).
-    #[default]
-    NotApplicable,
     /// Served by `apply_to_coeff` on the cached coefficient memo — the
     /// stream was transformed without ever materializing pixels.
     CoeffDomain,
@@ -117,128 +119,80 @@ impl ServedPath {
     /// Stable wire/log token for the path (`x-served-path` header values).
     pub fn as_str(self) -> &'static str {
         match self {
-            ServedPath::NotApplicable => "none",
             ServedPath::CoeffDomain => "coeff-domain",
             ServedPath::PixelFallback => "pixel-fallback",
             ServedPath::Cached => "cached",
             ServedPath::SigCached => "sig-cached",
         }
     }
+
+    /// Whether the transform-result cache answered (`x-cache: hit`).
+    pub fn cache_hit(self) -> bool {
+        matches!(self, ServedPath::Cached | ServedPath::SigCached)
+    }
 }
 
-/// One entry of the server's bounded per-request log: which API door was
-/// hit, for which photo, how many payload bytes moved, how long it took,
-/// whether it succeeded, and whether the transform cache served it. Small
-/// and `Copy` so snapshotting the log is a memcpy, not a clone-per-entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RequestEntry {
-    /// API name: `"upload"`, `"download"`, `"download_params"`,
-    /// `"transform"`, `"download_transformed"`.
-    pub op: &'static str,
-    /// Photo id the request touched.
-    pub id: u64,
-    /// Payload bytes moved (image + params for uploads, response size for
-    /// downloads and transforms; 0 on failure).
-    pub bytes: u64,
-    /// Wall-clock service time in nanoseconds.
-    pub dur_ns: u64,
-    /// Whether the request succeeded.
-    pub ok: bool,
-    /// Transform-cache outcome for this request.
-    pub cache: CacheOutcome,
-    /// Which pipeline served this request (transform doors only).
-    pub served: ServedPath,
-    /// Global admission order (monotonic across all shards) — entries from
-    /// different log shards merge into one timeline by sorting on this.
-    pub seq: u64,
-}
+/// Store shards; photo `id` lives in shard `id % SHARDS`.
+const SHARDS: usize = 16;
 
-/// Default cap on retained request-log entries (older ones are evicted
-/// first — the log is a bounded ring, never a leak). Tunable per server
-/// via [`PspConfig::request_log_capacity`].
-pub const REQUEST_LOG_CAPACITY: usize = 256;
+/// One store shard's photo map.
+type Shard = RwLock<HashMap<PhotoId, Arc<StoredPhoto>>>;
 
-/// One store shard: a photo map plus the request-log segment for the
-/// photos that hash here. Logging an op only contends with ops on the same
-/// shard, never globally.
-#[derive(Debug, Default)]
-struct Shard {
-    photos: RwLock<HashMap<PhotoId, Arc<StoredPhoto>>>,
-    log: Mutex<VecDeque<RequestEntry>>,
-}
-
-/// One interner bucket: candidate allocations sharing a hash, each with
-/// its reference count.
-type InternBucket = Vec<(Arc<[u8]>, usize)>;
-
-/// What the signature memo remembers per content address:
+/// What the signature memo remembers per content identity:
 /// `Some((signature, width, height))` for decodable content, `None` for
 /// content whose decode failed.
 type SigMemoEntry = Option<(u64, u32, u32)>;
+
+type Interned = (Arc<[u8]>, usize);
 
 /// Refcounted exact-duplicate byte sharing for the in-memory store:
 /// uploads with identical bytes share one `Arc<[u8]>` allocation (the
 /// memory-side mirror of the WAL, which logs each distinct blob once),
 /// and the aggregate footprint counts each distinct allocation once.
-/// Buckets are keyed by [`content_hash64`] and verified by byte
-/// comparison, so hash collisions cost a compare, never a false share.
+/// Keyed by the bitstream's SHA-256, trusted as the WAL's dedup trusts it.
 #[derive(Debug, Default)]
 struct ByteInterner {
-    table: Mutex<HashMap<u64, InternBucket>>,
+    /// Bitstream SHA-256 → the shared allocation and its reference count.
+    table: Mutex<HashMap<[u8; 32], Interned>>,
 }
 
 impl ByteInterner {
-    /// Returns the canonical shared `Arc` for `bytes`, whether this call
-    /// added a fresh allocation (the caller accounts footprint only then),
-    /// and the content hash it keyed the bucket by — the caller reuses it
-    /// so each uploaded bitstream is hashed exactly once.
-    fn intern(&self, bytes: Arc<[u8]>) -> (Arc<[u8]>, bool, u64) {
-        let key = content_hash64(&bytes);
+    /// Returns the canonical shared `Arc` for the bitstream with SHA-256
+    /// `sha`, and whether this call added a fresh allocation (the caller
+    /// accounts footprint only then). A duplicate's `Vec` is dropped
+    /// without ever being copied into an `Arc`.
+    fn intern(&self, sha: [u8; 32], bytes: impl Into<Arc<[u8]>>) -> (Arc<[u8]>, bool) {
         let mut table = self.table.lock();
-        let bucket = table.entry(key).or_default();
-        for (existing, refs) in bucket.iter_mut() {
-            if **existing == *bytes {
-                *refs += 1;
-                return (existing.clone(), false, key);
-            }
-        }
-        bucket.push((bytes.clone(), 1));
-        (bytes, true, key)
+        let (shared, refs) = table.entry(sha).or_insert_with(|| (bytes.into(), 0));
+        *refs += 1;
+        (shared.clone(), *refs == 1)
     }
 
-    /// Drops one reference to `bytes` (bucketed under `key`, the hash
-    /// `intern` returned for them); returns whether the allocation left
-    /// the interner (the caller subtracts footprint only then).
-    fn release(&self, key: u64, bytes: &Arc<[u8]>) -> bool {
+    /// Drops one reference to the bitstream with SHA-256 `sha`; returns
+    /// whether its allocation left the interner (the caller subtracts
+    /// footprint only then).
+    fn release(&self, sha: &[u8; 32]) -> bool {
         let mut table = self.table.lock();
-        if let Some(bucket) = table.get_mut(&key) {
-            if let Some(pos) = bucket.iter().position(|(e, _)| Arc::ptr_eq(e, bytes)) {
-                bucket[pos].1 -= 1;
-                if bucket[pos].1 > 0 {
-                    return false;
-                }
-                bucket.swap_remove(pos);
-                if bucket.is_empty() {
-                    table.remove(&key);
-                }
+        match table.get_mut(sha) {
+            Some((_, refs)) if *refs > 1 => {
+                *refs -= 1;
+                false
+            }
+            _ => {
+                table.remove(sha);
+                true
             }
         }
-        true
     }
 }
 
 /// Construction-time tuning for [`PspServer`].
 #[derive(Debug, Clone)]
 pub struct PspConfig {
-    /// Number of store shards; rounded up to a power of two, minimum 1.
-    pub shards: usize,
     /// Byte budget for the transform-result cache; 0 disables caching.
     pub cache_budget_bytes: usize,
     /// Max decoded images retained by the transform-miss memo; 0 disables.
     pub decode_memo_entries: usize,
-    /// Request-log ring capacity per server (clamped to ≥1); defaults to
-    /// [`REQUEST_LOG_CAPACITY`].
-    pub request_log_capacity: usize,
     /// Whether the perceptual-identity layer runs: upload-time signature
     /// extraction, near-duplicate indexing and
     /// the second-level (signature-family) transform-cache key. On by
@@ -249,10 +203,8 @@ pub struct PspConfig {
 impl Default for PspConfig {
     fn default() -> Self {
         PspConfig {
-            shards: 16,
             cache_budget_bytes: 32 << 20,
             decode_memo_entries: 8,
-            request_log_capacity: REQUEST_LOG_CAPACITY,
             signature: true,
         }
     }
@@ -275,11 +227,8 @@ impl PspConfig {
 /// run concurrently (the experiment sweeps exploit this).
 #[derive(Debug)]
 pub struct PspServer {
-    shards: Box<[Shard]>,
-    /// `shards.len() - 1`; shard count is a power of two.
-    shard_mask: u64,
+    shards: [Shard; SHARDS],
     next_id: AtomicU64,
-    next_seq: AtomicU64,
     /// Total stored bytes (image + params across all photos), maintained
     /// incrementally so reading it never walks the maps.
     footprint: AtomicU64,
@@ -287,20 +236,16 @@ pub struct PspServer {
     photo_count: AtomicU64,
     cache: TransformCache,
     memo: DecodeMemo,
-    /// Request-log ring capacity ([`PspConfig::request_log_capacity`]).
-    log_capacity: usize,
     /// Whether the perceptual-identity layer is on
     /// ([`PspConfig::signature`]).
     signature: bool,
     /// The near-duplicate signature index (see [`crate::sig`]).
     index: Mutex<SigIndex>,
-    /// Content-addressed signature memo: `content_fnv → Some((sig, w, h))`
-    /// for contents whose upload-time decode succeeded, `None` for
-    /// contents that failed to decode. Re-uploads of bytes the server has
-    /// already seen (the dominant duplicate workload) skip the JPEG decode
-    /// entirely — the signature is a pure function of `(bytes, params)`,
-    /// which is exactly what `content_fnv` addresses.
-    sig_memo: Mutex<HashMap<u64, SigMemoEntry>>,
+    /// Signature memo by content identity. Re-uploads of content the
+    /// server has already seen (the dominant duplicate workload) skip the
+    /// JPEG decode entirely — the signature is a pure function of
+    /// `(bytes, params)`, which is exactly what the identity names.
+    sig_memo: Mutex<HashMap<ContentId, SigMemoEntry>>,
     /// Exact-duplicate byte sharing across stored photos.
     interner: ByteInterner,
 }
@@ -317,20 +262,15 @@ impl PspServer {
         Self::with_config(PspConfig::default())
     }
 
-    /// Creates an empty server with explicit shard/cache tuning.
+    /// Creates an empty server with explicit cache tuning.
     pub fn with_config(config: PspConfig) -> Self {
-        let n = config.shards.max(1).next_power_of_two();
-        let shards = (0..n).map(|_| Shard::default()).collect::<Vec<_>>();
         PspServer {
-            shards: shards.into_boxed_slice(),
-            shard_mask: (n - 1) as u64,
+            shards: std::array::from_fn(|_| RwLock::default()),
             next_id: AtomicU64::new(0),
-            next_seq: AtomicU64::new(0),
             footprint: AtomicU64::new(0),
             photo_count: AtomicU64::new(0),
             cache: TransformCache::new(config.cache_budget_bytes),
             memo: DecodeMemo::new(config.decode_memo_entries),
-            log_capacity: config.request_log_capacity.max(1),
             signature: config.signature,
             index: Mutex::new(SigIndex::new()),
             sig_memo: Mutex::new(HashMap::new()),
@@ -338,50 +278,16 @@ impl PspServer {
         }
     }
 
-    /// The request-log ring capacity this server was built with.
-    pub fn request_log_capacity(&self) -> usize {
-        self.log_capacity
-    }
-
     fn shard(&self, id: PhotoId) -> &Shard {
-        &self.shards[(id.0 & self.shard_mask) as usize]
+        &self.shards[(id.0 % SHARDS as u64) as usize]
     }
 
     fn lookup(&self, id: PhotoId) -> Result<Arc<StoredPhoto>> {
         self.shard(id)
-            .photos
             .read()
             .get(&id)
             .cloned()
             .ok_or(PspError::UnknownPhoto(id))
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn log_request(
-        &self,
-        op: &'static str,
-        id: u64,
-        bytes: u64,
-        start: Instant,
-        ok: bool,
-        cache: CacheOutcome,
-        served: ServedPath,
-    ) {
-        let entry = RequestEntry {
-            op,
-            id,
-            bytes,
-            dur_ns: start.elapsed().as_nanos() as u64,
-            ok,
-            cache,
-            served,
-            seq: self.next_seq.fetch_add(1, Ordering::Relaxed),
-        };
-        let mut log = self.shard(PhotoId(id)).log.lock();
-        if log.len() == self.log_capacity {
-            log.pop_front();
-        }
-        log.push_back(entry);
     }
 
     /// Publishes the current aggregate storage footprint and photo count as
@@ -411,12 +317,12 @@ impl PspServer {
             return;
         }
         // The signature is a pure function of `(bytes, params)` —
-        // precisely what `content_fnv` addresses — so a re-upload of
-        // content the server has already hashed never pays the JPEG
-        // decode again. Re-uploading identical bytes is the dominant
-        // duplicate workload and must stay as cheap as storing them.
-        let (_, content_fnv) = stored.hashes();
-        let memoized = self.sig_memo.lock().get(&content_fnv).copied();
+        // precisely what the content identity names — so a re-upload of
+        // content the server has already seen never pays the JPEG decode
+        // again. Re-uploading identical bytes is the dominant duplicate
+        // workload and must stay as cheap as storing them.
+        let content = stored.content;
+        let memoized = self.sig_memo.lock().get(&content).copied();
         let (sig, w, h) = match memoized {
             Some(None) => {
                 // Known-undecodable content: stays unindexed, no retry.
@@ -434,7 +340,7 @@ impl PspServer {
                 let grid = match decode_dc(&stored.bytes) {
                     Ok(g) => g,
                     Err(_) => {
-                        self.sig_memo.lock().insert(content_fnv, None);
+                        self.sig_memo.lock().insert(content, None);
                         let _ = stored.identity.set(None);
                         return;
                     }
@@ -445,32 +351,27 @@ impl PspServer {
                 let sig = dc_signature(&grid, &rois);
                 puppies_obs::counted!("psp.sig.computed");
                 let (w, h) = (grid.width, grid.height);
-                self.sig_memo.lock().insert(content_fnv, Some((sig, w, h)));
+                self.sig_memo.lock().insert(content, Some((sig, w, h)));
                 (sig, w, h)
             }
         };
-        let params_fnv = fnv64(&stored.params);
-        let family = {
+        let matched = {
             let mut index = self.index.lock();
-            let family = index.family_of(sig, params_fnv, w, h);
-            let family_fnv = match &family {
-                Some(root) => root.family_fnv,
-                None => content_fnv,
-            };
+            let matched = index.family_of(sig, &content.params_sha, w, h);
+            let family = matched.map_or(content, |m| m.family);
             index.insert(SigEntry {
                 sig,
                 id,
-                content_fnv,
-                family_fnv,
-                params_fnv,
+                content,
+                family,
                 width: w,
                 height: h,
             });
-            let _ = stored.identity.set(Some((sig, family_fnv)));
-            family
+            let _ = stored.identity.set(Some((sig, family)));
+            matched
         };
-        if let Some(root) = family {
-            if root.content_fnv == content_fnv {
+        if let Some(m) = matched {
+            if m.content == content {
                 puppies_obs::counted!("psp.sig.dedup_exact");
             } else {
                 puppies_obs::counted!("psp.sig.neardup");
@@ -478,21 +379,42 @@ impl PspServer {
         }
     }
 
-    /// Removes a replaced photo's index entry and byte allocation; called
-    /// with the `StoredPhoto` that just left the map.
+    /// Wraps a blob pair for storing, sharing the bitstream with any
+    /// stored exact duplicate, and adds what it newly occupies to the
+    /// footprint ([`PspServer::retire_photo`] takes it back off).
+    fn intern(
+        &self,
+        bytes: impl Into<Arc<[u8]>>,
+        params: Arc<[u8]>,
+        content: ContentId,
+    ) -> Arc<StoredPhoto> {
+        let (bytes, fresh) = self.interner.intern(content.bytes_sha, bytes);
+        let accounted = params.len() + if fresh { bytes.len() } else { 0 };
+        self.footprint
+            .fetch_add(accounted as u64, Ordering::Relaxed);
+        Arc::new(StoredPhoto {
+            bytes,
+            params,
+            content,
+            identity: OnceLock::new(),
+        })
+    }
+
+    /// Removes a photo's index entry and byte allocation; called with a
+    /// `StoredPhoto` that has left (or never entered) the map.
     fn retire_photo(&self, id: PhotoId, old: &StoredPhoto) {
         if let Some(Some((sig, _))) = old.identity.get() {
             self.index.lock().remove(*sig, id);
         }
-        let (bytes_key, content_key) = old.hashes();
-        if self.interner.release(bytes_key, &old.bytes) {
+        if self.interner.release(&old.content.bytes_sha) {
             self.footprint
                 .fetch_sub(old.bytes.len() as u64, Ordering::Relaxed);
-            // Last copy of these bytes is gone — drop the signature memo
-            // entry with it so churn workloads don't accumulate hashes of
-            // content the store no longer holds.
+            // Last copy of these bytes is gone — drop the memo entries
+            // derived from them, so churn workloads don't accumulate
+            // decodes and signatures of content the store no longer holds.
+            self.memo.invalidate(&old.content.bytes_sha);
             if self.signature {
-                self.sig_memo.lock().remove(&content_key);
+                self.sig_memo.lock().remove(&old.content);
             }
         }
         self.footprint
@@ -506,20 +428,75 @@ impl PspServer {
     /// — the allocator saturates instead of wrapping, so a stored photo can
     /// never be silently overwritten by a recycled id.
     pub fn upload(&self, bytes: Vec<u8>, params: Vec<u8>) -> Result<PhotoId> {
-        let start = Instant::now();
         let _span = puppies_obs::span("psp.upload", "psp");
+        let content = ContentId::of(&bytes, &params);
+        self.add(bytes, params.into(), content)
+    }
+
+    /// [`PspServer::upload`] for a caller that already holds the content
+    /// identity: [`crate::store_disk`] hashes every blob for its WAL
+    /// record and passes the digests down, so no blob is hashed twice.
+    pub(crate) fn upload_hashed(
+        &self,
+        bytes: Vec<u8>,
+        params: Arc<[u8]>,
+        content: ContentId,
+    ) -> Result<PhotoId> {
+        let _span = puppies_obs::span("psp.upload", "psp");
+        self.add(bytes, params, content)
+    }
+
+    /// Stores a photo under a fresh id.
+    fn add(&self, bytes: Vec<u8>, params: Arc<[u8]>, content: ContentId) -> Result<PhotoId> {
+        let id = self.allocate_id()?;
+        self.store_at(id, bytes, params, content);
+        puppies_obs::counted!("psp.uploads");
+        self.publish_gauges();
+        Ok(id)
+    }
+
+    /// Reinstates or overwrites photo `id` with content whose identity
+    /// the caller holds: WAL replay, where a `Transform` record overwrites
+    /// the `Upload` before it, and rolling back a transform that could
+    /// not be logged. Advances the id allocator past `id`, so later
+    /// uploads never collide with it; ids at `u64::MAX` leave it
+    /// saturated (exhausted), never wrapped.
+    pub(crate) fn put_at(
+        &self,
+        id: PhotoId,
+        bytes: Arc<[u8]>,
+        params: Arc<[u8]>,
+        content: ContentId,
+    ) {
+        self.next_id
+            .fetch_max(id.0.saturating_add(1), Ordering::Relaxed);
+        self.store_at(id, bytes, params, content);
+    }
+
+    /// Interns the blobs, puts them at `id` (retiring what was there) and
+    /// indexes the photo.
+    fn store_at(
+        &self,
+        id: PhotoId,
+        bytes: impl Into<Arc<[u8]>>,
+        params: Arc<[u8]>,
+        content: ContentId,
+    ) {
+        let stored = self.intern(bytes, params, content);
+        match self.shard(id).write().insert(id, stored.clone()) {
+            Some(old) => self.retire_photo(id, &old),
+            None => {
+                self.photo_count.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        self.index_photo(id, &stored);
+    }
+
+    /// Claims the next photo id, saturating at `u64::MAX`.
+    fn allocate_id(&self) -> Result<PhotoId> {
         let mut cur = self.next_id.load(Ordering::Relaxed);
-        let id = loop {
+        loop {
             if cur == u64::MAX {
-                self.log_request(
-                    "upload",
-                    u64::MAX,
-                    0,
-                    start,
-                    false,
-                    CacheOutcome::NotApplicable,
-                    ServedPath::NotApplicable,
-                );
                 return Err(PspError::IdsExhausted);
             }
             match self.next_id.compare_exchange_weak(
@@ -528,101 +505,17 @@ impl PspServer {
                 Ordering::Relaxed,
                 Ordering::Relaxed,
             ) {
-                Ok(_) => break PhotoId(cur),
-                Err(seen) => cur = seen,
-            }
-        };
-        // Exact-duplicate sharing: identical bytes resolve to one shared
-        // allocation and the aggregate footprint counts it once (the
-        // per-photo logical size is unchanged).
-        let (shared, fresh, bytes_key) = self.interner.intern(bytes.into());
-        let stored = Arc::new(StoredPhoto {
-            bytes: shared,
-            params: params.into(),
-            hashes: OnceLock::new(),
-            identity: OnceLock::new(),
-        });
-        // Prime the content address from the pass the interner already
-        // paid — nothing downstream (decode memo, transform cache,
-        // signature memo) ever re-hashes the bitstream.
-        let _ = stored
-            .hashes
-            .set((bytes_key, fnv64_chain(bytes_key, &stored.params)));
-        let size = stored.size();
-        let accounted =
-            stored.params.len() as u64 + if fresh { stored.bytes.len() as u64 } else { 0 };
-        self.shard(id).photos.write().insert(id, stored.clone());
-        self.footprint.fetch_add(accounted, Ordering::Relaxed);
-        self.photo_count.fetch_add(1, Ordering::Relaxed);
-        self.index_photo(id, &stored);
-        puppies_obs::counted!("psp.uploads");
-        self.publish_gauges();
-        self.log_request(
-            "upload",
-            id.0,
-            size,
-            start,
-            true,
-            CacheOutcome::NotApplicable,
-            ServedPath::NotApplicable,
-        );
-        Ok(id)
-    }
-
-    /// Reinstates a photo at an explicit id — the persistence layer's
-    /// replay door ([`crate::store_disk`] drives it when rebuilding from
-    /// the WAL). Overwrites any existing entry (a `Transform` WAL record
-    /// replays as an overwrite of the `Upload` before it) and advances the
-    /// id allocator past `id`, so post-recovery uploads never collide with
-    /// restored photos. Not an API door: it bypasses the request log.
-    pub fn restore_photo(&self, id: PhotoId, bytes: Arc<[u8]>, params: Arc<[u8]>) {
-        let (shared, fresh, bytes_key) = self.interner.intern(bytes);
-        let stored = Arc::new(StoredPhoto {
-            bytes: shared,
-            params,
-            hashes: OnceLock::new(),
-            identity: OnceLock::new(),
-        });
-        let _ = stored
-            .hashes
-            .set((bytes_key, fnv64_chain(bytes_key, &stored.params)));
-        let accounted =
-            stored.params.len() as u64 + if fresh { stored.bytes.len() as u64 } else { 0 };
-        let replaced = self.shard(id).photos.write().insert(id, stored.clone());
-        self.footprint.fetch_add(accounted, Ordering::Relaxed);
-        match replaced {
-            Some(old) => {
-                self.retire_photo(id, &old);
-                if let Some(&(bytes_fnv, _)) = old.hashes.get() {
-                    self.memo.invalidate(bytes_fnv);
-                }
-            }
-            None => {
-                self.photo_count.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        self.index_photo(id, &stored);
-        // Advance the allocator monotonically past the restored id; ids at
-        // u64::MAX leave the allocator saturated (exhausted), never wrapped.
-        let next = id.0.saturating_add(1);
-        let mut cur = self.next_id.load(Ordering::Relaxed);
-        while cur < next {
-            match self.next_id.compare_exchange_weak(
-                cur,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
+                Ok(_) => return Ok(PhotoId(cur)),
                 Err(seen) => cur = seen,
             }
         }
     }
 
-    /// The stored `(bytes, params)` of a photo for the persistence layer:
-    /// the download doors' zero-copy read, kept out of the request log.
-    pub(crate) fn stored_pair(&self, id: PhotoId) -> Result<ServedPair> {
-        self.lookup(id).map(|p| (p.bytes.clone(), p.params.clone()))
+    /// The stored `(bytes, params)` of a photo and their content identity,
+    /// for the persistence layer: the download doors' zero-copy read.
+    pub(crate) fn stored(&self, id: PhotoId) -> Result<(ServedPair, ContentId)> {
+        self.lookup(id)
+            .map(|p| ((p.bytes.clone(), p.params.clone()), p.content))
     }
 
     /// Downloads the image bytes (any user may call this — the threat
@@ -632,21 +525,9 @@ impl PspServer {
     /// # Errors
     /// Fails for unknown photos.
     pub fn download(&self, id: PhotoId) -> Result<Arc<[u8]>> {
-        let start = Instant::now();
         let _span = puppies_obs::span("psp.download", "psp");
-        let out = self.lookup(id).map(|p| p.bytes.clone());
         puppies_obs::counted!("psp.downloads");
-        let bytes = out.as_ref().map(|b| b.len() as u64).unwrap_or(0);
-        self.log_request(
-            "download",
-            id.0,
-            bytes,
-            start,
-            out.is_ok(),
-            CacheOutcome::NotApplicable,
-            ServedPath::NotApplicable,
-        );
-        out
+        self.lookup(id).map(|p| p.bytes.clone())
     }
 
     /// Downloads the public-parameter blob. Zero-copy, like
@@ -655,19 +536,7 @@ impl PspServer {
     /// # Errors
     /// Fails for unknown photos.
     pub fn download_params(&self, id: PhotoId) -> Result<Arc<[u8]>> {
-        let start = Instant::now();
-        let out = self.lookup(id).map(|p| p.params.clone());
-        let bytes = out.as_ref().map(|b| b.len() as u64).unwrap_or(0);
-        self.log_request(
-            "download_params",
-            id.0,
-            bytes,
-            start,
-            out.is_ok(),
-            CacheOutcome::NotApplicable,
-            ServedPath::NotApplicable,
-        );
-        out
+        self.lookup(id).map(|p| p.params.clone())
     }
 
     /// Runs (or serves from cache) `t` against the stored photo, returning
@@ -683,15 +552,14 @@ impl PspServer {
     /// (chains are not supported).
     pub fn download_transformed(&self, id: PhotoId, t: &Transformation) -> Result<ServedPair> {
         self.download_transformed_traced(id, t)
-            .map(|(pair, _, _)| pair)
+            .map(|(pair, _)| pair)
     }
 
-    /// [`PspServer::download_transformed`], but also reports whether the
-    /// result came from the transform cache and which pipeline produced it
-    /// — the serving layer surfaces both on the wire (`x-cache: hit|miss`,
-    /// `x-served-path: coeff-domain|pixel-fallback|cached`) so load
-    /// generators can verify cache behaviour and the decode-free claim end
-    /// to end.
+    /// [`PspServer::download_transformed`], but also reports which path
+    /// produced the result — the serving layer surfaces it on the wire
+    /// (`x-cache: hit|miss`, `x-served-path: coeff-domain|pixel-fallback|
+    /// cached|sig-cached`) so load generators can verify cache behaviour
+    /// and the decode-free claim end to end.
     ///
     /// # Errors
     /// As [`PspServer::download_transformed`].
@@ -699,27 +567,11 @@ impl PspServer {
         &self,
         id: PhotoId,
         t: &Transformation,
-    ) -> Result<(ServedPair, CacheOutcome, ServedPath)> {
-        let start = Instant::now();
+    ) -> Result<(ServedPair, ServedPath)> {
         let _span = puppies_obs::span("psp.download_transformed", "psp");
-        let out = self
-            .lookup(id)
-            .and_then(|stored| self.serve_transform(&stored, t));
         puppies_obs::counted!("psp.transform_serves");
-        let (bytes, outcome, served) = match &out {
-            Ok(((b, p), outcome, served)) => ((b.len() + p.len()) as u64, *outcome, *served),
-            Err(_) => (0, CacheOutcome::NotApplicable, ServedPath::NotApplicable),
-        };
-        self.log_request(
-            "download_transformed",
-            id.0,
-            bytes,
-            start,
-            out.is_ok(),
-            outcome,
-            served,
-        );
-        out
+        self.lookup(id)
+            .and_then(|stored| self.serve_transform(&stored, t))
     }
 
     /// Applies a transformation to a stored photo *in place*, recording it
@@ -734,92 +586,50 @@ impl PspServer {
     /// Fails for unknown photos, undecodable streams, or invalid
     /// transformations.
     pub fn transform(&self, id: PhotoId, t: &Transformation) -> Result<()> {
-        let start = Instant::now();
         let _span = puppies_obs::span("psp.transform", "psp");
         let out = self.transform_inner(id, t);
         puppies_obs::counted!("psp.transforms");
         self.publish_gauges();
-        let (bytes, outcome, served) = match &out {
-            Ok((b, outcome, served)) => (*b, *outcome, *served),
-            Err(_) => (0, CacheOutcome::NotApplicable, ServedPath::NotApplicable),
-        };
-        self.log_request(
-            "transform",
-            id.0,
-            bytes,
-            start,
-            out.is_ok(),
-            outcome,
-            served,
-        );
-        out.map(|_| ())
+        out
     }
 
-    fn transform_inner(
-        &self,
-        id: PhotoId,
-        t: &Transformation,
-    ) -> Result<(u64, CacheOutcome, ServedPath)> {
+    fn transform_inner(&self, id: PhotoId, t: &Transformation) -> Result<()> {
         let stored = self.lookup(id)?;
-        let ((new_bytes, new_params), outcome, served) = self.serve_transform(&stored, t)?;
-        let (shared, fresh, bytes_key) = self.interner.intern(new_bytes);
-        let replacement = Arc::new(StoredPhoto {
-            bytes: shared,
-            params: new_params,
-            hashes: OnceLock::new(),
-            identity: OnceLock::new(),
-        });
-        let _ = replacement
-            .hashes
-            .set((bytes_key, fnv64_chain(bytes_key, &replacement.params)));
-        let new_size = replacement.size();
-        let accounted = replacement.params.len() as u64
-            + if fresh {
-                replacement.bytes.len() as u64
-            } else {
-                0
-            };
-        {
-            let mut photos = self.shard(id).photos.write();
+        let ((new_bytes, new_params), _) = self.serve_transform(&stored, t)?;
+        let content = ContentId::of(&new_bytes, &new_params);
+        let replacement = self.intern(new_bytes, new_params, content);
+        let swapped = {
+            let mut photos = self.shard(id).write();
             match photos.get(&id) {
                 // The entry we computed from is still current: swap it.
                 Some(cur) if Arc::ptr_eq(cur, &stored) => {
                     photos.insert(id, replacement.clone());
+                    Ok(())
                 }
                 // Someone else transformed (or re-uploaded) this photo
                 // between our read and this write. Applying our result
                 // would silently drop theirs, so refuse like any other
                 // chain attempt.
-                Some(_) => {
-                    drop(photos);
-                    self.interner.release(bytes_key, &replacement.bytes);
-                    return Err(PspError::Transform(
-                        puppies_transform::TransformError::InvalidParameter(
-                            "photo changed concurrently; transform chain not supported".into(),
-                        ),
-                    ));
-                }
-                None => {
-                    drop(photos);
-                    self.interner.release(bytes_key, &replacement.bytes);
-                    return Err(PspError::UnknownPhoto(id));
-                }
+                Some(_) => Err(PspError::Transform(
+                    puppies_transform::TransformError::InvalidParameter(
+                        "photo changed concurrently; transform chain not supported".into(),
+                    ),
+                )),
+                None => Err(PspError::UnknownPhoto(id)),
             }
-        }
-        // The old bitstream is gone from the store: drop its decode memo
-        // entry eagerly instead of waiting for LRU pressure. (Transform
-        // *results* keyed by the old content hash stay addressable — they
-        // are still byte-correct answers for that content — and simply age
+        };
+        // Whichever pair is out of the map gives its bytes back. (Transform
+        // *results* keyed by the old content stay addressable — they are
+        // still byte-correct answers for that content — and simply age
         // out.)
-        if let Some(&(bytes_fnv, _)) = stored.hashes.get() {
-            self.memo.invalidate(bytes_fnv);
+        match swapped {
+            Ok(()) => {
+                self.retire_photo(id, &stored);
+                self.index_photo(id, &replacement);
+            }
+            Err(_) => self.retire_photo(id, &replacement),
         }
-        // Two wrapping steps net out to `footprint + new - old`; the total
-        // stays exact even though the two updates are not one atomic op.
-        self.footprint.fetch_add(accounted, Ordering::Relaxed);
-        self.retire_photo(id, &stored);
-        self.index_photo(id, &replacement);
-        Ok((new_size, outcome, served))
+        swapped
     }
 
     /// The shared serving path: transform-cache lookup, then on a miss the
@@ -829,28 +639,24 @@ impl PspServer {
         &self,
         stored: &StoredPhoto,
         t: &Transformation,
-    ) -> Result<(ServedPair, CacheOutcome, ServedPath)> {
-        let (bytes_fnv, content_fnv) = stored.hashes();
+    ) -> Result<(ServedPair, ServedPath)> {
+        let content = stored.content;
         let t_canonical = t.canonical_bytes();
-        let key = fnv64_chain(content_fnv, &t_canonical);
         // Second-level key: a recompressed near-duplicate shares its family
         // root's cached results. Results are only ever *inserted* under a
         // photo's own exact key, so the family probe can only surface bytes
         // the root itself produced — the root always serves its own bytes.
         let family_key = match stored.identity.get() {
-            Some(Some((_, family_fnv))) if *family_fnv != content_fnv => {
-                Some(fnv64_chain(*family_fnv, &t_canonical))
-            }
+            Some(Some((_, family))) if *family != content => Some((*family, t_canonical.clone())),
             _ => None,
         };
-        match self.cache.get_two_level(key, family_key) {
-            Some(((bytes, params), true)) => {
+        let key = (content, t_canonical);
+        match self.cache.get_two_level(&key, family_key.as_ref()) {
+            Some((pair, true)) => {
                 puppies_obs::counted!("psp.sig.hit");
-                return Ok(((bytes, params), CacheOutcome::Hit, ServedPath::SigCached));
+                return Ok((pair, ServedPath::SigCached));
             }
-            Some(((bytes, params), false)) => {
-                return Ok(((bytes, params), CacheOutcome::Hit, ServedPath::Cached));
-            }
+            Some((pair, false)) => return Ok((pair, ServedPath::Cached)),
             None => {
                 if family_key.is_some() {
                     puppies_obs::counted!("psp.sig.miss");
@@ -868,13 +674,13 @@ impl PspServer {
                 ),
             ));
         }
-        let coeff = match self.memo.get(bytes_fnv) {
+        let coeff = match self.memo.get(&content.bytes_sha) {
             Some(c) => c,
             None => {
                 let decoded = Arc::new(
                     CoeffImage::decode(&stored.bytes).map_err(puppies_core::PuppiesError::from)?,
                 );
-                self.memo.insert(bytes_fnv, decoded.clone());
+                self.memo.insert(content.bytes_sha, decoded.clone());
                 decoded
             }
         };
@@ -905,7 +711,7 @@ impl PspServer {
         let new_params: Arc<[u8]> = params.to_bytes().into();
         self.cache
             .insert(key, new_bytes.clone(), new_params.clone());
-        Ok(((new_bytes, new_params), CacheOutcome::Miss, served))
+        Ok(((new_bytes, new_params), served))
     }
 
     /// Serves many `(photo, transformation)` requests, fanning across the
@@ -1012,28 +818,6 @@ impl PspServer {
     /// observable `bench psp --dup` uses to demonstrate sublinear search.
     pub fn sig_index_scanned(&self) -> u64 {
         self.index.lock().scanned()
-    }
-
-    /// The most recent requests served (oldest first), up to the
-    /// configured [`PspConfig::request_log_capacity`]. Entries are `Copy`,
-    /// the snapshot Vec is preallocated, and each shard's log lock is held
-    /// only for the memcpy out — a diagnostic read never stalls the
-    /// serving path.
-    pub fn recent_requests(&self) -> Vec<RequestEntry> {
-        let mut out: Vec<RequestEntry> = Vec::with_capacity(self.shards.len() * self.log_capacity);
-        for shard in self.shards.iter() {
-            let log = shard.log.lock();
-            out.extend(log.iter().copied());
-        }
-        // Merge shard segments into one timeline. Any globally-recent entry
-        // survives per-shard eviction (an entry is only evicted once
-        // `log_capacity` newer entries hit the *same* shard), so the newest
-        // `log_capacity` overall are always present.
-        out.sort_unstable_by_key(|e| e.seq);
-        if out.len() > self.log_capacity {
-            out.drain(..out.len() - self.log_capacity);
-        }
-        out
     }
 }
 
@@ -1333,83 +1117,23 @@ mod tests {
     #[test]
     fn restore_photo_replays_uploads_and_overwrites() {
         let server = PspServer::new();
-        server.restore_photo(PhotoId(3), vec![1, 2, 3].into(), vec![9].into());
-        server.restore_photo(PhotoId(7), vec![4, 5].into(), vec![].into());
+        let restore = |id: u64, bytes: Vec<u8>, params: Vec<u8>| {
+            let content = ContentId::of(&bytes, &params);
+            server.put_at(PhotoId(id), bytes.into(), params.into(), content);
+        };
+        restore(3, vec![1, 2, 3], vec![9]);
+        restore(7, vec![4, 5], vec![]);
         assert_eq!(server.len(), 2);
         assert_eq!(server.download(PhotoId(3)).unwrap().as_ref(), &[1, 2, 3]);
         assert_eq!(server.storage_footprint_total(), 4 + 2);
         // A Transform replay overwrites in place without changing counts.
-        server.restore_photo(PhotoId(3), vec![6; 10].into(), vec![7; 2].into());
+        restore(3, vec![6; 10], vec![7; 2]);
         assert_eq!(server.len(), 2);
         assert_eq!(server.download(PhotoId(3)).unwrap().as_ref(), &[6u8; 10]);
         assert_eq!(server.storage_footprint_total(), 12 + 2);
         // The allocator resumes past the highest restored id.
         let id = server.upload(vec![0], vec![]).unwrap();
         assert_eq!(id, PhotoId(8));
-    }
-
-    #[test]
-    fn request_log_is_structured_and_bounded() {
-        let server = PspServer::new();
-        let id = server.upload(vec![7u8; 12], vec![0u8; 3]).unwrap();
-        server.download(id).unwrap();
-        let _ = server.download(PhotoId(999));
-        let log = server.recent_requests();
-        assert_eq!(log.len(), 3);
-        assert_eq!((log[0].op, log[0].bytes, log[0].ok), ("upload", 15, true));
-        assert_eq!((log[1].op, log[1].bytes, log[1].ok), ("download", 12, true));
-        assert_eq!((log[2].op, log[2].id, log[2].ok), ("download", 999, false));
-        assert!(log.windows(2).all(|w| w[0].seq < w[1].seq));
-        // Bounded: hammer one door past capacity and check eviction.
-        for _ in 0..(REQUEST_LOG_CAPACITY + 10) {
-            server.download(id).unwrap();
-        }
-        let log = server.recent_requests();
-        assert_eq!(log.len(), REQUEST_LOG_CAPACITY);
-        assert!(log.iter().all(|e| e.op == "download"));
-    }
-
-    #[test]
-    fn request_log_capacity_is_configurable() {
-        let server = PspServer::with_config(PspConfig {
-            request_log_capacity: 8,
-            ..PspConfig::default()
-        });
-        assert_eq!(server.request_log_capacity(), 8);
-        let id = server.upload(vec![1u8; 4], vec![]).unwrap();
-        for _ in 0..40 {
-            server.download(id).unwrap();
-        }
-        let log = server.recent_requests();
-        assert_eq!(log.len(), 8);
-        assert!(log.windows(2).all(|w| w[0].seq < w[1].seq));
-        // A zero request stays usable (clamped to 1).
-        let min = PspServer::with_config(PspConfig {
-            request_log_capacity: 0,
-            ..PspConfig::default()
-        });
-        assert_eq!(min.request_log_capacity(), 1);
-    }
-
-    #[test]
-    fn request_log_records_cache_outcome() {
-        let server = PspServer::new();
-        let (id, _) = upload_test_photo(&server);
-        let t = Transformation::Rotate90;
-        server.download_transformed(id, &t).unwrap();
-        server.download_transformed(id, &t).unwrap();
-        let log = server.recent_requests();
-        let served: Vec<_> = log
-            .iter()
-            .filter(|e| e.op == "download_transformed")
-            .collect();
-        assert_eq!(served.len(), 2);
-        assert_eq!(served[0].cache, CacheOutcome::Miss);
-        assert_eq!(served[1].cache, CacheOutcome::Hit);
-        assert!(log
-            .iter()
-            .filter(|e| e.op == "upload" || e.op == "download")
-            .all(|e| e.cache == CacheOutcome::NotApplicable));
     }
 
     /// Re-encodes a stored JPEG at `quality` — the "recompressed copy"
@@ -1452,15 +1176,15 @@ mod tests {
         // Warm the family root, then the duplicate's *first* serve is
         // already a hit — via the signature family key — and returns the
         // root's exact cached bytes.
-        let (pair_a, oa, sa) = server.download_transformed_traced(a, &t).unwrap();
-        assert_eq!((oa, sa), (CacheOutcome::Miss, ServedPath::CoeffDomain));
-        let (pair_b, ob, sb) = server.download_transformed_traced(b, &t).unwrap();
-        assert_eq!((ob, sb), (CacheOutcome::Hit, ServedPath::SigCached));
+        let (pair_a, sa) = server.download_transformed_traced(a, &t).unwrap();
+        assert_eq!(sa, ServedPath::CoeffDomain);
+        let (pair_b, sb) = server.download_transformed_traced(b, &t).unwrap();
+        assert_eq!(sb, ServedPath::SigCached);
         assert!(Arc::ptr_eq(&pair_a.0, &pair_b.0), "family shares the Arc");
         assert_eq!(pair_a.1, pair_b.1);
         // The root itself keeps serving its own entry under the exact key.
-        let (_, oa2, sa2) = server.download_transformed_traced(a, &t).unwrap();
-        assert_eq!((oa2, sa2), (CacheOutcome::Hit, ServedPath::Cached));
+        let (_, sa2) = server.download_transformed_traced(a, &t).unwrap();
+        assert_eq!(sa2, ServedPath::Cached);
     }
 
     #[test]
@@ -1477,10 +1201,14 @@ mod tests {
         assert_eq!(server.sig_index_len(), 0);
         assert_eq!(server.signature_of(a).unwrap(), None);
         let t = Transformation::Rotate180;
-        let (_, oa, _) = server.download_transformed_traced(a, &t).unwrap();
-        let (_, ob, _) = server.download_transformed_traced(b, &t).unwrap();
-        assert_eq!(oa, CacheOutcome::Miss);
-        assert_eq!(ob, CacheOutcome::Miss, "no signature layer, no sharing");
+        let (_, sa) = server.download_transformed_traced(a, &t).unwrap();
+        let (_, sb) = server.download_transformed_traced(b, &t).unwrap();
+        assert_eq!(sa, ServedPath::CoeffDomain);
+        assert_eq!(
+            sb,
+            ServedPath::CoeffDomain,
+            "no signature layer, no sharing"
+        );
     }
 
     #[test]
@@ -1539,27 +1267,5 @@ mod tests {
         let after = server.signature_of(id).unwrap().unwrap();
         assert_ne!(before, after, "rotation is a different picture");
         assert!(server.search_similar(before, 0, 10).is_empty());
-    }
-
-    #[test]
-    fn request_log_merges_across_shards_in_order() {
-        // Photos land on different shards; the merged log is still one
-        // seq-ordered timeline with the newest entries retained.
-        let server = PspServer::new();
-        let ids: Vec<_> = (0..20)
-            .map(|i| server.upload(vec![i as u8; 8], vec![]).unwrap())
-            .collect();
-        for round in 0..30 {
-            for &id in &ids {
-                let _ = server.download(id);
-                let _ = round;
-            }
-        }
-        let log = server.recent_requests();
-        assert_eq!(log.len(), REQUEST_LOG_CAPACITY);
-        assert!(log.windows(2).all(|w| w[0].seq < w[1].seq));
-        // All retained entries are from the tail of the request stream.
-        let total_requests = 20 + 30 * 20;
-        assert!(log[0].seq >= total_requests - REQUEST_LOG_CAPACITY as u64);
     }
 }

@@ -28,16 +28,16 @@
 //! at most that final batch, which replay truncates. The store directory
 //! is fsynced once, when `wal.log` is created, so the log's own name is
 //! durable too. Recovery ([`DiskStore::open`]) streams the log in order,
-//! re-checks every blob's SHA-256, and rebuilds the server with
-//! [`PspServer::restore_photo`] and the grant mailbox verbatim; it fails
+//! re-checks every blob's SHA-256, and rebuilds the server — each photo
+//! reinstated under the SHA-256 pair its record names, which is its
+//! content identity in memory too — and the grant mailbox verbatim; it fails
 //! loudly on a bad frame with intact frames after it. Serving reads
 //! (`download`, `download_transformed`, …) never touch the disk — they hit
 //! the in-memory sharded store and transform cache, so persistence costs
 //! writes only.
 
 use crate::net::proto::{hex, MAX_FRAME_LEN};
-use crate::sha256::sha256;
-use crate::store::{PhotoId, PspConfig, PspServer};
+use crate::store::{ContentId, PhotoId, PspConfig, PspServer};
 use crate::wal::{Batch, Wal, WalRecord};
 use crate::{PspError, Result};
 use parking_lot::Mutex;
@@ -168,7 +168,11 @@ impl DiskStore {
                     params_sha,
                 } => {
                     let (bytes, params) = (blob(&bytes_sha, id)?, blob(&params_sha, id)?);
-                    server.restore_photo(PhotoId(id), bytes, params);
+                    let content = ContentId {
+                        bytes_sha,
+                        params_sha,
+                    };
+                    server.put_at(PhotoId(id), bytes, params, content);
                 }
                 WalRecord::Receiver { dh_public, token } => {
                     grants.tokens.insert(token, dh_public);
@@ -262,15 +266,15 @@ impl DiskStore {
     /// Fails on id exhaustion or filesystem errors.
     pub fn upload(&self, bytes: Vec<u8>, params: Vec<u8>) -> Result<PhotoId> {
         fit_one_frame([&bytes, &params])?;
-        let shas = [sha256(&bytes), sha256(&params)];
-        let mut batch = self.blob_batch(shas, [&bytes, &params]);
-        let id = self.server.upload(bytes, params)?;
+        let content = ContentId::of(&bytes, &params);
+        let mut batch = self.blob_batch(content, [&bytes, &params]);
+        let id = self.server.upload_hashed(bytes, params.into(), content)?;
         batch.record(&WalRecord::Upload {
             id: id.0,
-            bytes_sha: shas[0],
-            params_sha: shas[1],
+            bytes_sha: content.bytes_sha,
+            params_sha: content.params_sha,
         });
-        self.commit(&batch, shas)?;
+        self.commit(&batch, content)?;
         Ok(id)
     }
 
@@ -282,32 +286,33 @@ impl DiskStore {
     /// Fails like the in-memory transform (unknown photo, chain attempt,
     /// codec errors) or on filesystem errors.
     pub fn transform(&self, id: PhotoId, t: &Transformation) -> Result<()> {
-        let (old_bytes, old_params) = self.server.stored_pair(id)?;
+        let ((old_bytes, old_params), old_content) = self.server.stored(id)?;
         self.server.transform(id, t)?;
         // Chains are rejected and concurrent double transforms refused, so
-        // the pair now stored is exactly this transform's output.
-        let (bytes, params) = self.server.stored_pair(id)?;
+        // the pair now stored is exactly this transform's output, and the
+        // server has already hashed it.
+        let ((bytes, params), content) = self.server.stored(id)?;
         let logged = fit_one_frame([&bytes, &params]).and_then(|()| {
-            let shas = [sha256(&bytes), sha256(&params)];
-            let mut batch = self.blob_batch(shas, [&bytes, &params]);
+            let mut batch = self.blob_batch(content, [&bytes, &params]);
             batch.record(&WalRecord::Transform {
                 id: id.0,
-                bytes_sha: shas[0],
-                params_sha: shas[1],
+                bytes_sha: content.bytes_sha,
+                params_sha: content.params_sha,
             });
-            self.commit(&batch, shas)
+            self.commit(&batch, content)
         });
         if logged.is_err() {
             // Not durable (an upscale past the blob cap, or a failed
             // write): serve what the log holds.
-            self.server.restore_photo(id, old_bytes, old_params);
+            self.server.put_at(id, old_bytes, old_params, old_content);
         }
         logged
     }
 
     /// Starts a batch with a `Blob` frame for each blob the log does not
     /// hold yet, with room left for the record that names them.
-    fn blob_batch(&self, shas: [[u8; 32]; 2], blobs: [&[u8]; 2]) -> Batch {
+    fn blob_batch(&self, content: ContentId, blobs: [&[u8]; 2]) -> Batch {
+        let shas = [content.bytes_sha, content.params_sha];
         let fresh = {
             let logged = self.logged.lock();
             [
@@ -331,14 +336,16 @@ impl DiskStore {
     }
 
     /// Commits a blob batch; once it is durable its blobs count as logged.
-    fn commit(&self, batch: &Batch, shas: [[u8; 32]; 2]) -> Result<()> {
+    fn commit(&self, batch: &Batch, content: ContentId) -> Result<()> {
         let r = self
             .wal
             .lock()
             .commit(batch)
             .map_err(|e| io_err(e, "appending wal"));
         if r.is_ok() {
-            self.logged.lock().extend(shas);
+            self.logged
+                .lock()
+                .extend([content.bytes_sha, content.params_sha]);
         }
         self.note_io(r)
     }

@@ -39,8 +39,8 @@
 //! acknowledged record — replay fails with [`io::ErrorKind::InvalidData`]
 //! instead and touches nothing.
 
-use crate::cache::fnv64;
 use crate::sha256::sha256;
+use puppies_obs::fnv64;
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::Path;
@@ -629,6 +629,40 @@ mod tests {
             batch.buf.len() - sample_records()[1].to_frame().len(),
             Batch::blob_frame_len(7)
         );
+    }
+
+    /// Frame bytes as logged by stores in the field: a change here means
+    /// existing `wal.log` files no longer replay.
+    #[test]
+    fn upload_and_blob_frames_are_pinned() {
+        let hex = |frame: &[u8]| -> String { frame.iter().map(|b| format!("{b:02x}")).collect() };
+        let upload = WalRecord::Upload {
+            id: 7,
+            bytes_sha: sha256(b"photo"),
+            params_sha: sha256(b"params"),
+        };
+        let blob = blob(b"photo".to_vec());
+        let pinned = [
+            (
+                &upload,
+                "49000000b81e70f49276f3f201070000000000000055c64d0fcd6f9d5f7c828093857e3fdf\
+                 da68478bb4e9bd24d481ef391c7804e8a20b52fae57cc7a99c9651f1b573950fd211823e3ace3b\
+                 b9c273c06430f24cd3",
+            ),
+            (
+                &blob,
+                "260000008dba4fb41fd823d20655c64d0fcd6f9d5f7c828093857e3fdfda68478bb4e9bd24d4\
+                 81ef391c7804e870686f746f",
+            ),
+        ];
+        for (record, frame) in pinned {
+            assert_eq!(hex(&record.to_frame()), frame);
+        }
+        let mut batch = Batch::default();
+        batch.blob(&sha256(b"photo"), b"photo");
+        batch.record(&upload);
+        assert_eq!(hex(&batch.buf), format!("{}{}", pinned[1].1, pinned[0].1));
+        assert_eq!(scan(&batch.buf).unwrap().0, vec![blob, upload]);
     }
 
     #[test]

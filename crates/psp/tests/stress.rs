@@ -139,10 +139,6 @@ fn mixed_ops_from_eight_threads_no_deadlock_and_exact_accounting() {
         let bytes = server.download(PhotoId(id)).unwrap();
         puppies_jpeg::CoeffImage::decode(&bytes).unwrap();
     }
-    // The request log merged across shards is a strictly ordered timeline.
-    let log = server.recent_requests();
-    assert!(!log.is_empty());
-    assert!(log.windows(2).all(|w| w[0].seq < w[1].seq));
 }
 
 #[test]
