@@ -78,9 +78,11 @@ fn render(scrape: &Scrape, prev: Option<&Scrape>, interval_ms: u64) -> String {
     ));
     if let Some(entries) = scrape.get("psp_sig_index_entries") {
         out.push_str(&format!(
-            "sig index: {entries:.0} entries, {:.0} family hit(s), {:.0} search(es)\n",
+            "sig index: {entries:.0} entries, {:.0} family hit(s), {:.0} search(es), \
+             {:.0} answered from memo\n",
             value(scrape, "psp_sig_hit_total"),
             value(scrape, "psp_sig_search_total"),
+            value(scrape, "psp_sig_search_memo_hit_total"),
         ));
     }
     let healthy = scrape.get("psp_cluster_backends_healthy");
@@ -259,5 +261,18 @@ psp_ready 1\n";
         assert!(text.contains("requests:42"));
         assert!(text.contains("upload"));
         assert!(text.contains("1.23"));
+    }
+
+    #[test]
+    fn render_shows_memo_answered_searches_beside_their_base() {
+        let mut s = parse_scrape(SAMPLE);
+        s.insert("psp_sig_index_entries".into(), 9.0);
+        s.insert("psp_sig_search_total".into(), 5.0);
+        s.insert("psp_sig_search_memo_hit_total".into(), 3.0);
+        let text = render(&s, None, 1000);
+        assert!(
+            text.contains("5 search(es), 3 answered from memo"),
+            "got: {text}"
+        );
     }
 }

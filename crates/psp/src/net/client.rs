@@ -267,7 +267,7 @@ impl Client {
             .iter()
             .find(|(k, _)| k == "x-served-path")
             .map_or(WireServed::Unknown, |(_, v)| WireServed::from_header(v));
-        Ok((bytes, params, cache, served))
+        Ok((bytes.to_vec(), params.to_vec(), cache, served))
     }
 
     /// In-place transform, authorized by the upload receipt's owner token.

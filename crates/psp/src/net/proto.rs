@@ -42,11 +42,12 @@ pub fn encode_pair(bytes: &[u8], params: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Decodes a bitstream+params pair, rejecting trailing garbage.
-pub fn decode_pair(data: &[u8]) -> Option<(Vec<u8>, Vec<u8>)> {
+/// Decodes a bitstream+params pair, rejecting trailing garbage. Borrows
+/// both frames from `data`; a caller that keeps them copies them.
+pub fn decode_pair(data: &[u8]) -> Option<(&[u8], &[u8])> {
     let mut pos = 0;
-    let bytes = take_frame(data, &mut pos)?.to_vec();
-    let params = take_frame(data, &mut pos)?.to_vec();
+    let bytes = take_frame(data, &mut pos)?;
+    let params = take_frame(data, &mut pos)?;
     (pos == data.len()).then_some((bytes, params))
 }
 
@@ -160,7 +161,7 @@ mod tests {
     #[test]
     fn pair_roundtrip_and_trailing_garbage_rejected() {
         let enc = encode_pair(&[1, 2, 3], &[9]);
-        assert_eq!(decode_pair(&enc), Some((vec![1, 2, 3], vec![9])));
+        assert_eq!(decode_pair(&enc), Some((&[1, 2, 3][..], &[9][..])));
         let mut noisy = enc.clone();
         noisy.push(0);
         assert_eq!(decode_pair(&noisy), None);

@@ -817,29 +817,30 @@ fn upload(shared: &Shared, req: &Request) -> Response {
     let Some((bytes, params)) = proto::decode_pair(&req.body) else {
         return Response::status(400, "bad upload body");
     };
-    respond(shared.store().upload(bytes, params), |id| {
-        Response::text(format!("id:{}\ntoken:{}\n", id.0, shared.owner_token(id)))
-    })
+    respond(
+        shared.store().upload(bytes.to_vec(), params.to_vec()),
+        |id| Response::text(format!("id:{}\ntoken:{}\n", id.0, shared.owner_token(id))),
+    )
 }
 
 /// `POST /search` — near-duplicate lookup over the whole store. The body
 /// is an [`proto::encode_pair`] of (probe image bytes, public-parameter
 /// blob; empty for none). The probe is hashed exactly like an upload —
-/// public data only — and matched against the sublinear signature index.
+/// public data only — and matched against the sublinear signature index;
+/// a probe of stored content is answered from the signature memo without
+/// decoding ([`crate::store::PspServer::search_signature`]). Both frames
+/// are read in place from the request body.
 /// Response: `sig:<hex>` then one `<photo id> <hamming distance>` line
 /// per match, nearest first.
 fn search(shared: &Shared, req: &Request) -> Response {
     let Some((bytes, params)) = proto::decode_pair(&req.body) else {
         return Response::status(400, "bad search body");
     };
-    let params = (!params.is_empty()).then_some(params);
-    let Some(sig) = crate::store::PspServer::probe_signature(&bytes, params.as_deref()) else {
+    let server = shared.store().server();
+    let Some(sig) = server.search_signature(bytes, params) else {
         return Response::status(400, "probe image did not decode");
     };
-    let matches = shared
-        .store()
-        .server()
-        .search_similar(sig, crate::sig::NEAR_DUP_DISTANCE, 256);
+    let matches = server.search_similar(sig, crate::sig::NEAR_DUP_DISTANCE, 256);
     let mut body = format!("sig:{sig:016x}\n");
     for (id, distance) in matches {
         body.push_str(&format!("{} {distance}\n", id.0));

@@ -138,10 +138,30 @@ const SHARDS: usize = 16;
 /// One store shard's photo map.
 type Shard = RwLock<HashMap<PhotoId, Arc<StoredPhoto>>>;
 
-/// What the signature memo remembers per content identity:
-/// `Some((signature, width, height))` for decodable content, `None` for
-/// content whose decode failed.
+/// A content identity's signature: `Some((signature, width, height))`
+/// for decodable content, `None` for content whose decode failed.
 type SigMemoEntry = Option<(u64, u32, u32)>;
+
+/// One signature-memo slot: how many stored photos hold this content
+/// identity, and its signature once the indexer has computed it.
+#[derive(Debug)]
+struct SigSlot {
+    refs: usize,
+    sig: Option<SigMemoEntry>,
+}
+
+/// The perceptual signature of `(bytes, params)`, computed from public
+/// data only: the DC-only walk (it accepts exactly the streams a full
+/// decode does, without building the coefficient blocks), the private
+/// ROI rects from `params` (none when the blob is empty or does not
+/// parse), then [`dc_signature`] with those regions masked out.
+fn compute_signature(bytes: &[u8], params: &[u8]) -> SigMemoEntry {
+    let grid = decode_dc(bytes).ok()?;
+    let rois: Vec<Rect> = PublicParams::from_bytes(params)
+        .map(|p| p.rois.iter().map(|r| r.rect).collect())
+        .unwrap_or_default();
+    Some((dc_signature(&grid, &rois), grid.width, grid.height))
+}
 
 type Interned = (Arc<[u8]>, usize);
 
@@ -242,10 +262,14 @@ pub struct PspServer {
     /// The near-duplicate signature index (see [`crate::sig`]).
     index: Mutex<SigIndex>,
     /// Signature memo by content identity. Re-uploads of content the
-    /// server has already seen (the dominant duplicate workload) skip the
-    /// JPEG decode entirely — the signature is a pure function of
-    /// `(bytes, params)`, which is exactly what the identity names.
-    sig_memo: Mutex<HashMap<ContentId, SigMemoEntry>>,
+    /// server already holds (the dominant duplicate workload) and
+    /// `/search` probes of it skip the JPEG decode entirely — the
+    /// signature is a pure function of `(bytes, params)`, which is
+    /// exactly what the identity names. A slot lives exactly while some
+    /// stored photo has that identity: [`PspServer::intern`] takes a
+    /// reference, [`PspServer::retire_photo`] drops it, and probes never
+    /// insert.
+    sig_memo: Mutex<HashMap<ContentId, SigSlot>>,
     /// Exact-duplicate byte sharing across stored photos.
     interner: ByteInterner,
 }
@@ -318,42 +342,34 @@ impl PspServer {
         }
         // The signature is a pure function of `(bytes, params)` —
         // precisely what the content identity names — so a re-upload of
-        // content the server has already seen never pays the JPEG decode
+        // content the server already holds never pays the JPEG decode
         // again. Re-uploading identical bytes is the dominant duplicate
         // workload and must stay as cheap as storing them.
         let content = stored.content;
-        let memoized = self.sig_memo.lock().get(&content).copied();
-        let (sig, w, h) = match memoized {
-            Some(None) => {
-                // Known-undecodable content: stays unindexed, no retry.
-                let _ = stored.identity.set(None);
-                return;
-            }
-            Some(Some((sig, w, h))) => {
-                puppies_obs::counted!("psp.sig.memo_hit");
-                (sig, w, h)
+        let entry = match self.memoized_signature(&content) {
+            Some(entry) => {
+                if entry.is_some() {
+                    puppies_obs::counted!("psp.sig.memo_hit");
+                }
+                entry
             }
             None => {
-                // The signature reads only the luma DCs: the DC-only walk
-                // accepts exactly the streams a full decode does, without
-                // building the coefficient blocks.
-                let grid = match decode_dc(&stored.bytes) {
-                    Ok(g) => g,
-                    Err(_) => {
-                        self.sig_memo.lock().insert(content, None);
-                        let _ = stored.identity.set(None);
-                        return;
-                    }
-                };
-                let rois: Vec<Rect> = PublicParams::from_bytes(&stored.params)
-                    .map(|p| p.rois.iter().map(|r| r.rect).collect())
-                    .unwrap_or_default();
-                let sig = dc_signature(&grid, &rois);
-                puppies_obs::counted!("psp.sig.computed");
-                let (w, h) = (grid.width, grid.height);
-                self.sig_memo.lock().insert(content, Some((sig, w, h)));
-                (sig, w, h)
+                let entry = compute_signature(&stored.bytes, &stored.params);
+                if entry.is_some() {
+                    puppies_obs::counted!("psp.sig.computed");
+                }
+                // The slot is gone only if this photo was already retired.
+                if let Some(slot) = self.sig_memo.lock().get_mut(&content) {
+                    slot.sig = Some(entry);
+                }
+                entry
             }
+        };
+        let Some((sig, w, h)) = entry else {
+            // Undecodable content stays unindexed; the memo remembers
+            // that, so it is never retried.
+            let _ = stored.identity.set(None);
+            return;
         };
         let matched = {
             let mut index = self.index.lock();
@@ -392,6 +408,13 @@ impl PspServer {
         let accounted = params.len() + if fresh { bytes.len() } else { 0 };
         self.footprint
             .fetch_add(accounted as u64, Ordering::Relaxed);
+        if self.signature {
+            self.sig_memo
+                .lock()
+                .entry(content)
+                .or_insert(SigSlot { refs: 0, sig: None })
+                .refs += 1;
+        }
         Arc::new(StoredPhoto {
             bytes,
             params,
@@ -400,22 +423,32 @@ impl PspServer {
         })
     }
 
-    /// Removes a photo's index entry and byte allocation; called with a
-    /// `StoredPhoto` that has left (or never entered) the map.
+    /// Removes a photo's index entry, signature-memo reference and byte
+    /// allocation; called with a `StoredPhoto` that has left (or never
+    /// entered) the map.
     fn retire_photo(&self, id: PhotoId, old: &StoredPhoto) {
         if let Some(Some((sig, _))) = old.identity.get() {
             self.index.lock().remove(*sig, id);
         }
+        // Last photo with this content identity is gone — drop its
+        // signature, so churn workloads don't accumulate signatures of
+        // content the store no longer holds. (The bytes may live on under
+        // other params; the signature depends on both.)
+        if self.signature {
+            let mut memo = self.sig_memo.lock();
+            if let Some(slot) = memo.get_mut(&old.content) {
+                slot.refs -= 1;
+                if slot.refs == 0 {
+                    memo.remove(&old.content);
+                }
+            }
+        }
         if self.interner.release(&old.content.bytes_sha) {
             self.footprint
                 .fetch_sub(old.bytes.len() as u64, Ordering::Relaxed);
-            // Last copy of these bytes is gone — drop the memo entries
-            // derived from them, so churn workloads don't accumulate
-            // decodes and signatures of content the store no longer holds.
+            // Last copy of these bytes is gone — drop the decode memo's
+            // entry for them too.
             self.memo.invalidate(&old.content.bytes_sha);
-            if self.signature {
-                self.sig_memo.lock().remove(&old.content);
-            }
         }
         self.footprint
             .fetch_sub(old.params.len() as u64, Ordering::Relaxed);
@@ -784,14 +817,39 @@ impl PspServer {
     /// public data only (private ROIs from `params`, when given, are masked out).
     /// Returns `None` for undecodable bytes. This is the probe side of
     /// [`PspServer::search_similar`] — a client hashes its query image
-    /// locally or ships the bytes to the `/search` door.
+    /// locally or ships the bytes to the `/search` door, which answers
+    /// through [`PspServer::search_signature`].
     pub fn probe_signature(bytes: &[u8], params: Option<&[u8]>) -> Option<u64> {
-        let grid = decode_dc(bytes).ok()?;
-        let rois: Vec<Rect> = params
-            .and_then(|p| PublicParams::from_bytes(p).ok())
-            .map(|p| p.rois.iter().map(|r| r.rect).collect())
-            .unwrap_or_default();
-        Some(dc_signature(&grid, &rois))
+        compute_signature(bytes, params.unwrap_or_default()).map(|(sig, _, _)| sig)
+    }
+
+    /// [`PspServer::probe_signature`] for the server's own `/search` door:
+    /// a probe of content the store holds is answered from the signature
+    /// memo without decoding (`psp.sig.search_memo_hit`). Any other probe
+    /// pays one SHA-256 more than the decode, and is never memoized, so
+    /// search traffic cannot grow the memo. Empty `params` stand for none,
+    /// exactly as an upload with an empty blob is indexed.
+    pub fn search_signature(&self, bytes: &[u8], params: &[u8]) -> Option<u64> {
+        if self.signature {
+            let content = ContentId::of(bytes, params);
+            if let Some(entry) = self.memoized_signature(&content) {
+                if entry.is_some() {
+                    puppies_obs::counted!("psp.sig.search_memo_hit");
+                }
+                return entry.map(|(sig, _, _)| sig);
+            }
+        }
+        let entry = compute_signature(bytes, params);
+        if entry.is_some() {
+            puppies_obs::counted!("psp.sig.computed");
+        }
+        entry.map(|(sig, _, _)| sig)
+    }
+
+    /// The memoized signature of a stored content identity, if the
+    /// indexer has computed it. Holds the memo lock for the lookup only.
+    fn memoized_signature(&self, content: &ContentId) -> Option<SigMemoEntry> {
+        self.sig_memo.lock().get(content).and_then(|slot| slot.sig)
     }
 
     /// Sublinear near-duplicate search: every stored photo whose signature
@@ -1253,6 +1311,86 @@ mod tests {
         assert_eq!(hits[0], (a, 0), "the exact photo ranks first");
         // Undecodable probes are rejected, not hashed.
         assert_eq!(PspServer::probe_signature(&[1, 2, 3], None), None);
+    }
+
+    #[test]
+    fn search_signature_of_stored_content_matches_the_probe() {
+        let server = PspServer::new();
+        let (bytes, params) = protected_fixture(3);
+        let (bare, _) = protected_fixture(40);
+        server.upload(bytes.clone(), params.clone()).unwrap();
+        server.upload(bare.clone(), Vec::new()).unwrap();
+        assert_eq!(server.sig_memo.lock().len(), 2);
+        assert_eq!(
+            server.search_signature(&bytes, &params),
+            PspServer::probe_signature(&bytes, Some(&params))
+        );
+        // Empty params stand for none, on both sides.
+        assert_eq!(
+            server.search_signature(&bare, &[]),
+            PspServer::probe_signature(&bare, None)
+        );
+        // Probes of content the store does not hold answer the same and
+        // are never memoized.
+        let copy = recompress(&bytes, 55);
+        assert_eq!(
+            server.search_signature(&copy, &params),
+            PspServer::probe_signature(&copy, Some(&params))
+        );
+        assert_eq!(
+            server.search_signature(&bytes, &[]),
+            PspServer::probe_signature(&bytes, None)
+        );
+        assert_eq!(server.search_signature(&[1, 2, 3], &[]), None);
+        assert_eq!(server.sig_memo.lock().len(), 2);
+    }
+
+    #[test]
+    fn search_signature_decodes_when_the_signature_layer_is_off() {
+        let server = PspServer::with_config(PspConfig {
+            signature: false,
+            ..PspConfig::default()
+        });
+        let (bytes, params) = protected_fixture(3);
+        server.upload(bytes.clone(), params.clone()).unwrap();
+        assert!(server.sig_memo.lock().is_empty());
+        let sig = server.search_signature(&bytes, &params);
+        assert!(sig.is_some());
+        assert_eq!(sig, PspServer::probe_signature(&bytes, Some(&params)));
+    }
+
+    #[test]
+    fn sig_memo_holds_exactly_the_stored_content_identities() {
+        // Two photos share one bitstream under different params: two
+        // content identities, one byte allocation.
+        let server = PspServer::new();
+        let (bytes, params) = protected_fixture(6);
+        let mut other = PublicParams::from_bytes(&params).unwrap();
+        other.image_id ^= 1;
+        let other = other.to_bytes();
+        let a = server.upload(bytes.clone(), params.clone()).unwrap();
+        let b = server.upload(bytes.clone(), other.clone()).unwrap();
+        assert_eq!(server.sig_memo.lock().len(), 2);
+        let old = [
+            ContentId::of(&bytes, &params),
+            ContentId::of(&bytes, &other),
+        ];
+        // Each in-place transform retires one identity while the other
+        // still holds the bytes; neither may outlive its last photo.
+        server.transform(a, &Transformation::Rotate90).unwrap();
+        server.transform(b, &Transformation::FlipVertical).unwrap();
+        let stored: Vec<ContentId> = [a, b]
+            .iter()
+            .map(|&id| server.stored(id).unwrap().1)
+            .collect();
+        let memo = server.sig_memo.lock();
+        assert_eq!(memo.len(), 2, "one slot per stored identity");
+        for content in &old {
+            assert!(!memo.contains_key(content), "retired identity leaked");
+        }
+        for content in &stored {
+            assert_eq!(memo[content].refs, 1);
+        }
     }
 
     #[test]
