@@ -3,7 +3,7 @@
 //!
 //! Measures the four hot paths every shared photo pays at least once
 //! (owner protect, receiver recover, plus the raw encode/decode they are
-//! built on) on a deterministic fixture, single-threaded by default so
+//! built on) on a deterministic fixture, on the calling thread so
 //! numbers are comparable across machines and PRs. Results are written as
 //! machine-readable JSON; `--check` compares a fresh run against a
 //! committed file with a generous regression threshold (CI's perf gate),
@@ -36,8 +36,6 @@ pub struct BenchResults {
     pub fixture: (u32, u32, u64),
     /// JPEG quality used throughout.
     pub quality: u8,
-    /// Worker threads the pool was pinned to.
-    pub threads: usize,
     /// Measured operations in report order.
     pub ops: Vec<(&'static str, OpResult)>,
 }
@@ -59,7 +57,7 @@ fn time_best<T>(iters: usize, mut f: impl FnMut() -> T) -> f64 {
 /// Runs the measurement suite. `iters` is the per-op iteration count; the
 /// best (minimum) time is reported, which is far more stable than the mean
 /// on shared CI runners.
-pub fn run(iters: usize, threads: usize, quality: u8) -> Result<BenchResults, String> {
+pub fn run(iters: usize, quality: u8) -> Result<BenchResults, String> {
     // Allocator warmup: allocate-and-free one large block before timing.
     // glibc serves multi-hundred-KB Vecs (planes, block tables) straight
     // from mmap and returns them on free, so every timed iteration would
@@ -78,66 +76,60 @@ pub fn run(iters: usize, threads: usize, quality: u8) -> Result<BenchResults, St
     let (w, h) = (img.width(), img.height());
     let pixel_mb = (w as f64 * h as f64 * 3.0) / 1e6;
 
-    let pool = puppies_core::parallel::WorkerPool::new(threads);
-    puppies_core::parallel::with_pool(&pool, || {
-        let coeff = CoeffImage::from_rgb(&img, quality);
-        let blocks: u64 = coeff
-            .components()
-            .iter()
-            .map(|c| c.blocks_w() as u64 * c.blocks_h() as u64)
-            .sum();
-        let opts = EncodeOptions::default();
-        let bytes = coeff.encode(&opts).map_err(|e| e.to_string())?;
+    let coeff = CoeffImage::from_rgb(&img, quality);
+    let blocks: u64 = coeff
+        .components()
+        .iter()
+        .map(|c| c.blocks_w() as u64 * c.blocks_h() as u64)
+        .sum();
+    let opts = EncodeOptions::default();
+    let bytes = coeff.encode(&opts).map_err(|e| e.to_string())?;
 
-        // Full-image encode: RGB pixels -> quantized coefficients -> JFIF
-        // bytes (FDCT + quantization + entropy coding).
-        let encode_ms = time_best(iters, || {
-            CoeffImage::from_rgb(&img, quality)
-                .encode(&opts)
-                .expect("bench encode")
-        });
-        // Full-image decode: JFIF bytes -> coefficients -> RGB pixels
-        // (entropy decode + dequantization + IDCT).
-        let decode_ms = time_best(iters, || {
-            CoeffImage::decode(&bytes).expect("bench decode").to_rgb()
-        });
+    // Full-image encode: RGB pixels -> quantized coefficients -> JFIF
+    // bytes (FDCT + quantization + entropy coding).
+    let encode_ms = time_best(iters, || {
+        CoeffImage::from_rgb(&img, quality)
+            .encode(&opts)
+            .expect("bench encode")
+    });
+    // Full-image decode: JFIF bytes -> coefficients -> RGB pixels
+    // (entropy decode + dequantization + IDCT).
+    let decode_ms = time_best(iters, || {
+        CoeffImage::decode(&bytes).expect("bench decode").to_rgb()
+    });
 
-        // Protect/recover on two face-sized ROIs, the owner/receiver cost
-        // per shared photo.
-        let key = OwnerKey::from_seed([0x5E; 32]);
-        let rois = [Rect::new(48, 32, 96, 96), Rect::new(256, 128, 96, 96)];
-        let popts = ProtectOptions::new(Scheme::Zero, PrivacyLevel::Medium).with_quality(quality);
-        let protected = protect(&img, &rois, &key, &popts).map_err(|e| e.to_string())?;
-        let protect_ms = time_best(iters, || {
-            protect(&img, &rois, &key, &popts).expect("bench protect")
-        });
-        let grant = key.grant_all();
-        let recover_ms = time_best(iters, || {
-            recover(&protected, &grant).expect("bench recover")
-        });
+    // Protect/recover on two face-sized ROIs, the owner/receiver cost
+    // per shared photo.
+    let key = OwnerKey::from_seed([0x5E; 32]);
+    let rois = [Rect::new(48, 32, 96, 96), Rect::new(256, 128, 96, 96)];
+    let popts = ProtectOptions::new(Scheme::Zero, PrivacyLevel::Medium).with_quality(quality);
+    let protected = protect(&img, &rois, &key, &popts).map_err(|e| e.to_string())?;
+    let protect_ms = time_best(iters, || {
+        protect(&img, &rois, &key, &popts).expect("bench protect")
+    });
+    let grant = key.grant_all();
+    let recover_ms = time_best(iters, || {
+        recover(&protected, &grant).expect("bench recover")
+    });
 
-        let op = |ms: f64| OpResult {
-            ms,
-            blocks_per_s: blocks as f64 / (ms / 1e3),
-            mb_per_s: pixel_mb / (ms / 1e3),
-        };
-        Ok(BenchResults {
-            fixture: (w, h, blocks),
-            quality,
-            threads: pool.threads(),
-            ops: vec![
-                ("encode", op(encode_ms)),
-                ("decode", op(decode_ms)),
-                ("protect", op(protect_ms)),
-                ("recover", op(recover_ms)),
-            ],
-        })
+    let op = |ms: f64| OpResult {
+        ms,
+        blocks_per_s: blocks as f64 / (ms / 1e3),
+        mb_per_s: pixel_mb / (ms / 1e3),
+    };
+    Ok(BenchResults {
+        fixture: (w, h, blocks),
+        quality,
+        ops: vec![
+            ("encode", op(encode_ms)),
+            ("decode", op(decode_ms)),
+            ("protect", op(protect_ms)),
+            ("recover", op(recover_ms)),
+        ],
     })
 }
 
-/// The deterministic PASCAL-profile fixture (same generator as
-/// `puppies-bench`), so Criterion benches and this runner agree on the
-/// workload.
+/// The deterministic PASCAL-profile fixture.
 fn fixture_image() -> RgbImage {
     generate_one(DatasetProfile::pascal().with_count(1), 0xBE7C, 0).image
 }
@@ -149,11 +141,10 @@ fn fixture_image() -> RgbImage {
 /// instrumentation overhead.
 pub fn run_instrumented(
     iters: usize,
-    threads: usize,
     quality: u8,
 ) -> Result<(BenchResults, std::sync::Arc<puppies_obs::Obs>), String> {
     let session = puppies_obs::Obs::install();
-    let res = run(iters, threads, quality);
+    let res = run(iters, quality);
     let obs = session
         .finish()
         .ok_or("another observability session replaced the bench subscriber")?;
@@ -192,12 +183,11 @@ pub fn to_json(
     json.push_str("{\n");
     let _ = writeln!(
         json,
-        "  \"schema\": 1,\n  \"fixture\": {{\"width\": {}, \"height\": {}, \"blocks\": {}, \"quality\": {}, \"threads\": {}, \"simd_backend\": \"{}\", \"f32_lanes\": {}}},",
+        "  \"schema\": 1,\n  \"fixture\": {{\"width\": {}, \"height\": {}, \"blocks\": {}, \"quality\": {}, \"simd_backend\": \"{}\", \"f32_lanes\": {}}},",
         res.fixture.0,
         res.fixture.1,
         res.fixture.2,
         res.quality,
-        res.threads,
         puppies_image::simd::backend().name(),
         puppies_image::simd::backend().f32_lanes()
     );
@@ -382,7 +372,6 @@ mod tests {
         BenchResults {
             fixture: (500, 330, 7938),
             quality: 75,
-            threads: 1,
             ops: vec![
                 ("encode", op(10.0)),
                 ("decode", op(5.0)),

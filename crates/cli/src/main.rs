@@ -34,8 +34,7 @@
 //! PSP serving benchmark (sharded store + transform cache vs an embedded
 //! replica of the pre-cache server) — see [`bench_psp`]. `bench psp
 //! --cluster` benches the k-of-n Shamir-shared cluster instead — see
-//! [`bench_cluster`] — and `bench psp --dup` the recompressed-duplicate
-//! dedup path and near-duplicate search scaling — see [`bench_dedup`].
+//! [`bench_cluster`].
 
 use puppies_core::{
     protect, KeyGrant, OwnerKey, PerturbProfile, PrivacyLevel, ProtectOptions, PublicParams, Scheme,
@@ -46,7 +45,6 @@ use std::process::exit;
 
 mod bench;
 mod bench_cluster;
-mod bench_dedup;
 mod bench_net;
 mod bench_psp;
 mod cluster;
@@ -123,10 +121,7 @@ fn positionals(args: &[String]) -> Vec<&str> {
         }
         if a.starts_with("--") {
             // Boolean flags take no value.
-            let boolean = matches!(
-                a.as_str(),
-                "--auto" | "--transform-friendly" | "--bless" | "--dup"
-            );
+            let boolean = matches!(a.as_str(), "--auto" | "--transform-friendly" | "--bless");
             if !boolean && i + 1 < args.len() {
                 skip = true;
             }
@@ -470,7 +465,7 @@ fn cmd_inspect(args: &[String]) -> CliResult {
 
 /// `puppies bench [--out f.json] [--check committed.json] [--pre old.json]
 /// [--pre-section current] [--threshold 0.4] [--min-protect-speedup F]
-/// [--iters N] [--threads N] [--quality Q] [--obs-overhead-gate PCT]
+/// [--iters N] [--quality Q] [--obs-overhead-gate PCT]
 /// [--trace f.json] [--stats f.json]`
 ///
 /// Measures codec + protect/recover throughput on the deterministic
@@ -492,9 +487,6 @@ fn cmd_bench(args: &[String]) -> CliResult {
         if has_flag(args, "--cluster") {
             return bench_cluster::cmd(args);
         }
-        if has_flag(args, "--dup") {
-            return bench_dedup::cmd(args);
-        }
         return bench_psp::cmd(args);
     }
     let parse_num = |name: &str, default: f64| -> Result<f64, String> {
@@ -504,11 +496,10 @@ fn cmd_bench(args: &[String]) -> CliResult {
         }
     };
     let iters = parse_num("--iters", 5.0)? as usize;
-    let threads = parse_num("--threads", 1.0)? as usize;
     let quality = parse_num("--quality", 75.0)? as u8;
     let threshold = parse_num("--threshold", 0.4)?;
 
-    let res = bench::run(iters.max(1), threads.max(1), quality)?;
+    let res = bench::run(iters.max(1), quality)?;
     for &(name, r) in &res.ops {
         println!(
             "{name:>8}: {:8.2} ms  {:>10.0} blocks/s  {:8.2} MB/s",
@@ -518,7 +509,7 @@ fn cmd_bench(args: &[String]) -> CliResult {
 
     // Second, instrumented pass: stage-level span histograms plus a
     // like-for-like set of op timings for the overhead measurement.
-    let (instr_res, obs) = bench::run_instrumented(iters.max(1), threads.max(1), quality)?;
+    let (instr_res, obs) = bench::run_instrumented(iters.max(1), quality)?;
     let snap = obs.metrics().snapshot();
     let overhead = bench::overhead_pct(&res, &instr_res);
     println!(

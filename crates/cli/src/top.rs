@@ -15,6 +15,7 @@
 use crate::{flag_value, flag_values, has_flag, CliResult};
 use puppies_psp::net::Client;
 use std::collections::BTreeMap;
+use std::io::{ErrorKind, Write};
 
 /// One scrape, parsed: full series key (`name{labels}`) → value.
 type Scrape = BTreeMap<String, f64>;
@@ -152,36 +153,67 @@ fn regressions(prev: &Scrape, cur: &Scrape) -> Vec<String> {
         .collect()
 }
 
+/// What one `top` run samples and asserts.
+struct Watch<'a> {
+    samples: u64,
+    interval_ms: u64,
+    plain: bool,
+    assert_monotonic: bool,
+    assert_nonzero: Vec<&'a str>,
+}
+
 pub fn cmd(args: &[String]) -> CliResult {
     let addr = flag_value(args, "--addr").ok_or("missing --addr <host:port>")?;
-    let samples: u64 = match flag_value(args, "--samples") {
-        Some(v) => v.parse().map_err(|e| format!("bad --samples: {e}"))?,
-        None => u64::MAX,
+    let watch = Watch {
+        samples: match flag_value(args, "--samples") {
+            Some(v) => v.parse().map_err(|e| format!("bad --samples: {e}"))?,
+            None => u64::MAX,
+        },
+        interval_ms: match flag_value(args, "--interval-ms") {
+            Some(v) => v.parse().map_err(|e| format!("bad --interval-ms: {e}"))?,
+            None => 1000,
+        },
+        plain: has_flag(args, "--plain"),
+        assert_monotonic: has_flag(args, "--assert-monotonic"),
+        assert_nonzero: flag_values(args, "--assert-nonzero"),
     };
-    let interval_ms: u64 = match flag_value(args, "--interval-ms") {
-        Some(v) => v.parse().map_err(|e| format!("bad --interval-ms: {e}"))?,
-        None => 1000,
-    };
-    let plain = has_flag(args, "--plain");
-    let assert_monotonic = has_flag(args, "--assert-monotonic");
-    let assert_nonzero = flag_values(args, "--assert-nonzero");
     let mut client = Client::connect(addr).map_err(|e| e.to_string())?;
+    let fetch = || match client.metrics_text() {
+        Ok(t) => Ok(t),
+        Err(_) => {
+            // The connection may have idled out; one reconnect attempt.
+            client = Client::connect(addr).map_err(|e| e.to_string())?;
+            client.metrics_text().map_err(|e| e.to_string())
+        }
+    };
+    run(&mut std::io::stdout().lock(), fetch, &watch)
+}
+
+/// Writes `text` and flushes it. `Ok(false)` means the reader has gone
+/// away (`top | head`), which ends the run cleanly.
+fn emit(out: &mut impl Write, text: &str) -> Result<bool, String> {
+    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        Ok(()) => Ok(true),
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => Ok(false),
+        Err(e) => Err(format!("writing to stdout: {e}")),
+    }
+}
+
+/// Samples `/metrics` text from `fetch`, renders each sample into `out`
+/// and checks the `--assert-*` conditions.
+fn run(
+    out: &mut impl Write,
+    mut fetch: impl FnMut() -> Result<String, String>,
+    watch: &Watch,
+) -> CliResult {
     let mut prev: Option<Scrape> = None;
     let mut last = Scrape::new();
-    for i in 0..samples.max(1) {
-        let text = match client.metrics_text() {
-            Ok(t) => t,
-            Err(_) => {
-                // The connection may have idled out; one reconnect attempt.
-                client = Client::connect(addr).map_err(|e| e.to_string())?;
-                client.metrics_text().map_err(|e| e.to_string())?
-            }
-        };
-        let scrape = parse_scrape(&text);
+    for i in 0..watch.samples.max(1) {
+        let scrape = parse_scrape(&fetch()?);
         if scrape.is_empty() {
             return Err("scrape parsed to zero series — is /metrics serving?".into());
         }
-        if assert_monotonic {
+        if watch.assert_monotonic {
             if let Some(p) = &prev {
                 let bad = regressions(p, &scrape);
                 if !bad.is_empty() {
@@ -189,28 +221,34 @@ pub fn cmd(args: &[String]) -> CliResult {
                 }
             }
         }
-        if !plain {
-            print!("\x1b[2J\x1b[H");
+        let mut frame = String::new();
+        if !watch.plain {
+            frame.push_str("\x1b[2J\x1b[H");
         }
-        print!("{}", render(&scrape, prev.as_ref(), interval_ms));
-        if plain {
-            println!("---");
+        frame.push_str(&render(&scrape, prev.as_ref(), watch.interval_ms));
+        if watch.plain {
+            frame.push_str("---\n");
+        }
+        if !emit(out, &frame)? {
+            return Ok(());
         }
         last = scrape.clone();
         prev = Some(scrape);
-        if i + 1 < samples {
-            std::thread::sleep(std::time::Duration::from_millis(interval_ms));
+        if i + 1 < watch.samples {
+            std::thread::sleep(std::time::Duration::from_millis(watch.interval_ms));
         }
     }
-    for needle in assert_nonzero {
+    for needle in &watch.assert_nonzero {
         let hit = last.iter().any(|(k, v)| k.contains(needle) && *v > 0.0);
         if !hit {
             return Err(format!("no series matching {needle:?} is nonzero"));
         }
-        println!("assert-nonzero ok: {needle}");
+        if !emit(out, &format!("assert-nonzero ok: {needle}\n"))? {
+            return Ok(());
+        }
     }
-    if assert_monotonic {
-        println!("assert-monotonic ok: no *_total series decreased");
+    if watch.assert_monotonic {
+        emit(out, "assert-monotonic ok: no *_total series decreased\n")?;
     }
     Ok(())
 }
@@ -274,5 +312,50 @@ psp_ready 1\n";
             text.contains("5 search(es), 3 answered from memo"),
             "got: {text}"
         );
+    }
+
+    /// A writer whose reader has gone away, as stdout is under `| head`
+    /// once `head` exits.
+    struct ClosedPipe;
+
+    impl Write for ClosedPipe {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Err(ErrorKind::BrokenPipe.into())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Err(ErrorKind::BrokenPipe.into())
+        }
+    }
+
+    fn watch(samples: u64) -> Watch<'static> {
+        Watch {
+            samples,
+            interval_ms: 0,
+            plain: true,
+            assert_monotonic: true,
+            assert_nonzero: vec!["psp_ready"],
+        }
+    }
+
+    #[test]
+    fn closed_pipe_ends_the_run_cleanly() {
+        let mut scrapes = 0;
+        let fetch = || {
+            scrapes += 1;
+            Ok(SAMPLE.to_string())
+        };
+        assert_eq!(run(&mut ClosedPipe, fetch, &watch(3)), Ok(()));
+        assert_eq!(scrapes, 1, "sampling stops once nobody reads");
+    }
+
+    #[test]
+    fn plain_run_writes_every_sample_and_the_assertions() {
+        let mut out = Vec::new();
+        run(&mut out, || Ok(SAMPLE.to_string()), &watch(2)).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        assert_eq!(text.matches("---\n").count(), 2, "got: {text}");
+        assert!(text.contains("assert-nonzero ok: psp_ready"));
+        assert!(text.ends_with("assert-monotonic ok: no *_total series decreased\n"));
     }
 }

@@ -28,8 +28,8 @@
 //! × 64 bits); larger thresholds still find virtually all neighbours
 //! because flipped bits rarely spread across all four bands. Each probe
 //! touches 4 buckets of expected size `n / 65536`, so lookups stay
-//! sublinear in the store size — the property `bench psp --dup` measures
-//! at 1k/10k/100k entries.
+//! sublinear in the store size — `tests::lookups_scan_sublinearly` holds
+//! the growth from 1k to 100k entries to at most 25x.
 
 use crate::store::{ContentId, PhotoId};
 use puppies_image::Rect;
@@ -131,7 +131,7 @@ pub struct SigIndex {
     /// band value → entry slots, one map per band position.
     buckets: [HashMap<u16, Vec<u32>>; 4],
     /// Candidate slots scanned by lookups since construction (the
-    /// sublinearity observable `bench psp --dup` reports).
+    /// sublinearity observable; the benchmark reports it per query).
     scanned: u64,
 }
 
@@ -380,24 +380,50 @@ mod tests {
 
     #[test]
     fn lookups_scan_sublinearly() {
-        let mut idx = SigIndex::new();
-        // Pseudo-random signatures: xorshift64*.
-        let mut s = 0x0123_4567_89AB_CDEFu64;
-        let mut next = move || {
-            s ^= s >> 12;
-            s ^= s << 25;
-            s ^= s >> 27;
-            s.wrapping_mul(0x2545_F491_4F6C_DD1D)
-        };
-        for i in 0..20_000u64 {
-            idx.insert(entry(next(), i));
-        }
-        let before = idx.scanned();
-        for _ in 0..100 {
-            let _ = idx.lookup(next(), NEAR_DUP_DISTANCE);
-        }
-        let per_query = (idx.scanned() - before) as f64 / 100.0;
-        // Expected bucket size is 20000/65536 < 1 per band; allow slack.
-        assert!(per_query < 40.0, "scanned {per_query} candidates/query");
+        // Candidates scanned per query at 1k, 10k and 100k entries. Every
+        // probe sits at most 2 flipped bits from a planted signature and
+        // must be found; a linear scan would grow with the 100x spread.
+        const QUERIES: u64 = 200;
+        let per_query: Vec<f64> = [1_000u64, 10_000, 100_000]
+            .into_iter()
+            .map(|n| {
+                // Pseudo-random signatures: xorshift64*.
+                let mut s = 0x0123_4567_89AB_CDEFu64 ^ n;
+                let mut next = move || {
+                    s ^= s >> 12;
+                    s ^= s << 25;
+                    s ^= s >> 27;
+                    s.wrapping_mul(0x2545_F491_4F6C_DD1D)
+                };
+                let mut idx = SigIndex::new();
+                let planted: Vec<u64> = (0..n)
+                    .map(|i| {
+                        let sig = next();
+                        idx.insert(entry(sig, i));
+                        sig
+                    })
+                    .collect();
+                let before = idx.scanned();
+                for _ in 0..QUERIES {
+                    let mut probe = planted[(next() % n) as usize];
+                    for _ in 0..next() % 3 {
+                        probe ^= 1 << (next() % 64);
+                    }
+                    assert!(
+                        !idx.lookup(probe, NEAR_DUP_DISTANCE).is_empty(),
+                        "planted probe {probe:#x} missed at {n} entries"
+                    );
+                }
+                let per_query = (idx.scanned() - before) as f64 / QUERIES as f64;
+                // Expected bucket size is n/65536 per band; allow slack.
+                assert!(per_query < 40.0, "{n} entries: scanned {per_query}/query");
+                per_query
+            })
+            .collect();
+        let growth = per_query[2] / per_query[0];
+        assert!(
+            growth <= 25.0,
+            "scans grew {growth:.1}x over a 100x size spread: {per_query:?}"
+        );
     }
 }

@@ -84,8 +84,7 @@ struct StoredPhoto {
     content: ContentId,
     /// Perceptual identity: `Some((signature, family root's content))`
     /// once the upload-time indexer has run and the bytes decoded; `None`
-    /// inside when the bytes are not a decodable JPEG. Unset while the
-    /// signature layer is disabled (see [`PspConfig::signature`]).
+    /// inside when the bytes are not a decodable JPEG.
     identity: OnceLock<Option<(u64, ContentId)>>,
 }
 
@@ -213,11 +212,6 @@ pub struct PspConfig {
     pub cache_budget_bytes: usize,
     /// Max decoded images retained by the transform-miss memo; 0 disables.
     pub decode_memo_entries: usize,
-    /// Whether the perceptual-identity layer runs: upload-time signature
-    /// extraction, near-duplicate indexing and
-    /// the second-level (signature-family) transform-cache key. On by
-    /// default; benches disable it to measure the exact-key-only baseline.
-    pub signature: bool,
 }
 
 impl Default for PspConfig {
@@ -225,7 +219,6 @@ impl Default for PspConfig {
         PspConfig {
             cache_budget_bytes: 32 << 20,
             decode_memo_entries: 8,
-            signature: true,
         }
     }
 }
@@ -238,7 +231,6 @@ impl PspConfig {
         PspConfig {
             cache_budget_bytes: 0,
             decode_memo_entries: 0,
-            ..PspConfig::default()
         }
     }
 }
@@ -256,9 +248,6 @@ pub struct PspServer {
     photo_count: AtomicU64,
     cache: TransformCache,
     memo: DecodeMemo,
-    /// Whether the perceptual-identity layer is on
-    /// ([`PspConfig::signature`]).
-    signature: bool,
     /// The near-duplicate signature index (see [`crate::sig`]).
     index: Mutex<SigIndex>,
     /// Signature memo by content identity. Re-uploads of content the
@@ -295,7 +284,6 @@ impl PspServer {
             photo_count: AtomicU64::new(0),
             cache: TransformCache::new(config.cache_budget_bytes),
             memo: DecodeMemo::new(config.decode_memo_entries),
-            signature: config.signature,
             index: Mutex::new(SigIndex::new()),
             sig_memo: Mutex::new(HashMap::new()),
             interner: ByteInterner::default(),
@@ -323,9 +311,7 @@ impl PspServer {
                 self.footprint.load(Ordering::Relaxed) as i64,
             );
             puppies_obs::gauge_set("psp.photos", self.len() as i64);
-            if self.signature {
-                puppies_obs::gauge_set("psp.sig.index_entries", self.index.lock().len() as i64);
-            }
+            puppies_obs::gauge_set("psp.sig.index_entries", self.index.lock().len() as i64);
         }
     }
 
@@ -337,9 +323,6 @@ impl PspServer {
     /// that does not decode simply stays unindexed — the store accepts
     /// arbitrary bytes and the identity layer is best-effort by design.
     fn index_photo(&self, id: PhotoId, stored: &StoredPhoto) {
-        if !self.signature {
-            return;
-        }
         // The signature is a pure function of `(bytes, params)` —
         // precisely what the content identity names — so a re-upload of
         // content the server already holds never pays the JPEG decode
@@ -408,13 +391,11 @@ impl PspServer {
         let accounted = params.len() + if fresh { bytes.len() } else { 0 };
         self.footprint
             .fetch_add(accounted as u64, Ordering::Relaxed);
-        if self.signature {
-            self.sig_memo
-                .lock()
-                .entry(content)
-                .or_insert(SigSlot { refs: 0, sig: None })
-                .refs += 1;
-        }
+        self.sig_memo
+            .lock()
+            .entry(content)
+            .or_insert(SigSlot { refs: 0, sig: None })
+            .refs += 1;
         Arc::new(StoredPhoto {
             bytes,
             params,
@@ -434,15 +415,14 @@ impl PspServer {
         // signature, so churn workloads don't accumulate signatures of
         // content the store no longer holds. (The bytes may live on under
         // other params; the signature depends on both.)
-        if self.signature {
-            let mut memo = self.sig_memo.lock();
-            if let Some(slot) = memo.get_mut(&old.content) {
-                slot.refs -= 1;
-                if slot.refs == 0 {
-                    memo.remove(&old.content);
-                }
+        let mut memo = self.sig_memo.lock();
+        if let Some(slot) = memo.get_mut(&old.content) {
+            slot.refs -= 1;
+            if slot.refs == 0 {
+                memo.remove(&old.content);
             }
         }
+        drop(memo);
         if self.interner.release(&old.content.bytes_sha) {
             self.footprint
                 .fetch_sub(old.bytes.len() as u64, Ordering::Relaxed);
@@ -803,7 +783,7 @@ impl PspServer {
     }
 
     /// The perceptual signature recorded for a stored photo, or `None`
-    /// when its bytes did not decode (or the signature layer is off).
+    /// when its bytes did not decode.
     ///
     /// # Errors
     /// Fails for unknown photos.
@@ -830,14 +810,12 @@ impl PspServer {
     /// search traffic cannot grow the memo. Empty `params` stand for none,
     /// exactly as an upload with an empty blob is indexed.
     pub fn search_signature(&self, bytes: &[u8], params: &[u8]) -> Option<u64> {
-        if self.signature {
-            let content = ContentId::of(bytes, params);
-            if let Some(entry) = self.memoized_signature(&content) {
-                if entry.is_some() {
-                    puppies_obs::counted!("psp.sig.search_memo_hit");
-                }
-                return entry.map(|(sig, _, _)| sig);
+        let content = ContentId::of(bytes, params);
+        if let Some(entry) = self.memoized_signature(&content) {
+            if entry.is_some() {
+                puppies_obs::counted!("psp.sig.search_memo_hit");
             }
+            return entry.map(|(sig, _, _)| sig);
         }
         let entry = compute_signature(bytes, params);
         if entry.is_some() {
@@ -873,7 +851,7 @@ impl PspServer {
     }
 
     /// Total candidate entries scanned by index lookups so far — the
-    /// observable `bench psp --dup` uses to demonstrate sublinear search.
+    /// benchmark's `sig.scanned_per_query` reads it.
     pub fn sig_index_scanned(&self) -> u64 {
         self.index.lock().scanned()
     }
@@ -1221,52 +1199,68 @@ mod tests {
         (protected.bytes, protected.params.to_bytes())
     }
 
+    /// Recompressed re-uploads of stored photos serve their first
+    /// transform from the family root's cached result: 12 originals, four
+    /// recompression strengths, three views. Every copy is byte-distinct
+    /// from its root, so the exact key alone never hits.
     #[test]
     fn recompressed_duplicate_serves_from_family_cache() {
         let server = PspServer::new();
-        let (bytes, params) = protected_fixture(3);
-        let a = server.upload(bytes.clone(), params.clone()).unwrap();
-        let b = server
-            .upload(recompress(&bytes, 55), params.clone())
-            .unwrap();
-        assert_eq!(server.sig_index_len(), 2);
-        let t = Transformation::Rotate180;
-        // Warm the family root, then the duplicate's *first* serve is
-        // already a hit — via the signature family key — and returns the
-        // root's exact cached bytes.
-        let (pair_a, sa) = server.download_transformed_traced(a, &t).unwrap();
-        assert_eq!(sa, ServedPath::CoeffDomain);
-        let (pair_b, sb) = server.download_transformed_traced(b, &t).unwrap();
-        assert_eq!(sb, ServedPath::SigCached);
-        assert!(Arc::ptr_eq(&pair_a.0, &pair_b.0), "family shares the Arc");
-        assert_eq!(pair_a.1, pair_b.1);
-        // The root itself keeps serving its own entry under the exact key.
-        let (_, sa2) = server.download_transformed_traced(a, &t).unwrap();
-        assert_eq!(sa2, ServedPath::Cached);
-    }
-
-    #[test]
-    fn signature_off_restores_exact_key_only_behaviour() {
-        let server = PspServer::with_config(PspConfig {
-            signature: false,
-            ..PspConfig::default()
-        });
-        let (bytes, params) = protected_fixture(3);
-        let a = server.upload(bytes.clone(), params.clone()).unwrap();
-        let b = server
-            .upload(recompress(&bytes, 55), params.clone())
-            .unwrap();
-        assert_eq!(server.sig_index_len(), 0);
-        assert_eq!(server.signature_of(a).unwrap(), None);
-        let t = Transformation::Rotate180;
-        let (_, sa) = server.download_transformed_traced(a, &t).unwrap();
-        let (_, sb) = server.download_transformed_traced(b, &t).unwrap();
-        assert_eq!(sa, ServedPath::CoeffDomain);
-        assert_eq!(
-            sb,
-            ServedPath::CoeffDomain,
-            "no signature layer, no sharing"
+        let views = [
+            Transformation::Rotate90,
+            Transformation::Rotate180,
+            Transformation::Recompress { quality: 40 },
+        ];
+        let originals: Vec<_> = (1..=12).map(protected_fixture).collect();
+        // Warm every (root, view). Each root starts its own family, so
+        // none of these serves may come from the cache.
+        let mut roots = Vec::new();
+        for (bytes, params) in &originals {
+            let id = server.upload(bytes.clone(), params.clone()).unwrap();
+            let warmed: Vec<ServedPair> = views
+                .iter()
+                .map(|t| {
+                    let (pair, served) = server.download_transformed_traced(id, t).unwrap();
+                    assert!(!served.cache_hit(), "root {id:?} joined another family");
+                    pair
+                })
+                .collect();
+            roots.push((id, warmed));
+        }
+        let (mut first_serves, mut sig_cached) = (0, 0);
+        for ((bytes, params), (_, warmed)) in originals.iter().zip(&roots) {
+            for quality in [40, 55, 70, 85] {
+                let copy = recompress(bytes, quality);
+                assert_ne!(
+                    ContentId::of(&copy, params),
+                    ContentId::of(bytes, params),
+                    "q{quality} copy is its root's exact content"
+                );
+                let id = server.upload(copy, params.clone()).unwrap();
+                for (t, root_pair) in views.iter().zip(warmed) {
+                    let (pair, served) = server.download_transformed_traced(id, t).unwrap();
+                    first_serves += 1;
+                    assert_ne!(served, ServedPath::Cached, "copy {id:?} hit the exact key");
+                    if served == ServedPath::SigCached {
+                        sig_cached += 1;
+                        assert!(
+                            pair == *root_pair,
+                            "sig-cached serve of {id:?} under {t:?} differs from its root"
+                        );
+                    }
+                }
+            }
+        }
+        assert_eq!(first_serves, 144);
+        assert!(
+            sig_cached * 10 >= first_serves * 9,
+            "only {sig_cached}/{first_serves} duplicate first serves were sig-cached"
         );
+        // The roots themselves keep serving their own entries.
+        for (id, _) in &roots {
+            let (_, served) = server.download_transformed_traced(*id, &views[0]).unwrap();
+            assert_eq!(served, ServedPath::Cached);
+        }
     }
 
     #[test]
@@ -1343,20 +1337,6 @@ mod tests {
         );
         assert_eq!(server.search_signature(&[1, 2, 3], &[]), None);
         assert_eq!(server.sig_memo.lock().len(), 2);
-    }
-
-    #[test]
-    fn search_signature_decodes_when_the_signature_layer_is_off() {
-        let server = PspServer::with_config(PspConfig {
-            signature: false,
-            ..PspConfig::default()
-        });
-        let (bytes, params) = protected_fixture(3);
-        server.upload(bytes.clone(), params.clone()).unwrap();
-        assert!(server.sig_memo.lock().is_empty());
-        let sig = server.search_signature(&bytes, &params);
-        assert!(sig.is_some());
-        assert_eq!(sig, PspServer::probe_signature(&bytes, Some(&params)));
     }
 
     #[test]

@@ -55,12 +55,12 @@ struct Running {
     join: JoinHandle<()>,
 }
 
-fn start(dir: &Path, psp: PspConfig) -> Running {
+fn start(dir: &Path) -> Running {
     let server = Server::bind(&ServeConfig {
         addr: "127.0.0.1:0".into(),
         dir: dir.to_path_buf(),
         fsync: false,
-        psp,
+        psp: PspConfig::default(),
     })
     .unwrap();
     let addr = server.local_addr().unwrap().to_string();
@@ -113,8 +113,8 @@ fn corpus() -> Vec<(Vec<u8>, Vec<u8>)> {
 
 /// An in-process store holding `corpus()` under the same ids the wire
 /// server hands out.
-fn reference(config: PspConfig) -> PspServer {
-    let server = PspServer::with_config(config);
+fn reference() -> PspServer {
+    let server = PspServer::new();
     for (bytes, params) in corpus() {
         server.upload(bytes, params).unwrap();
     }
@@ -131,11 +131,11 @@ fn upload_corpus(client: &mut Client) {
 fn stored_content_probes_answer_from_the_memo_without_decoding() {
     let _guard = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let dir = tmp("hit");
-    let run = start(&dir, PspConfig::default());
+    let run = start(&dir);
     let session = puppies_obs::Obs::install();
     let mut client = Client::connect(&run.addr).unwrap();
     upload_corpus(&mut client);
-    let reference = reference(PspConfig::default());
+    let reference = reference();
     let photos = corpus();
 
     // An empty blob on the wire stands for "no params"; the bare photo
@@ -174,11 +174,11 @@ fn stored_content_probes_answer_from_the_memo_without_decoding() {
 fn unknown_content_probes_decode_and_answer_as_before() {
     let _guard = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let dir = tmp("miss");
-    let run = start(&dir, PspConfig::default());
+    let run = start(&dir);
     let session = puppies_obs::Obs::install();
     let mut client = Client::connect(&run.addr).unwrap();
     upload_corpus(&mut client);
-    let reference = reference(PspConfig::default());
+    let reference = reference();
     let (bytes, params) = corpus().swap_remove(0);
 
     // Stored bytes without their params, and a copy the store never saw.
@@ -207,45 +207,17 @@ fn unknown_content_probes_decode_and_answer_as_before() {
 }
 
 #[test]
-fn signature_layer_off_search_decodes_and_still_answers() {
-    let _guard = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let config = PspConfig {
-        signature: false,
-        ..PspConfig::default()
-    };
-    let dir = tmp("off");
-    let run = start(&dir, config.clone());
-    let session = puppies_obs::Obs::install();
-    let mut client = Client::connect(&run.addr).unwrap();
-    upload_corpus(&mut client);
-    let reference = reference(config);
-    let (bytes, params) = corpus().swap_remove(0);
-
-    let expected = decoded_answer(&reference, &bytes, Some(&params));
-    assert!(expected.1.is_empty(), "nothing is indexed");
-    let before = sig_counters();
-    assert_eq!(client.search(&bytes, Some(&params)).unwrap(), expected);
-    let after = sig_counters();
-    assert_eq!(after.0 - before.0, 1, "the probe was decoded");
-    assert_eq!(after.1, before.1);
-
-    drop(session.finish());
-    stop(run);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn memo_rebuilt_by_wal_replay_answers_stored_probes() {
     let _guard = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let dir = tmp("replay");
-    let run = start(&dir, PspConfig::default());
+    let run = start(&dir);
     upload_corpus(&mut Client::connect(&run.addr).unwrap());
     stop(run);
 
     let session = puppies_obs::Obs::install();
-    let run = start(&dir, PspConfig::default());
+    let run = start(&dir);
     let mut client = Client::connect(&run.addr).unwrap();
-    let reference = reference(PspConfig::default());
+    let reference = reference();
     let (bytes, params) = corpus().swap_remove(0);
 
     let expected = decoded_answer(&reference, &bytes, Some(&params));
