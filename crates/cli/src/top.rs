@@ -190,7 +190,8 @@ pub fn cmd(args: &[String]) -> CliResult {
 }
 
 /// Writes `text` and flushes it. `Ok(false)` means the reader has gone
-/// away (`top | head`), which ends the run cleanly.
+/// away (`top | head`): sampling stops, but the `--assert-*` conditions
+/// are still checked on the scrapes already taken.
 fn emit(out: &mut impl Write, text: &str) -> Result<bool, String> {
     match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
         Ok(()) => Ok(true),
@@ -207,7 +208,7 @@ fn run(
     watch: &Watch,
 ) -> CliResult {
     let mut prev: Option<Scrape> = None;
-    let mut last = Scrape::new();
+    let mut reading = true;
     for i in 0..watch.samples.max(1) {
         let scrape = parse_scrape(&fetch()?);
         if scrape.is_empty() {
@@ -229,25 +230,26 @@ fn run(
         if watch.plain {
             frame.push_str("---\n");
         }
-        if !emit(out, &frame)? {
-            return Ok(());
-        }
-        last = scrape.clone();
+        reading = emit(out, &frame)?;
         prev = Some(scrape);
+        if !reading {
+            break;
+        }
         if i + 1 < watch.samples {
             std::thread::sleep(std::time::Duration::from_millis(watch.interval_ms));
         }
     }
+    let last = prev.unwrap_or_default();
     for needle in &watch.assert_nonzero {
         let hit = last.iter().any(|(k, v)| k.contains(needle) && *v > 0.0);
         if !hit {
             return Err(format!("no series matching {needle:?} is nonzero"));
         }
-        if !emit(out, &format!("assert-nonzero ok: {needle}\n"))? {
-            return Ok(());
+        if reading {
+            reading = emit(out, &format!("assert-nonzero ok: {needle}\n"))?;
         }
     }
-    if watch.assert_monotonic {
+    if watch.assert_monotonic && reading {
         emit(out, "assert-monotonic ok: no *_total series decreased\n")?;
     }
     Ok(())
@@ -347,6 +349,16 @@ psp_ready 1\n";
         };
         assert_eq!(run(&mut ClosedPipe, fetch, &watch(3)), Ok(()));
         assert_eq!(scrapes, 1, "sampling stops once nobody reads");
+    }
+
+    #[test]
+    fn closed_pipe_still_checks_the_assertions() {
+        let w = Watch {
+            assert_nonzero: vec!["psp_ready", "no_such_series"],
+            ..watch(3)
+        };
+        let err = run(&mut ClosedPipe, || Ok(SAMPLE.to_string()), &w).unwrap_err();
+        assert!(err.contains("no_such_series"), "got: {err}");
     }
 
     #[test]

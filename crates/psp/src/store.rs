@@ -1211,9 +1211,11 @@ mod tests {
             Transformation::Rotate180,
             Transformation::Recompress { quality: 40 },
         ];
+        let qualities = [40, 55, 70, 85];
         let originals: Vec<_> = (1..=12).map(protected_fixture).collect();
         // Warm every (root, view). Each root starts its own family, so
-        // none of these serves may come from the cache.
+        // none of these serves may come from the cache, and the rotations
+        // run in the coefficient domain.
         let mut roots = Vec::new();
         for (bytes, params) in &originals {
             let id = server.upload(bytes.clone(), params.clone()).unwrap();
@@ -1222,14 +1224,21 @@ mod tests {
                 .map(|t| {
                     let (pair, served) = server.download_transformed_traced(id, t).unwrap();
                     assert!(!served.cache_hit(), "root {id:?} joined another family");
+                    if !matches!(t, Transformation::Recompress { .. }) {
+                        assert_eq!(served, ServedPath::CoeffDomain, "root {id:?} under {t:?}");
+                    }
                     pair
                 })
                 .collect();
             roots.push((id, warmed));
         }
-        let (mut first_serves, mut sig_cached) = (0, 0);
+        // Every recompressed copy is byte-distinct from its root, so the
+        // exact key can never serve it; each of its first serves must come
+        // from the root's cached entry via the family key — the very
+        // allocation, not a copy of it.
+        let mut copies = 0;
         for ((bytes, params), (_, warmed)) in originals.iter().zip(&roots) {
-            for quality in [40, 55, 70, 85] {
+            for quality in qualities {
                 let copy = recompress(bytes, quality);
                 assert_ne!(
                     ContentId::of(&copy, params),
@@ -1237,25 +1246,24 @@ mod tests {
                     "q{quality} copy is its root's exact content"
                 );
                 let id = server.upload(copy, params.clone()).unwrap();
+                copies += 1;
                 for (t, root_pair) in views.iter().zip(warmed) {
                     let (pair, served) = server.download_transformed_traced(id, t).unwrap();
-                    first_serves += 1;
-                    assert_ne!(served, ServedPath::Cached, "copy {id:?} hit the exact key");
-                    if served == ServedPath::SigCached {
-                        sig_cached += 1;
-                        assert!(
-                            pair == *root_pair,
-                            "sig-cached serve of {id:?} under {t:?} differs from its root"
-                        );
-                    }
+                    assert_eq!(
+                        served,
+                        ServedPath::SigCached,
+                        "first serve of q{quality} copy {id:?} under {t:?}"
+                    );
+                    assert!(
+                        Arc::ptr_eq(&pair.0, &root_pair.0),
+                        "q{quality} copy {id:?} under {t:?} does not share its root's Arc"
+                    );
+                    assert_eq!(pair.1, root_pair.1);
                 }
             }
         }
-        assert_eq!(first_serves, 144);
-        assert!(
-            sig_cached * 10 >= first_serves * 9,
-            "only {sig_cached}/{first_serves} duplicate first serves were sig-cached"
-        );
+        assert_eq!(copies, originals.len() * qualities.len());
+        assert_eq!(server.sig_index_len(), originals.len() + copies);
         // The roots themselves keep serving their own entries.
         for (id, _) in &roots {
             let (_, served) = server.download_transformed_traced(*id, &views[0]).unwrap();
