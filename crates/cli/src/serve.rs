@@ -37,10 +37,7 @@ use std::io::Write;
 pub fn cmd_serve(args: &[String]) -> CliResult {
     let dir = flag_value(args, "--dir").ok_or("missing --dir <store-dir>")?;
     let addr = flag_value(args, "--addr").unwrap_or("127.0.0.1:0");
-    std::fs::create_dir_all(dir).map_err(|e| format!("creating {dir}: {e}"))?;
     let config = ServeConfig {
-        addr: addr.into(),
-        dir: dir.into(),
         fsync: !has_flag(args, "--no-fsync"),
         ..ServeConfig::new(addr, dir)
     };

@@ -60,15 +60,19 @@ fn value(scrape: &Scrape, key: &str) -> f64 {
     scrape.get(key).copied().unwrap_or(0.0)
 }
 
+/// The sum of every series of `name`, whatever its labels.
+fn total(scrape: &Scrape, name: &str) -> f64 {
+    // fold, not sum(): an empty f64 sum() is -0.0, which prints as "-0".
+    series(scrape, name).map(|(_, v)| v).fold(0.0, |a, b| a + b)
+}
+
 fn render(scrape: &Scrape, prev: Option<&Scrape>, interval_ms: u64) -> String {
     let mut out = String::new();
-    // fold, not sum(): an empty f64 sum() is -0.0, which prints as "-0".
-    let total = |name: &str| series(scrape, name).map(|(_, v)| v).fold(0.0, |a, b| a + b);
-    let requests = total("psp_net_requests_total");
-    let errors = total("psp_net_errors_total");
+    let requests = total(scrape, "psp_slo_requests_total");
+    let errors = total(scrape, "psp_slo_errors_total");
     let rate = prev
         .map(|p| {
-            let dr = requests - p.get("psp_net_requests_total").copied().unwrap_or(0.0);
+            let dr = requests - total(p, "psp_slo_requests_total");
             dr.max(0.0) * 1000.0 / interval_ms.max(1) as f64
         })
         .unwrap_or(0.0);
@@ -260,17 +264,21 @@ mod tests {
     use super::*;
 
     const SAMPLE: &str = "\
-# HELP psp_net_requests_total psp.net.requests\n\
-# TYPE psp_net_requests_total counter\n\
-psp_net_requests_total 42\n\
+# HELP psp_slo_requests_total requests per endpoint\n\
+# TYPE psp_slo_requests_total counter\n\
+psp_slo_requests_total{endpoint=\"download\"} 25\n\
 psp_slo_requests_total{endpoint=\"upload\"} 17\n\
+psp_slo_errors_total{endpoint=\"upload\"} 2\n\
 psp_slo_window_p99_us{endpoint=\"upload\"} 1234.5\n\
 psp_ready 1\n";
 
     #[test]
     fn scrape_parses_values_and_labels() {
         let s = parse_scrape(SAMPLE);
-        assert_eq!(s.get("psp_net_requests_total"), Some(&42.0));
+        assert_eq!(
+            s.get("psp_slo_requests_total{endpoint=\"download\"}"),
+            Some(&25.0)
+        );
         assert_eq!(
             s.get("psp_slo_requests_total{endpoint=\"upload\"}"),
             Some(&17.0)
@@ -286,21 +294,31 @@ psp_ready 1\n";
         let before = parse_scrape(SAMPLE);
         let mut after = before.clone();
         assert!(regressions(&before, &after).is_empty());
-        after.insert("psp_net_requests_total".into(), 41.0);
+        after.insert("psp_slo_requests_total{endpoint=\"download\"}".into(), 24.0);
         // Gauges may move freely; only *_total decreases are violations.
         after.insert("psp_ready".into(), 0.0);
         let bad = regressions(&before, &after);
         assert_eq!(bad.len(), 1);
-        assert!(bad[0].starts_with("psp_net_requests_total"));
+        assert!(bad[0].starts_with("psp_slo_requests_total{endpoint=\"download\"}"));
     }
 
     #[test]
     fn render_builds_the_endpoint_table() {
         let s = parse_scrape(SAMPLE);
         let text = render(&s, None, 1000);
-        assert!(text.contains("requests:42"));
+        assert!(text.contains("requests:42 (0.0/s) errors:2"), "got: {text}");
         assert!(text.contains("upload"));
         assert!(text.contains("1.23"));
+    }
+
+    #[test]
+    fn request_rate_sums_every_endpoint_of_both_scrapes() {
+        let mut prev = parse_scrape(SAMPLE);
+        prev.insert("psp_slo_requests_total{endpoint=\"download\"}".into(), 10.0);
+        prev.insert("psp_slo_requests_total{endpoint=\"upload\"}".into(), 20.0);
+        let text = render(&parse_scrape(SAMPLE), Some(&prev), 500);
+        // (42 - 30) requests over half a second.
+        assert!(text.contains("requests:42 (24.0/s)"), "got: {text}");
     }
 
     #[test]

@@ -249,42 +249,29 @@ fn signal(child: &Child, name: &str) {
 }
 
 #[test]
-fn sighup_reloads_and_sigterm_drains_promptly() {
-    let store = tmp_dir("signals").join("store");
-    std::fs::create_dir_all(&store).unwrap();
-    let mut server = start_server(&store);
-    let upload = |addr: &str| {
-        let mut client = puppies_psp::net::Client::connect(addr).expect("connect");
-        client.upload(&[7; 200], &[1]).is_ok()
-    };
-    run_ok(&["net", "ready", "--addr", &server.addr]);
-    assert!(upload(&server.addr));
+fn sighup_and_sigterm_drain_promptly() {
+    for name in ["-HUP", "-TERM"] {
+        let store = tmp_dir(&format!("signal{name}")).join("store");
+        std::fs::create_dir_all(&store).unwrap();
+        let mut server = start_server(&store);
+        run_ok(&["net", "ready", "--addr", &server.addr]);
+        let mut client = puppies_psp::net::Client::connect(&server.addr).expect("connect");
+        client.upload(&[7; 200], &[1]).expect("upload");
 
-    // SIGHUP: the new body cap applies without a restart.
-    std::fs::write(store.join("serve.conf"), "max_body = 64\n").unwrap();
-    signal(&server.child, "-HUP");
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while upload(&server.addr) {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "SIGHUP never reloaded"
-        );
-        std::thread::sleep(Duration::from_millis(20));
+        // The blocked accept loop wakes, drains and exits cleanly.
+        signal(&server.child, name);
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        let status = loop {
+            if let Some(status) = server.child.try_wait().expect("poll serve") {
+                break status;
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "kill {name} never drained"
+            );
+            std::thread::sleep(Duration::from_millis(20));
+        };
+        assert!(status.success(), "kill {name}: serve exited with {status}");
+        let _ = std::fs::remove_dir_all(store.parent().unwrap());
     }
-
-    // SIGTERM: the blocked accept loop wakes, drains and exits cleanly.
-    signal(&server.child, "-TERM");
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    let status = loop {
-        if let Some(status) = server.child.try_wait().expect("poll serve") {
-            break status;
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "SIGTERM never drained"
-        );
-        std::thread::sleep(Duration::from_millis(20));
-    };
-    assert!(status.success(), "serve exited with {status}");
-    let _ = std::fs::remove_dir_all(store.parent().unwrap());
 }

@@ -330,7 +330,7 @@ impl TraceContext {
 /// ```
 /// let sw = puppies_obs::Stopwatch::start();
 /// // ... handle the request ...
-/// sw.record_us("psp.net.req_us");
+/// sw.record_us("psp.net.upload_us");
 /// ```
 ///
 /// Unlike [`span`], nothing is emitted to the trace; when no subscriber

@@ -370,24 +370,6 @@ impl Client {
         Ok((sig, matches))
     }
 
-    /// `GET /stats` as `key:value` lines.
-    ///
-    /// # Errors
-    /// Fails on transport errors.
-    pub fn stats(&mut self) -> Result<String> {
-        self.expect("GET", "/stats", None, &[], 200)
-            .map(|(_, body)| String::from_utf8_lossy(&body).into_owned())
-    }
-
-    /// Asks the server to re-read `serve.conf` (admin token required).
-    ///
-    /// # Errors
-    /// Fails on transport errors or a bad token.
-    pub fn reload(&mut self, admin_token: &str) -> Result<String> {
-        self.expect("POST", "/admin/reload", Some(admin_token), &[], 200)
-            .map(|(_, body)| String::from_utf8_lossy(&body).into_owned())
-    }
-
     /// Asks the server to drain and stop (admin token required).
     ///
     /// # Errors

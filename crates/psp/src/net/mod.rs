@@ -15,17 +15,19 @@
 //! | `GET  /health`                 | —               | → `ok` (alias `/healthz`; liveness, always 200) |
 //! | `GET  /readyz`                 | —               | → `ready`, or 503 listing what is not ready |
 //! | `GET  /metrics`                | —               | → Prometheus text format 0.0.4 |
-//! | `GET  /stats`                  | —               | → text metrics |
 //! | `POST /photos`                 | —               | framed bytes+params → `id:`/`token:` lines |
 //! | `GET  /photos/<id>`            | —               | → raw bitstream |
 //! | `GET  /photos/<id>/params`     | —               | → raw params |
 //! | `POST /photos/<id>/transformed`| —               | canonical transform → framed bytes+params, `x-cache: hit\|miss` |
 //! | `POST /photos/<id>/transform`  | owner bearer    | canonical transform → 204 (durable, in place) |
+//! | `POST /search`                 | —               | framed probe+params → `sig:` line, then `<id> <distance>` lines |
 //! | `POST /receivers`              | —               | 16-byte DH public → `token:` line |
 //! | `POST /grants`                 | —               | receiver ‖ sender ‖ framed ciphertext → 204 (durable) |
 //! | `GET  /grants`                 | receiver bearer | → framed deposits (drains, durably) |
-//! | `POST /admin/reload`           | admin bearer    | → re-read `serve.conf`, echo settings |
 //! | `POST /admin/shutdown`         | admin bearer    | → 202, graceful drain |
+//!
+//! A listed path asked with another method answers 405; any other path
+//! answers 404.
 //!
 //! Grant bodies are end-to-end encrypted by the sender's
 //! [`crate::SecureChannel`]; the PSP is a mailbox and never sees key
@@ -37,7 +39,7 @@
 //!
 //! Three bearer-token classes, all 64 lowercase hex chars:
 //! - **admin** — random per store directory, persisted to `admin.token`;
-//!   gates reload/shutdown.
+//!   gates shutdown.
 //! - **owner** — returned by upload, derived from the admin secret and the
 //!   photo id, so it survives restarts without widening the WAL; gates the
 //!   in-place transform.
@@ -52,4 +54,4 @@ pub mod slo;
 
 pub use client::Client;
 pub use server::{serve, Recovery, ServeConfig, Server};
-pub use slo::{Sample, SloConfig, SloRegistry, SloSnapshot};
+pub use slo::{Sample, SloRegistry, SloSnapshot};

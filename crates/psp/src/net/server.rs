@@ -1,11 +1,10 @@
 //! The serving loop: a thread-per-connection HTTP/1.1 front end over
-//! [`DiskStore`], with graceful drain on SIGTERM/SIGINT and `serve.conf`
-//! reload on SIGHUP (or `POST /admin/reload`).
+//! [`DiskStore`], with graceful drain on SIGTERM, SIGINT or SIGHUP.
 //!
 //! The accept loop blocks in `accept`, so a new connection is picked up
 //! the moment it arrives. Every way into a drain — `POST /admin/shutdown`,
-//! a failed recovery, SIGTERM/SIGINT (seen by a small watcher thread that
-//! also applies SIGHUP reloads within 25 ms) — sets the drain flag and
+//! a failed recovery, a signal (seen by a small watcher thread within
+//! 25 ms) — sets the drain flag and
 //! then wakes the accept with a connection to the server's own address,
 //! so new connections stop immediately; handler threads notice the drain
 //! at their next idle poll (≤500 ms), finish the request they are on, and
@@ -24,38 +23,38 @@
 //! format plus per-endpoint rolling-window SLO families ([`super::slo`]).
 //! Requests carrying an `x-puppies-trace` header are adopted as children
 //! of the caller's span, so one Chrome trace stitches client, server, and
-//! backends. A structured access log (JSON lines, `access.log` in the
-//! store dir) records a sample of requests plus every slow one.
+//! backends. Each request is timed once into one [`Sample`], which feeds
+//! both the SLO window and a structured access log (JSON lines,
+//! `access.log` in the store dir) that records every request.
 
 use super::http::{self, ReadOutcome, Request, Response};
 use super::proto;
-use super::slo::{Sample, SloConfig, SloRegistry};
+use super::slo::{Sample, SloRegistry};
 use crate::sha256::{ct_eq, sha256_concat};
 use crate::store::{PhotoId, PspConfig, ServedPath};
 use crate::store_disk::{DiskStore, RecoveryStats};
 use crate::{PspError, Result};
 use parking_lot::{Mutex, RwLock};
 use std::fs::File;
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-/// How the server is stood up. Everything here is fixed for the process
-/// lifetime; per-request tunables live in `serve.conf` and reload.
+/// How the server is stood up, fixed for the process lifetime.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Bind address, e.g. `127.0.0.1:7070` (port 0 for ephemeral).
     pub addr: String,
-    /// Store directory (`wal.log`, `admin.token`, `serve.conf`,
-    /// `access.log`).
+    /// Store directory (`wal.log`, `admin.token`, `access.log`).
     pub dir: PathBuf,
     /// Whether every WAL append fsyncs (durability) — disable only for
     /// benchmarks that measure something other than the disk.
     pub fsync: bool,
-    /// In-memory store configuration (cache budget, shard count...).
+    /// In-memory store configuration (transform-cache budget, decode
+    /// memo size).
     pub psp: PspConfig,
 }
 
@@ -71,83 +70,18 @@ impl ServeConfig {
     }
 }
 
-/// Settings re-read from `<dir>/serve.conf` on SIGHUP / `/admin/reload`.
-/// The file is `key = value` lines, `#` comments; unknown keys are
-/// ignored so the format can grow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Tunables {
-    /// Largest accepted request body in bytes.
-    pub max_body: usize,
-    /// Whether to honour HTTP keep-alive (off forces one request per
-    /// connection — useful when diagnosing connection-state bugs).
-    pub keep_alive: bool,
-    /// Access-log sampling: log every Nth request (1 = all, 0 = none).
-    /// Slow requests are always logged regardless of sampling.
-    pub access_log_sample: u64,
-    /// Threshold above which a request is logged as slow, microseconds.
-    pub slow_request_us: u64,
-}
+/// Largest accepted request body: two max-size frames plus framing slack.
+const MAX_BODY: usize = 2 * proto::MAX_FRAME_LEN + 64;
 
-impl Default for Tunables {
-    fn default() -> Tunables {
-        Tunables {
-            // Two max-size frames plus framing slack.
-            max_body: 2 * proto::MAX_FRAME_LEN + 64,
-            keep_alive: true,
-            access_log_sample: 1,
-            slow_request_us: 250_000,
-        }
-    }
-}
-
-impl Tunables {
-    fn parse(text: &str) -> Tunables {
-        let mut t = Tunables::default();
-        for line in text.lines() {
-            let line = line.split('#').next().unwrap_or("").trim();
-            let Some((key, value)) = line.split_once('=') else {
-                continue;
-            };
-            match (key.trim(), value.trim()) {
-                ("max_body", v) => {
-                    if let Ok(n) = v.parse() {
-                        t.max_body = n;
-                    }
-                }
-                ("keep_alive", v) => {
-                    if let Ok(b) = v.parse() {
-                        t.keep_alive = b;
-                    }
-                }
-                ("access_log_sample", v) => {
-                    if let Ok(n) = v.parse() {
-                        t.access_log_sample = n;
-                    }
-                }
-                ("slow_request_us", v) => {
-                    if let Ok(n) = v.parse() {
-                        t.slow_request_us = n;
-                    }
-                }
-                _ => {}
-            }
-        }
-        t
-    }
-
-    fn load(dir: &Path) -> Tunables {
-        match std::fs::read_to_string(dir.join("serve.conf")) {
-            Ok(text) => Tunables::parse(&text),
-            Err(_) => Tunables::default(),
-        }
-    }
-}
+/// A request at least this slow is marked `"slow":true` in the access log.
+const SLOW_REQUEST_US: u64 = 250_000;
 
 // Process-wide signal flags. Signal handlers may only do async-signal-safe
 // work; a relaxed store to a static atomic is exactly that.
 static SIG_SHUTDOWN: AtomicBool = AtomicBool::new(false);
-static SIG_RELOAD: AtomicBool = AtomicBool::new(false);
 
+/// Routes SIGHUP, SIGINT and SIGTERM to the drain. A hangup drains too:
+/// its default action would kill the process without the final WAL sync.
 #[cfg(unix)]
 fn install_signal_handlers() {
     extern "C" {
@@ -156,16 +90,13 @@ fn install_signal_handlers() {
     extern "C" fn on_shutdown(_: i32) {
         SIG_SHUTDOWN.store(true, Ordering::Relaxed);
     }
-    extern "C" fn on_reload(_: i32) {
-        SIG_RELOAD.store(true, Ordering::Relaxed);
-    }
-    const SIGINT: i32 = 2;
     const SIGHUP: i32 = 1;
+    const SIGINT: i32 = 2;
     const SIGTERM: i32 = 15;
     unsafe {
-        signal(SIGTERM, on_shutdown as *const () as usize);
-        signal(SIGINT, on_shutdown as *const () as usize);
-        signal(SIGHUP, on_reload as *const () as usize);
+        for signum in [SIGHUP, SIGINT, SIGTERM] {
+            signal(signum, on_shutdown as *const () as usize);
+        }
     }
 }
 
@@ -204,14 +135,13 @@ struct Shared {
     /// store-touching route is gated on `ready` first.
     store: OnceLock<DiskStore>,
     ready: AtomicBool,
-    dir: PathBuf,
     admin_token: String,
-    tunables: RwLock<Tunables>,
     draining: AtomicBool,
     connections: AtomicUsize,
     slo: SloRegistry,
     quorum: RwLock<Option<QuorumProbe>>,
-    access_log: Mutex<Option<BufWriter<File>>>,
+    access_log: Mutex<Option<File>>,
+    /// The access log's `seq` field.
     access_seq: AtomicU64,
     /// Where a connection reaches the listener, to wake a blocked
     /// `accept` when a drain starts.
@@ -227,14 +157,6 @@ impl Shared {
         // Wake the accept loop so it sees the flag; if this connect fails
         // the listener is already gone, and nothing is blocked on it.
         let _ = TcpStream::connect_timeout(&self.wake_addr, Duration::from_secs(1));
-    }
-
-    /// Re-reads `serve.conf`; returns the settings now in force.
-    fn reload(&self) -> Tunables {
-        let t = Tunables::load(&self.dir);
-        *self.tunables.write() = t;
-        puppies_obs::counter_add("psp.net.reloads", 1);
-        t
     }
 
     fn store(&self) -> &DiskStore {
@@ -290,7 +212,6 @@ impl Recovery {
                 let stats = store.recovery();
                 let _ = self.shared.store.set(store);
                 self.shared.ready.store(true, Ordering::Release);
-                puppies_obs::gauge_set("psp.net.ready", 1);
                 Ok(stats)
             }
             Err(e) => {
@@ -302,8 +223,8 @@ impl Recovery {
 }
 
 impl Server {
-    /// Opens (recovering) the store, loads or mints `admin.token`, reads
-    /// `serve.conf`, and binds the listener. Nothing is served until
+    /// Opens (recovering) the store, loads or mints `admin.token`, and
+    /// binds the listener. Nothing is served until
     /// [`Server::run`].
     ///
     /// # Errors
@@ -349,17 +270,14 @@ impl Server {
             .create(true)
             .append(true)
             .open(config.dir.join("access.log"))
-            .ok()
-            .map(BufWriter::new);
+            .ok();
         let shared = Arc::new(Shared {
             store: OnceLock::new(),
             ready: AtomicBool::new(false),
-            dir: config.dir.clone(),
             admin_token,
-            tunables: RwLock::new(Tunables::load(&config.dir)),
             draining: AtomicBool::new(false),
             connections: AtomicUsize::new(0),
-            slo: SloRegistry::new(SloConfig::default()),
+            slo: SloRegistry::new(),
             quorum: RwLock::new(None),
             access_log: Mutex::new(access_log),
             access_seq: AtomicU64::new(0),
@@ -401,7 +319,7 @@ impl Server {
         *self.shared.quorum.write() = Some(Box::new(probe));
     }
 
-    /// Serves until SIGTERM/SIGINT or `POST /admin/shutdown`, then drains:
+    /// Serves until SIGTERM/SIGINT/SIGHUP or `POST /admin/shutdown`, then drains:
     /// stops accepting, lets in-flight requests finish (10 s deadline),
     /// syncs the WAL, returns.
     ///
@@ -421,11 +339,9 @@ impl Server {
                     let shared = Arc::clone(&self.shared);
                     shared.connections.fetch_add(1, Ordering::Relaxed);
                     puppies_obs::counter_add("psp.net.conn_accepted", 1);
-                    puppies_obs::gauge_add("psp.net.connections", 1);
                     std::thread::spawn(move || {
                         let _ = handle_connection(&shared, stream);
                         shared.connections.fetch_sub(1, Ordering::Relaxed);
-                        puppies_obs::gauge_add("psp.net.connections", -1);
                     });
                 }
                 Err(e) => {
@@ -442,9 +358,6 @@ impl Server {
         while self.shared.connections.load(Ordering::Relaxed) > 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(25));
         }
-        if let Some(log) = self.shared.access_log.lock().as_mut() {
-            let _ = log.flush();
-        }
         match self.shared.store.get() {
             Some(store) => store.sync(),
             // Recovery never published a store; nothing to sync.
@@ -457,18 +370,14 @@ impl Server {
     }
 }
 
-/// Turns the process-wide signal flags into actions for one server until
-/// it drains: SIGHUP reloads `serve.conf`, SIGTERM/SIGINT start the drain
-/// (which wakes the blocked accept loop). Signal handlers can only set
-/// flags, so this polls them — off the request path.
+/// Turns the process-wide signal flag into a drain for one server (which
+/// wakes the blocked accept loop). Signal handlers can only set flags, so
+/// this polls the flag — off the request path.
 fn watch_signals(shared: &Shared) {
     while !shared.draining.load(Ordering::Relaxed) {
         if SIG_SHUTDOWN.load(Ordering::Relaxed) {
             shared.begin_drain();
             return;
-        }
-        if SIG_RELOAD.swap(false, Ordering::Relaxed) {
-            shared.reload();
         }
         std::thread::sleep(Duration::from_millis(25));
     }
@@ -498,8 +407,7 @@ fn handle_connection(shared: &Shared, stream: TcpStream) -> io::Result<()> {
             }
             Err(e) => return Err(e),
         }
-        let tunables = *shared.tunables.read();
-        let req = match http::read_request(&mut reader, tunables.max_body)? {
+        let req = match http::read_request(&mut reader, MAX_BODY)? {
             ReadOutcome::Request(req) => req,
             ReadOutcome::Closed => return Ok(()),
             ReadOutcome::Malformed(status, why) => {
@@ -507,7 +415,7 @@ fn handle_connection(shared: &Shared, stream: TcpStream) -> io::Result<()> {
                 return Ok(());
             }
         };
-        let keep_alive = tunables.keep_alive && req.keep_alive();
+        let keep_alive = req.keep_alive();
         // Adopt the caller's trace context when the header parses; a
         // malformed or absent header degrades to a fresh root span, never
         // an error — tracing must not be able to fail a request.
@@ -526,22 +434,13 @@ fn handle_connection(shared: &Shared, stream: TcpStream) -> io::Result<()> {
             };
             route(shared, &req, &mut served)
         };
-        puppies_obs::counter_add("psp.net.requests", 1);
-        let dur_us = sw.record_us("psp.net.req_us");
-        sw.record_us(endpoint_metric(endpoint));
-        if resp.status >= 500 {
-            puppies_obs::counter_add("psp.net.errors", 1);
-        }
-        observe_request(
-            shared,
-            &tunables,
-            endpoint,
-            &req,
-            &resp,
+        let sample = Sample {
+            ok: resp.status < 500,
+            latency_us: sw.record_us(endpoint_metric(endpoint)),
             served,
-            dur_us,
-            trace.as_ref(),
-        );
+        };
+        shared.slo.record(endpoint, sample);
+        log_access(shared, endpoint, &req, &resp, sample, trace.as_ref());
         let shutdown_after = resp.status == 202 && req.path == "/admin/shutdown";
         http::write_response(&mut writer, &resp, keep_alive && !shutdown_after)?;
         if shutdown_after {
@@ -586,34 +485,19 @@ fn endpoint_metric(key: &'static str) -> &'static str {
     }
 }
 
-/// Feeds one finished request into the SLO window and, subject to
-/// sampling and the slow threshold, the structured access log. `served`
-/// is the path a transform-door response took, as its handler reported.
-#[allow(clippy::too_many_arguments)]
-fn observe_request(
+/// Appends one finished request to the structured access log. `sample`
+/// is the record the SLO window got; its `served` is the path a
+/// transform-door response took, as its handler reported.
+fn log_access(
     shared: &Shared,
-    tunables: &Tunables,
     endpoint: &'static str,
     req: &Request,
     resp: &Response,
-    served: Option<ServedPath>,
-    dur_us: u64,
+    sample: Sample,
     trace: Option<&puppies_obs::TraceContext>,
 ) {
-    shared.slo.record(
-        endpoint,
-        Sample {
-            ok: resp.status < 500,
-            latency_us: dur_us,
-            served,
-        },
-    );
-    let slow = dur_us >= tunables.slow_request_us;
+    let dur_us = sample.latency_us;
     let seq = shared.access_seq.fetch_add(1, Ordering::Relaxed);
-    let sampled = tunables.access_log_sample > 0 && seq % tunables.access_log_sample == 0;
-    if !sampled && !slow {
-        return;
-    }
     let ts_ms = SystemTime::now()
         .duration_since(UNIX_EPOCH)
         .map(|d| d.as_millis() as u64)
@@ -626,7 +510,7 @@ fn observe_request(
         req.body.len(),
         resp.body.len(),
     );
-    if let Some(s) = served {
+    if let Some(s) = sample.served {
         line.push_str(&format!(
             ",\"cache\":\"{}\",\"served\":\"{}\"",
             cache_header(s),
@@ -636,15 +520,14 @@ fn observe_request(
     if let Some(t) = trace {
         line.push_str(&format!(",\"trace\":\"{}\"", t.header_value()));
     }
-    if slow {
+    if dur_us >= SLOW_REQUEST_US {
         line.push_str(",\"slow\":true");
     }
     line.push_str("}\n");
     let mut guard = shared.access_log.lock();
     if let Some(log) = guard.as_mut() {
-        let healthy = log.write_all(line.as_bytes()).and_then(|()| log.flush());
         // A dead log must not take requests down with it.
-        if healthy.is_err() {
+        if log.write_all(line.as_bytes()).is_err() {
             *guard = None;
         }
     }
@@ -688,7 +571,6 @@ fn route(shared: &Shared, req: &Request, served: &mut Option<ServedPath>) -> Res
         ("GET", ["readyz"]) => readyz(shared),
         ("GET", ["metrics"]) => metrics(shared),
         _ if !shared.ready() => Response::status(503, "starting: store recovery in progress"),
-        ("GET", ["stats"]) => stats(shared),
         ("POST", ["photos"]) => upload(shared, req),
         ("GET", ["photos", id]) => with_id(id, |id| {
             respond(shared.store().server().download(id), |b| {
@@ -708,20 +590,15 @@ fn route(shared: &Shared, req: &Request, served: &mut Option<ServedPath>) -> Res
         ("POST", ["receivers"]) => register_receiver(shared, req),
         ("POST", ["grants"]) => deposit_grant(shared, req),
         ("GET", ["grants"]) => drain_grants(shared, req),
-        ("POST", ["admin", "reload"]) => admin(shared, req, |shared| {
-            let t = shared.reload();
-            Response::text(format!(
-                "max_body:{}\nkeep_alive:{}\naccess_log_sample:{}\nslow_request_us:{}\n",
-                t.max_body, t.keep_alive, t.access_log_sample, t.slow_request_us
-            ))
-        }),
-        ("POST", ["admin", "shutdown"]) => {
-            admin(shared, req, |_| Response::status(202, "draining"))
-        }
+        ("POST", ["admin", "shutdown"]) => shutdown(shared, req),
+        // A path that exists, asked with a method it does not serve.
         (
             _,
-            ["health" | "healthz" | "readyz" | "metrics" | "stats" | "photos" | "receivers"
-            | "grants" | "admin", ..],
+            ["health" | "healthz" | "readyz" | "metrics" | "photos" | "search" | "receivers"
+            | "grants"]
+            | ["photos", _]
+            | ["photos", _, "params" | "transformed" | "transform"]
+            | ["admin", "shutdown"],
         ) => Response::status(405, "method not allowed"),
         _ => Response::status(404, "no such endpoint"),
     }
@@ -757,7 +634,7 @@ fn readyz(shared: &Shared) -> Response {
 
 /// The Prometheus text exposition: the process-wide [`puppies_obs`]
 /// registry, the per-endpoint SLO families, and the server's own
-/// readiness/quorum gauges. 503 when no subscriber is installed, so a
+/// readiness/connection/quorum gauges. 503 when no subscriber is installed, so a
 /// scrape of a metrics-less process is an explicit failure rather than
 /// an empty success.
 fn metrics(shared: &Shared) -> Response {
@@ -772,6 +649,12 @@ fn metrics(shared: &Shared) -> Response {
     } else {
         "psp_ready 0\n"
     });
+    out.push_str("# HELP psp_net_connections open client connections\n");
+    out.push_str("# TYPE psp_net_connections gauge\n");
+    out.push_str(&format!(
+        "psp_net_connections {}\n",
+        shared.connections.load(Ordering::Relaxed)
+    ));
     if let Some(probe) = shared.quorum.read().as_ref() {
         let (healthy, total, k) = probe();
         out.push_str("# TYPE psp_cluster_backends_healthy gauge\n");
@@ -791,26 +674,16 @@ fn with_id(raw: &str, f: impl FnOnce(PhotoId) -> Response) -> Response {
     }
 }
 
-fn admin(shared: &Shared, req: &Request, f: impl FnOnce(&Shared) -> Response) -> Response {
+/// `POST /admin/shutdown`: 202 with the admin token; the connection
+/// handler starts the drain once the response is written.
+fn shutdown(shared: &Shared, req: &Request) -> Response {
     match req.bearer() {
-        Some(token) if ct_eq(token.as_bytes(), shared.admin_token.as_bytes()) => f(shared),
+        Some(token) if ct_eq(token.as_bytes(), shared.admin_token.as_bytes()) => {
+            Response::status(202, "draining")
+        }
         Some(_) => Response::status(403, "bad admin token"),
         None => Response::status(401, "admin token required"),
     }
-}
-
-fn stats(shared: &Shared) -> Response {
-    let server = shared.store().server();
-    let cache = server.cache_stats();
-    Response::text(format!(
-        "photos:{}\ncache_hits:{}\ncache_misses:{}\ncache_entries:{}\ncache_bytes:{}\nsig_index:{}\n",
-        server.len(),
-        cache.hits,
-        cache.misses,
-        cache.entries,
-        cache.bytes,
-        server.sig_index_len(),
-    ))
 }
 
 fn upload(shared: &Shared, req: &Request) -> Response {

@@ -1,8 +1,8 @@
 //! Rolling-window SLO accounting for the networked PSP.
 //!
 //! Each endpoint gets a tracker: cumulative request/error/burn counters
-//! plus a ring of time slots (default six 10-second slots = a 60-second
-//! window) holding per-slot request counts, error counts, a latency
+//! plus a ring of time slots (six 10-second slots, a 60-second window)
+//! holding per-slot request counts, error counts, a latency
 //! histogram, and the transform-door serve-path tallies. Recording is
 //! lock-free — a handful of relaxed atomics per request; a slot whose
 //! epoch has passed is reset in place by the first thread to claim it
@@ -12,7 +12,7 @@
 //!
 //! The **error budget burn** counter increments once per failed request
 //! that lands while the rolling window's error rate already exceeds the
-//! target (default 1%, i.e. a 99% availability SLO) — a scrape-friendly
+//! target (1%, i.e. a 99% availability SLO) — a scrape-friendly
 //! monotone signal that alerting can rate() without re-deriving window
 //! state.
 
@@ -36,27 +36,15 @@ pub const ENDPOINTS: [&str; 9] = [
     "other",
 ];
 
-/// Window geometry and SLO target.
-#[derive(Debug, Clone, Copy)]
-pub struct SloConfig {
-    /// Seconds per slot.
-    pub slot_secs: u64,
-    /// Slots in the ring; the window covers `slot_secs * slots` seconds.
-    pub slots: usize,
-    /// Error-rate target (fraction of requests); the error budget burns
-    /// while the window's rate is above this.
-    pub target_error_rate: f64,
-}
+/// Seconds per slot.
+const SLOT_SECS: u64 = 10;
 
-impl Default for SloConfig {
-    fn default() -> SloConfig {
-        SloConfig {
-            slot_secs: 10,
-            slots: 6,
-            target_error_rate: 0.01,
-        }
-    }
-}
+/// Slots in the ring; the window covers `SLOT_SECS * SLOTS` seconds.
+const SLOTS: usize = 6;
+
+/// Error-rate target (fraction of requests); the error budget burns while
+/// the window's rate is above this.
+const TARGET_ERROR_RATE: f64 = 0.01;
 
 /// One request's contribution to the window.
 #[derive(Debug, Clone, Copy, Default)]
@@ -142,25 +130,17 @@ pub struct SloSnapshot {
     pub window: WindowStats,
 }
 
+#[derive(Default)]
 struct Tracker {
-    slots: Box<[Slot]>,
+    slots: [Slot; SLOTS],
     requests_total: AtomicU64,
     errors_total: AtomicU64,
     burn_total: AtomicU64,
 }
 
 impl Tracker {
-    fn new(slots: usize) -> Tracker {
-        Tracker {
-            slots: (0..slots.max(1)).map(|_| Slot::default()).collect(),
-            requests_total: AtomicU64::new(0),
-            errors_total: AtomicU64::new(0),
-            burn_total: AtomicU64::new(0),
-        }
-    }
-
     fn slot_for(&self, epoch: u64) -> &Slot {
-        let slot = &self.slots[(epoch % self.slots.len() as u64) as usize];
+        let slot = &self.slots[(epoch % SLOTS as u64) as usize];
         let tag = epoch + 1;
         if slot.tag.load(Ordering::Relaxed) != tag && slot.tag.swap(tag, Ordering::Relaxed) != tag {
             slot.reset();
@@ -170,14 +150,14 @@ impl Tracker {
 
     /// Slots still inside the window ending at `epoch`.
     fn live_slots(&self, epoch: u64) -> impl Iterator<Item = &Slot> {
-        let oldest_tag = (epoch + 1).saturating_sub(self.slots.len() as u64 - 1);
+        let oldest_tag = (epoch + 1).saturating_sub(SLOTS as u64 - 1);
         self.slots.iter().filter(move |s| {
             let tag = s.tag.load(Ordering::Relaxed);
             tag != 0 && tag >= oldest_tag && tag <= epoch + 1
         })
     }
 
-    fn record_at(&self, epoch: u64, sample: Sample, target: f64) {
+    fn record_at(&self, epoch: u64, sample: Sample) {
         let slot = self.slot_for(epoch);
         slot.requests.fetch_add(1, Ordering::Relaxed);
         slot.latency.record(sample.latency_us);
@@ -213,13 +193,13 @@ impl Tracker {
                 req += s.requests.load(Ordering::Relaxed);
                 err += s.errors.load(Ordering::Relaxed);
             }
-            if req > 0 && err as f64 / req as f64 > target {
+            if req > 0 && err as f64 / req as f64 > TARGET_ERROR_RATE {
                 self.burn_total.fetch_add(1, Ordering::Relaxed);
             }
         }
     }
 
-    fn snapshot_at(&self, epoch: u64, slot_secs: u64) -> SloSnapshot {
+    fn snapshot_at(&self, epoch: u64) -> SloSnapshot {
         let mut w = WindowStats::default();
         let merged = Histogram::new();
         let (mut hits, mut lookups, mut coeff, mut coeff_lookups) = (0u64, 0u64, 0u64, 0u64);
@@ -239,7 +219,7 @@ impl Tracker {
         }
         // Idle slots never get claimed, so count covered time from the
         // window's span, capped by how long the process could have run.
-        w.covered_secs = slot_secs * (self.slots.len() as u64).min(epoch + 1).max(live);
+        w.covered_secs = SLOT_SECS * (SLOTS as u64).min(epoch + 1).max(live);
         if w.covered_secs > 0 {
             w.request_rate = w.requests as f64 / w.covered_secs as f64;
         }
@@ -268,32 +248,30 @@ impl Tracker {
 
 /// Per-endpoint SLO trackers plus the shared clock.
 pub struct SloRegistry {
-    config: SloConfig,
     start: Instant,
     trackers: Vec<(&'static str, Tracker)>,
 }
 
 impl Default for SloRegistry {
     fn default() -> Self {
-        SloRegistry::new(SloConfig::default())
+        SloRegistry::new()
     }
 }
 
 impl SloRegistry {
     /// A registry with one tracker per [`ENDPOINTS`] entry.
-    pub fn new(config: SloConfig) -> SloRegistry {
+    pub fn new() -> SloRegistry {
         SloRegistry {
-            config,
             start: Instant::now(),
             trackers: ENDPOINTS
                 .iter()
-                .map(|&name| (name, Tracker::new(config.slots)))
+                .map(|&name| (name, Tracker::default()))
                 .collect(),
         }
     }
 
     fn epoch(&self) -> u64 {
-        self.start.elapsed().as_secs() / self.config.slot_secs.max(1)
+        self.start.elapsed().as_secs() / SLOT_SECS
     }
 
     fn tracker(&self, endpoint: &str) -> &Tracker {
@@ -312,8 +290,7 @@ impl SloRegistry {
 
     /// Test hook: record at an explicit epoch instead of the wall clock.
     pub fn record_at(&self, epoch: u64, endpoint: &str, sample: Sample) {
-        self.tracker(endpoint)
-            .record_at(epoch, sample, self.config.target_error_rate);
+        self.tracker(endpoint).record_at(epoch, sample);
     }
 
     /// One endpoint's snapshot at the current epoch.
@@ -323,8 +300,7 @@ impl SloRegistry {
 
     /// Test hook: snapshot at an explicit epoch.
     pub fn snapshot_at(&self, epoch: u64, endpoint: &str) -> SloSnapshot {
-        self.tracker(endpoint)
-            .snapshot_at(epoch, self.config.slot_secs)
+        self.tracker(endpoint).snapshot_at(epoch)
     }
 
     /// Renders every tracker in the Prometheus text format, labelled by
@@ -337,7 +313,7 @@ impl SloRegistry {
         let snaps: Vec<(&str, SloSnapshot)> = self
             .trackers
             .iter()
-            .map(|(name, t)| (*name, t.snapshot_at(epoch, self.config.slot_secs)))
+            .map(|(name, t)| (*name, t.snapshot_at(epoch)))
             .filter(|(_, s)| s.requests_total > 0)
             .collect();
         if snaps.is_empty() {
@@ -451,7 +427,7 @@ mod tests {
 
     #[test]
     fn window_tracks_rates_and_quantiles() {
-        let reg = SloRegistry::new(SloConfig::default());
+        let reg = SloRegistry::new();
         for i in 0..100 {
             reg.record_at(0, "upload", ok(100 + i));
         }
@@ -468,52 +444,47 @@ mod tests {
 
     #[test]
     fn old_slots_roll_out_of_the_window() {
-        let cfg = SloConfig {
-            slot_secs: 10,
-            slots: 3,
-            target_error_rate: 0.01,
-        };
-        let reg = SloRegistry::new(cfg);
+        let reg = SloRegistry::new();
         reg.record_at(0, "download", ok(50));
         reg.record_at(1, "download", ok(50));
-        // Window at epoch 2 still sees both...
-        assert_eq!(reg.snapshot_at(2, "download").window.requests, 2);
-        // ...but at epoch 3 the window is epochs 1..=3, so the epoch-0
-        // slot has rolled out; at epoch 10 the whole window is empty while
-        // the cumulative counters keep the history.
-        assert_eq!(reg.snapshot_at(3, "download").window.requests, 1);
-        let s = reg.snapshot_at(10, "download");
+        // The window is six 10 s slots: at epoch 5 it still sees both...
+        assert_eq!(reg.snapshot_at(5, "download").window.requests, 2);
+        assert_eq!(reg.snapshot_at(5, "download").window.covered_secs, 60);
+        // ...but at epoch 6 it is epochs 1..=6, so the epoch-0 slot has
+        // rolled out; at epoch 20 the whole window is empty while the
+        // cumulative counters keep the history.
+        assert_eq!(reg.snapshot_at(6, "download").window.requests, 1);
+        let s = reg.snapshot_at(20, "download");
         assert_eq!(s.window.requests, 0);
         assert_eq!(s.requests_total, 2);
-        // A new record at epoch 10 reuses (and resets) a stale slot.
-        reg.record_at(10, "download", ok(50));
-        assert_eq!(reg.snapshot_at(10, "download").window.requests, 1);
+        // A new record at epoch 20 reuses (and resets) a stale slot.
+        reg.record_at(20, "download", ok(50));
+        assert_eq!(reg.snapshot_at(20, "download").window.requests, 1);
     }
 
     #[test]
     fn burn_counter_only_ticks_past_the_target() {
-        let cfg = SloConfig {
-            target_error_rate: 0.5,
-            ..SloConfig::default()
-        };
-        let reg = SloRegistry::new(cfg);
-        for _ in 0..10 {
+        let reg = SloRegistry::new();
+        for _ in 0..100 {
             reg.record_at(0, "transformed", ok(10));
         }
-        // 1 error in 11 requests: 9% < 50% target — no burn.
+        // 1 error in 101 requests: just under the 1% target — no burn.
         reg.record_at(0, "transformed", err());
         assert_eq!(reg.snapshot_at(0, "transformed").burn_total, 0);
-        // Pile on errors until the window rate crosses 50%: burns tick.
-        for _ in 0..15 {
+        // 2 in 102 crosses it: every error from here on burns.
+        for _ in 0..16 {
             reg.record_at(0, "transformed", err());
         }
         let s = reg.snapshot_at(0, "transformed");
-        assert_eq!(s.errors_total, 16);
-        assert!(
-            s.burn_total > 0 && s.burn_total < 16,
-            "burn={}",
-            s.burn_total
-        );
+        assert_eq!(s.errors_total, 17);
+        assert_eq!(s.burn_total, 16);
+        // The rate is the window's, not the lifetime's: once the errors
+        // roll out, one error in 101 requests is under target again.
+        for _ in 0..100 {
+            reg.record_at(6, "transformed", ok(10));
+        }
+        reg.record_at(6, "transformed", err());
+        assert_eq!(reg.snapshot_at(6, "transformed").burn_total, 16);
     }
 
     #[test]

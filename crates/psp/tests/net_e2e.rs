@@ -186,32 +186,6 @@ fn uploads_survive_restart_and_ids_keep_allocating() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn reload_applies_serve_conf() {
-    let dir = tmp("reload");
-    let run = start(&dir);
-    let mut client = Client::connect(&run.addr).unwrap();
-    let (bytes, params) = protected_photo(9);
-
-    std::fs::write(dir.join("serve.conf"), "max_body = 64\n").unwrap();
-    let echo = client.reload(&run.admin).unwrap();
-    assert!(echo.contains("max_body:64"), "got: {echo}");
-
-    // Uploads over the new cap are refused; small bodies still work.
-    let mut fresh = Client::connect(&run.addr).unwrap();
-    assert!(fresh.upload(&bytes, &params).is_err());
-    let mut fresh = Client::connect(&run.addr).unwrap();
-    fresh.health().unwrap();
-
-    std::fs::write(dir.join("serve.conf"), "").unwrap();
-    client.reload(&run.admin).unwrap();
-    let mut fresh = Client::connect(&run.addr).unwrap();
-    fresh.upload(&bytes, &params).unwrap();
-
-    stop(run);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 fn rand_seeded(seed: u8) -> impl rand::Rng {
     use rand::SeedableRng;
     rand_chacha::ChaCha20Rng::from_seed([seed; 32])
@@ -221,13 +195,14 @@ fn rand_seeded(seed: u8) -> impl rand::Rng {
 /// (and the one asserting its absence).
 static OBS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-/// One raw HTTP GET with arbitrary extra header lines; returns the status.
-fn raw_get(addr: &str, path: &str, extra: &str) -> u16 {
+/// One raw HTTP request with arbitrary extra header lines; returns the
+/// status.
+fn raw_request(addr: &str, method: &str, path: &str, extra: &str) -> u16 {
     use std::io::{Read, Write};
     let mut s = std::net::TcpStream::connect(addr).unwrap();
     write!(
         s,
-        "GET {path} HTTP/1.1\r\nhost: t\r\n{extra}connection: close\r\n\r\n"
+        "{method} {path} HTTP/1.1\r\nhost: t\r\n{extra}connection: close\r\n\r\n"
     )
     .unwrap();
     let mut buf = Vec::new();
@@ -238,6 +213,33 @@ fn raw_get(addr: &str, path: &str, extra: &str) -> u16 {
         .expect("status line")
         .parse()
         .expect("numeric status")
+}
+
+fn raw_get(addr: &str, path: &str, extra: &str) -> u16 {
+    raw_request(addr, "GET", path, extra)
+}
+
+#[test]
+fn unknown_paths_are_404_and_wrong_methods_on_known_paths_405() {
+    let dir = tmp("routes");
+    let run = start(&dir);
+    for (method, path, status) in [
+        ("GET", "/stats", 404),
+        ("POST", "/admin/reload", 404),
+        ("GET", "/photos/1/bogus", 404),
+        ("GET", "/admin", 404),
+        ("GET", "/nowhere", 404),
+        ("DELETE", "/photos/1", 405),
+        ("GET", "/photos/1/transformed", 405),
+        ("GET", "/search", 405),
+        ("GET", "/admin/shutdown", 405),
+        ("POST", "/metrics", 405),
+    ] {
+        let got = raw_request(&run.addr, method, path, "");
+        assert_eq!(got, status, "{method} {path}");
+    }
+    stop(run);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -310,22 +312,32 @@ fn metrics_scrape_is_prometheus_text_and_counters_are_monotone() {
         .unwrap();
 
     let first = client.metrics_text().unwrap();
-    assert!(first.contains("# TYPE psp_net_requests_total counter"));
+    assert!(first.contains("# TYPE psp_slo_requests_total counter"));
     assert!(first.contains("psp_ready 1"));
+    assert!(first.contains("psp_net_connections "));
+    for gone in [
+        "psp_net_requests_total",
+        "psp_net_errors_total",
+        "psp_net_req_us",
+        "psp_net_ready",
+        "psp_net_reloads_total",
+    ] {
+        assert!(!first.contains(gone), "{gone} is still served");
+    }
     assert!(first.contains("psp_slo_requests_total{endpoint=\"transformed\"}"));
     assert!(first.contains("psp_slo_window_coeff_serve_rate{endpoint=\"transformed\"} 1"));
     assert!(first.contains("psp_slo_window_cache_hit_rate{endpoint=\"transformed\"} 0.5"));
-    let parse = |text: &str, name: &str| -> f64 {
+    // Every endpoint's requests, summed.
+    let total = |text: &str, name: &str| -> f64 {
         text.lines()
-            .find(|l| l.starts_with(name) && !l.starts_with('#'))
-            .and_then(|l| l.rsplit(' ').next())
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| panic!("series {name} missing"))
+            .filter(|l| l.starts_with(name))
+            .filter_map(|l| l.rsplit(' ').next()?.parse::<f64>().ok())
+            .sum()
     };
     client.download(receipt.id).unwrap();
     let second = client.metrics_text().unwrap();
     assert!(
-        parse(&second, "psp_net_requests_total") > parse(&first, "psp_net_requests_total"),
+        total(&second, "psp_slo_requests_total") > total(&first, "psp_slo_requests_total"),
         "request counter must be monotone across scrapes"
     );
     // The structured access log captured the served-path fields.
