@@ -209,9 +209,8 @@ pub fn run(config: RunConfig) -> Result<ClusterResults, String> {
     let reconstruct_naive_mb_s = time_reconstruct(&shares, mk, payload.len(), 4, gf256::mul_naive);
 
     // --- End-to-end cluster workload. ---
-    let mut cfg = ClusterConfig::new(config.n, config.k);
-    cfg.backend = PspConfig::uncached();
-    let cluster = ShardedPspCluster::new(cfg).map_err(|e| e.to_string())?;
+    let cluster = ShardedPspCluster::new(ClusterConfig::new(config.n, config.k))
+        .map_err(|e| e.to_string())?;
     let fixtures: Vec<_> = (0..8).map(|i| fixture(i as u8 + 1)).collect();
 
     let (upload_stats, ids) = run_loop(config.threads, config.upload_ops, |i| {

@@ -394,9 +394,8 @@ fn trace_stitch(addr: &str, photo: &(Vec<u8>, Vec<u8>)) -> Result<(), String> {
     client
         .download_transformed_traced(receipt.id, &Transformation::Rotate90)
         .map_err(|e| format!("stitch transform: {e}"))?;
-    let mut cfg = puppies_psp::ClusterConfig::new(3, 2);
-    cfg.backend = PspConfig::uncached();
-    let cluster = puppies_psp::ShardedPspCluster::new(cfg).map_err(|e| e.to_string())?;
+    let cluster = puppies_psp::ShardedPspCluster::new(puppies_psp::ClusterConfig::new(3, 2))
+        .map_err(|e| e.to_string())?;
     let grant = puppies_core::OwnerKey::from_seed([7u8; 32]).grant_all();
     let id = cluster
         .upload(photo.0.clone(), photo.1.clone(), &grant)

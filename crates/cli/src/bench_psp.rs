@@ -23,12 +23,11 @@
 //! same machine in the same process makes the speedup ratios
 //! machine-independent, which is what the CI gate checks.
 //!
-//! Before timing anything, the harness proves the two servers agree: the
-//! batch APIs (`transform_batch`, `download_batch`) fan the whole key
-//! population across a worker pool and every answer must be
-//! byte-identical to the legacy pipeline's.
+//! Before timing anything, the harness proves the two servers agree:
+//! every `download_transformed` answer over the whole key population
+//! must be byte-identical to the legacy pipeline's, and every `download`
+//! must return the uploaded bytes.
 
-use puppies_core::parallel::{with_pool, WorkerPool};
 use puppies_core::{protect, OwnerKey, ProtectOptions, PublicParams};
 use puppies_image::{Rect, Rgb, RgbImage};
 use puppies_jpeg::{CoeffImage, EncodeOptions};
@@ -561,8 +560,8 @@ pub(crate) fn warm_allocator() {
 /// Runs both scenarios against both servers and returns the comparison.
 ///
 /// # Errors
-/// Fails if the byte-identity verification between the current server's
-/// batch APIs and the legacy pipeline finds any divergence.
+/// Fails if the byte-identity verification between the current server
+/// and the legacy pipeline finds any divergence.
 pub fn run(config: RunConfig) -> Result<PspResults, String> {
     warm_allocator();
 
@@ -588,8 +587,8 @@ pub fn run(config: RunConfig) -> Result<PspResults, String> {
     );
     let transforms = repeat_transforms();
 
-    // --- Byte-identity verification (also the batch APIs' CLI workout).
-    verify_parity(&repeat_photos, &mixed_photos, &transforms, config.threads)?;
+    // --- Byte-identity verification.
+    verify_parity(&repeat_photos, &mixed_photos, &transforms)?;
 
     // --- Serve-path audit (counter-verified, before anything is timed).
     let serve = audit_serve_paths(&repeat_photos, &transforms)?;
@@ -807,16 +806,14 @@ fn upload_keys<S>(
     keys
 }
 
-/// Every (photo, view) answer from the current server's `transform_batch`
-/// — fanned across a worker pool — must be byte-identical to the legacy
-/// pipeline's, and `download_batch` must return the uploaded bytes
-/// unchanged. A bench that compares servers doing *different* work would
+/// Every (photo, view) answer from the current server's
+/// `download_transformed` must be byte-identical to the legacy
+/// pipeline's, and `download` must return the uploaded bytes unchanged. A bench that compares servers doing *different* work would
 /// be meaningless, so parity failures are fatal.
 fn verify_parity(
     repeat_photos: &[(Vec<u8>, Vec<u8>)],
     mixed_photos: &[(Vec<u8>, Vec<u8>)],
     transforms: &[Transformation],
-    threads: usize,
 ) -> Result<(), String> {
     let legacy = LegacyServer::new();
     let legacy_keys = upload_keys(&legacy, repeat_photos, transforms, LegacyServer::upload);
@@ -824,19 +821,15 @@ fn verify_parity(
     let current_keys = upload_keys(&current, repeat_photos, transforms, |s, b, p| {
         s.upload(b, p).expect("upload").0
     });
-    let requests: Vec<(PhotoId, Transformation)> = current_keys
-        .iter()
-        .map(|(id, t)| (PhotoId(*id), t.clone()))
-        .collect();
-    let pool = WorkerPool::new(threads.clamp(1, 4));
-    let batch = with_pool(&pool, || current.transform_batch(&requests));
-    for (i, result) in batch.into_iter().enumerate() {
-        let (bytes, params) = result.map_err(|e| format!("transform_batch[{i}]: {e}"))?;
+    for (i, (id, t)) in current_keys.iter().enumerate() {
+        let (bytes, params) = current
+            .download_transformed(PhotoId(*id), t)
+            .map_err(|e| format!("download_transformed[{i}]: {e}"))?;
         let (id, ref t) = legacy_keys[i];
         let (lb, lp) = legacy.download_transformed(id, t);
         if bytes.as_ref() != lb.as_slice() || params.as_ref() != lp.as_slice() {
             return Err(format!(
-                "parity violation: transform_batch[{i}] diverged from the legacy pipeline"
+                "parity violation: download_transformed[{i}] diverged from the legacy pipeline"
             ));
         }
     }
@@ -844,12 +837,13 @@ fn verify_parity(
         .iter()
         .map(|(b, p)| current.upload(b.clone(), p.clone()).expect("upload"))
         .collect();
-    let downloads = with_pool(&pool, || current.download_batch(&ids));
-    for (i, result) in downloads.into_iter().enumerate() {
-        let bytes = result.map_err(|e| format!("download_batch[{i}]: {e}"))?;
+    for (i, &id) in ids.iter().enumerate() {
+        let bytes = current
+            .download(id)
+            .map_err(|e| format!("download[{i}]: {e}"))?;
         if bytes.as_ref() != mixed_photos[i].0.as_slice() {
             return Err(format!(
-                "parity violation: download_batch[{i}] did not return the uploaded bytes"
+                "parity violation: download[{i}] did not return the uploaded bytes"
             ));
         }
     }

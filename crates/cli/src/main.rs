@@ -318,34 +318,32 @@ fn cmd_protect_batch(args: &[String]) -> CliResult {
         Some(n) => puppies_core::parallel::WorkerPool::new(
             n.parse().map_err(|e| format!("bad --threads: {e}"))?,
         ),
-        None => puppies_core::parallel::current(),
+        None => puppies_core::parallel::WorkerPool::global().clone(),
     };
     std::fs::create_dir_all(out_dir).map_err(|e| format!("creating {out_dir}: {e}"))?;
 
     let obs = obs_from_args(args);
-    let results = puppies_core::parallel::with_pool(&pool, || {
-        pool.map_indexed(inputs.len(), |i| -> Result<String, String> {
-            let input = inputs[i];
-            let stem = std::path::Path::new(input)
-                .file_stem()
-                .and_then(|s| s.to_str())
-                .ok_or_else(|| format!("cannot derive a file stem from {input:?}"))?;
-            let img = img_io::load_ppm(input).map_err(|e| format!("loading {input}: {e}"))?;
-            let rois = gather_rois(args, &img)?;
-            let opts = opts.clone().with_image_id(opts.image_id + i as u64);
-            let protected = protect(&img, &rois, &key, &opts).map_err(|e| e.to_string())?;
-            let jpg = format!("{out_dir}/{stem}.jpg");
-            let pup = format!("{out_dir}/{stem}.pup");
-            std::fs::write(&jpg, &protected.bytes).map_err(|e| format!("writing {jpg}: {e}"))?;
-            std::fs::write(&pup, protected.params.to_bytes())
-                .map_err(|e| format!("writing {pup}: {e}"))?;
-            Ok(format!(
-                "{input} -> {jpg} ({} bytes, {} region(s), id {})",
-                protected.bytes.len(),
-                protected.params.rois.len(),
-                opts.image_id
-            ))
-        })
+    let results = pool.map_indexed(inputs.len(), |i| -> Result<String, String> {
+        let input = inputs[i];
+        let stem = std::path::Path::new(input)
+            .file_stem()
+            .and_then(|s| s.to_str())
+            .ok_or_else(|| format!("cannot derive a file stem from {input:?}"))?;
+        let img = img_io::load_ppm(input).map_err(|e| format!("loading {input}: {e}"))?;
+        let rois = gather_rois(args, &img)?;
+        let opts = opts.clone().with_image_id(opts.image_id + i as u64);
+        let protected = protect(&img, &rois, &key, &opts).map_err(|e| e.to_string())?;
+        let jpg = format!("{out_dir}/{stem}.jpg");
+        let pup = format!("{out_dir}/{stem}.pup");
+        std::fs::write(&jpg, &protected.bytes).map_err(|e| format!("writing {jpg}: {e}"))?;
+        std::fs::write(&pup, protected.params.to_bytes())
+            .map_err(|e| format!("writing {pup}: {e}"))?;
+        Ok(format!(
+            "{input} -> {jpg} ({} bytes, {} region(s), id {})",
+            protected.bytes.len(),
+            protected.params.rois.len(),
+            opts.image_id
+        ))
     });
     if let Some(o) = obs {
         o.finish()?;

@@ -325,6 +325,36 @@ fn trace_and_stats_flags_are_observable_and_inert() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Without `--golden-dir`, the conformance subcommand finds the
+/// committed golden vectors from any working directory.
+#[test]
+fn conformance_finds_golden_vectors_outside_the_repo_root() {
+    let dir = tmp_dir("conf_cwd");
+    let mut cmd = bin();
+    cmd.arg("conformance").current_dir(&dir);
+    for suite in [
+        "oracle",
+        "differential",
+        "serving",
+        "identity",
+        "netcheck",
+        "cluster",
+        "fuzz",
+    ] {
+        cmd.args(["--skip", suite]);
+    }
+    let out = cmd.output().unwrap();
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "conformance failed outside the repo root:\n{text}\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(text.contains("golden/fixture.ppm"), "{text}");
+    assert!(text.contains(" 0 failed"), "{text}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The conformance subcommand runs the harness end-to-end (quick fuzz
 /// scale) against the committed golden vectors, and fails loudly when a
 /// golden vector is tampered with.

@@ -14,8 +14,8 @@
 //!   coefficient-exact through `recover`;
 //! * **params** — mutated `PublicParams` wire bytes must parse or fail
 //!   cleanly;
-//! * **workers** — protect/recover under a 1-thread and a multi-thread
-//!   worker pool must be byte-identical (the PR 1 determinism contract);
+//! * **workers** — protect on the calling thread and on the threads of
+//!   a worker pool must be byte-identical (the determinism contract);
 //! * **entropy** — differential decode: the lookahead table path
 //!   (`HuffDecoder::decode`) and the canonical bitwise walk
 //!   (`HuffDecoder::decode_bitwise`) must agree symbol-for-symbol — same
@@ -39,7 +39,7 @@ use puppies_core::{
 use puppies_image::{Rect, Rgb, RgbImage};
 use puppies_jpeg::codec::decode_dc;
 use puppies_jpeg::CoeffImage;
-use puppies_parallel::{with_pool, WorkerPool};
+use puppies_parallel::WorkerPool;
 
 use crate::report::Report;
 
@@ -389,9 +389,10 @@ pub fn params_campaign(cfg: &FuzzConfig, rng: &mut ChaCha20Rng, report: &mut Rep
     }
 }
 
-/// Campaign 4: worker-count invariance — protect and recover must not
-/// depend on the pool width.
+/// Campaign 4: worker invariance — protect must give the same bytes on
+/// the calling thread and on the threads of a three-worker pool.
 pub fn worker_campaign(cfg: &FuzzConfig, rng: &mut ChaCha20Rng, report: &mut Report) {
+    let wide_pool = WorkerPool::new(3);
     for case_no in 0..cfg.worker_cases {
         let case = format!("fuzz/workers/case{case_no}");
         let img = small_image(rng.gen_range(0..=255u64));
@@ -408,25 +409,27 @@ pub fn worker_campaign(cfg: &FuzzConfig, rng: &mut ChaCha20Rng, report: &mut Rep
         };
         let opts = ProtectOptions::new(scheme, PrivacyLevel::Medium);
         let rois = [Rect::new(8, 8, 16, 16), Rect::new(24, 24, 16, 8)];
-        let serial_pool = WorkerPool::new(1);
-        let serial = with_pool(&serial_pool, || protect(&img, &rois, &key, &opts));
-        let wide_pool = WorkerPool::new(3);
-        let wide = with_pool(&wide_pool, || protect(&img, &rois, &key, &opts));
-        match (serial, wide) {
+        let serial = protect(&img, &rois, &key, &opts);
+        let wide = wide_pool.map_indexed(3, |_| protect(&img, &rois, &key, &opts));
+        match (serial, wide.into_iter().collect::<Result<Vec<_>, _>>()) {
             (Ok(a), Ok(b)) => {
-                if a.bytes == b.bytes && a.params.to_bytes() == b.params.to_bytes() {
+                if b.iter()
+                    .all(|b| a.bytes == b.bytes && a.params.to_bytes() == b.params.to_bytes())
+                {
                     report.pass(
                         case,
-                        Some(format!("{scheme:?}: 1 vs 3 workers byte-identical")),
+                        Some(format!(
+                            "{scheme:?}: calling thread vs 3 pool jobs byte-identical"
+                        )),
                     );
                 } else {
-                    report.fail(case, format!("{scheme:?}: output depends on worker count"));
+                    report.fail(case, format!("{scheme:?}: output depends on the thread"));
                 }
             }
             (a, b) => report.fail(
                 case,
                 format!(
-                    "protect outcome differs by pool: 1 worker ok={}, 3 workers ok={}",
+                    "protect outcome differs by thread: calling thread ok={}, pool jobs ok={}",
                     a.is_ok(),
                     b.is_ok()
                 ),

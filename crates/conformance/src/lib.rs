@@ -71,9 +71,14 @@ pub struct HarnessConfig {
 impl Default for HarnessConfig {
     fn default() -> Self {
         HarnessConfig {
-            golden_dir: PathBuf::from("crates/conformance/golden"),
+            // Both follow this crate's source tree, not the working
+            // directory.
+            golden_dir: PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/golden")),
             bless: false,
-            corpus_dir: Some(PathBuf::from("tests/corpus")),
+            corpus_dir: Some(PathBuf::from(concat!(
+                env!("CARGO_MANIFEST_DIR"),
+                "/../../tests/corpus"
+            ))),
             fuzz_seed: 0xC0FFEE,
             fuzz_scale: 1,
             skip: Vec::new(),

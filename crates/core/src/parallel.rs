@@ -1,9 +1,9 @@
 //! Re-export of the shared worker-pool layer ([`puppies_parallel`]).
 //!
-//! The pool runs batches of independent requests; the per-image stages in
-//! this crate (protect, perturbation, recovery) run on the calling thread.
-//! Callers reach the pool as `puppies_core::parallel`; see [`WorkerPool`]
-//! for the execution model and [`with_pool`] for scoping a pool to a
-//! closure.
+//! The pool runs batches of independent jobs; the per-image stages in
+//! this crate (protect, perturbation, recovery) run on the calling thread
+//! and never reach for a pool themselves. Callers reach the pool as
+//! `puppies_core::parallel` and name the one they run on: a
+//! [`WorkerPool::new`] of their own or [`WorkerPool::global`].
 
 pub use puppies_parallel::*;

@@ -1,11 +1,12 @@
-//! SERIAL == PARALLEL determinism: the worker pool must never change a
-//! single byte of output. `protect` is the full pipeline (forward DCT,
-//! per-ROI perturbation, optimized-table entropy encode), so comparing its
-//! JPEG bytes and parameter wire bytes across worker counts exercises
-//! every parallel code path at once.
+//! SERIAL == PARALLEL determinism: running on a worker thread must never
+//! change a single byte of output. `protect` is the full pipeline
+//! (forward DCT, per-ROI perturbation, optimized-table entropy encode),
+//! so comparing its JPEG bytes and parameter wire bytes from the calling
+//! thread with those from the threads of a three-worker pool covers every
+//! stage at once.
 
 use proptest::prelude::*;
-use puppies_core::parallel::{with_pool, WorkerPool};
+use puppies_core::parallel::WorkerPool;
 use puppies_core::{protect, recover, OwnerKey, PrivacyLevel, ProtectOptions, Scheme};
 use puppies_image::{Rect, Rgb, RgbImage};
 
@@ -20,9 +21,10 @@ fn test_image(w: u32, h: u32, tone: u8) -> RgbImage {
 }
 
 /// Observability must be invisible in the output: protecting with a live
-/// subscriber — at any worker count — yields the same bytes as the plain
-/// uninstrumented run, and recovery agrees too. This is the determinism
-/// guard for the span/metric layer threaded through the pipeline.
+/// subscriber — on the calling thread or on pool workers — yields the
+/// same bytes as the plain uninstrumented run, and recovery agrees too.
+/// This is the determinism guard for the span/metric layer threaded
+/// through the pipeline.
 #[test]
 fn instrumentation_does_not_change_output_bytes() {
     let img = test_image(96, 80, 0x3C);
@@ -31,27 +33,28 @@ fn instrumentation_does_not_change_output_bytes() {
     let rois = [Rect::new(8, 8, 16, 16), Rect::new(72, 56, 16, 16)];
 
     // Plain run, no subscriber anywhere.
-    let plain = {
-        let pool = WorkerPool::new(1);
-        with_pool(&pool, || protect(&img, &rois, &key, &opts)).unwrap()
-    };
+    let plain = protect(&img, &rois, &key, &opts).unwrap();
     let rec_plain = recover(&plain, &key.grant_all()).unwrap();
 
-    // Instrumented runs: subscriber installed, spans and metrics live.
+    // Instrumented runs, on this thread and in three pool jobs:
+    // subscriber installed, spans and metrics live.
     let session = puppies_obs::Obs::install();
-    for workers in [1usize, 2, 4] {
-        let pool = WorkerPool::new(workers);
-        let instrumented = with_pool(&pool, || protect(&img, &rois, &key, &opts)).unwrap();
+    let run = || {
+        let protected = protect(&img, &rois, &key, &opts).unwrap();
+        let rec = recover(&protected, &key.grant_all()).unwrap();
+        (protected, rec)
+    };
+    let runs = std::iter::once(run()).chain(WorkerPool::new(3).map_indexed(3, |_| run()));
+    for (i, (instrumented, rec)) in runs.enumerate() {
         assert_eq!(
             plain.bytes, instrumented.bytes,
-            "JPEG bytes diverged at {workers} workers with a subscriber installed"
+            "JPEG bytes diverged in run {i} with a subscriber installed"
         );
         assert_eq!(
             plain.params.to_bytes(),
             instrumented.params.to_bytes(),
-            "public parameters diverged at {workers} workers with a subscriber installed"
+            "public parameters diverged in run {i} with a subscriber installed"
         );
-        let rec = with_pool(&pool, || recover(&instrumented, &key.grant_all())).unwrap();
         assert_eq!(rec_plain, rec);
     }
     if let Some(obs) = session.finish() {
@@ -97,26 +100,24 @@ proptest! {
             Rect::new(w - 24, h - 24, 16, 16),
         ];
 
-        let serial = {
-            let pool = WorkerPool::new(1);
-            with_pool(&pool, || protect(&img, &rois, &key, &opts)).unwrap()
+        let run = || {
+            let protected = protect(&img, &rois, &key, &opts).unwrap();
+            let rec = recover(&protected, &key.grant_all()).unwrap();
+            (protected, rec)
         };
-        for workers in [2usize, 4, 8] {
-            let pool = WorkerPool::new(workers);
-            let parallel = with_pool(&pool, || protect(&img, &rois, &key, &opts)).unwrap();
+        let (serial, rec_serial) = run();
+        let on_workers = WorkerPool::new(3).map_indexed(3, |_| run());
+        for (job, (parallel, rec_parallel)) in on_workers.iter().enumerate() {
             prop_assert_eq!(
                 &serial.bytes, &parallel.bytes,
-                "JPEG bytes diverged at {} workers", workers
+                "JPEG bytes diverged in pool job {}", job
             );
             prop_assert_eq!(
                 serial.params.to_bytes(), parallel.params.to_bytes(),
-                "public parameters diverged at {} workers", workers
+                "public parameters diverged in pool job {}", job
             );
-            // Recovery under the pool matches too (decode + recover_rois).
-            let rec_serial = recover(&serial, &key.grant_all()).unwrap();
-            let rec_parallel =
-                with_pool(&pool, || recover(&parallel, &key.grant_all())).unwrap();
-            prop_assert_eq!(&rec_serial, &rec_parallel);
+            // Recovery on a worker matches too (decode + recover_rois).
+            prop_assert_eq!(&rec_serial, rec_parallel);
         }
     }
 }

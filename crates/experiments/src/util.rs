@@ -76,7 +76,7 @@ pub fn header(title: &str) {
 /// deterministic per index and results are reassembled in index order, so
 /// the output matches sequential generation exactly).
 pub fn load(profile: DatasetProfile, seed: u64) -> Vec<LabeledImage> {
-    puppies_core::parallel::current().map_indexed(profile.count, |idx| {
+    puppies_core::parallel::WorkerPool::global().map_indexed(profile.count, |idx| {
         puppies_datasets::generate_one(profile, seed, idx)
     })
 }
@@ -84,7 +84,7 @@ pub fn load(profile: DatasetProfile, seed: u64) -> Vec<LabeledImage> {
 /// Runs `f` over items on the shared worker pool, collecting results in
 /// order.
 pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    puppies_core::parallel::current().map_slice(items, f)
+    puppies_core::parallel::WorkerPool::global().map_slice(items, f)
 }
 
 #[cfg(test)]

@@ -1,23 +1,25 @@
 //! The shared worker-pool execution layer for batches of independent
-//! requests in the PuPPIeS stack (PSP batch transforms and downloads,
-//! the multi-backend cluster fan-out, `protect-batch`, experiment
-//! sweeps). Per-image stages do not use it: a single protect, transform
-//! or recovery runs on its calling thread, and concurrent requests are
-//! the parallelism.
+//! jobs in the PuPPIeS stack (`protect-batch`, experiment sweeps, the
+//! benchmark's fixture generation). Per-image stages do not use it: a
+//! single protect, transform or recovery runs on its calling thread, and
+//! concurrent requests are the parallelism. No library code picks a pool
+//! implicitly; a caller names the pool it runs on, either one it built
+//! with [`WorkerPool::new`] or the process-wide [`WorkerPool::global`]
+//! (sized by `PUPPIES_THREADS` or the machine's available parallelism).
 //!
 //! # Design
 //!
 //! One [`WorkerPool`] owns a set of persistent worker threads fed from a
 //! single MPMC job queue. Work is submitted through the *scoped* entry
-//! points [`WorkerPool::map_indexed`] / [`WorkerPool::run`], which:
+//! point [`WorkerPool::map_indexed`], which:
 //!
-//! - return only after every submitted job has finished, so jobs may
+//! - returns only after every submitted job has finished, so jobs may
 //!   borrow from the caller's stack (the internal lifetime erasure is
 //!   sound because of exactly this barrier);
-//! - reassemble results **in submission order**, which is what makes
-//!   every parallel pipeline stage bit-identical to its serial
-//!   counterpart regardless of worker count or scheduling;
-//! - make the waiting thread *help*: while its own jobs are
+//! - reassembles results **in submission order**, which is what makes
+//!   every batch bit-identical to its serial counterpart regardless of
+//!   worker count or scheduling;
+//! - makes the waiting thread *help*: while its own jobs are
 //!   outstanding it drains other jobs from the shared queue instead of
 //!   blocking. Nested parallelism (a batch job that itself submits a
 //!   batch) therefore cannot deadlock even with one worker thread.
@@ -26,13 +28,6 @@
 //! thread; combined with ordered reassembly this gives the
 //! SERIAL == PARALLEL property that `crates/core/tests/parallel.rs`
 //! checks end-to-end.
-//!
-//! # Pool selection
-//!
-//! Code that wants parallelism calls [`current`], which resolves to (in
-//! order): the pool installed by the nearest enclosing [`with_pool`] on
-//! this thread, else the process-wide [`WorkerPool::global`] pool (sized
-//! by `PUPPIES_THREADS` or the machine's available parallelism).
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -42,11 +37,6 @@ use std::time::Instant;
 use crossbeam::channel::{self, Receiver, Sender};
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// A borrowed job as accepted by [`WorkerPool::run`] — it may capture
-/// references into the caller's stack, which is sound because `run` does
-/// not return until every job has finished.
-pub type ScopedJob<'env> = Box<dyn FnOnce() + Send + 'env>;
 
 struct Inner {
     sender: Option<Sender<Job>>,
@@ -247,22 +237,6 @@ impl WorkerPool {
     {
         self.map_indexed(items.len(), move |i| f(&items[i]))
     }
-
-    /// Runs independent closures to completion (no results). Panics are
-    /// propagated after all jobs settle.
-    pub fn run<'env>(&self, jobs: Vec<ScopedJob<'env>>) {
-        let mut jobs = jobs;
-        let slots: Vec<Mutex<Option<ScopedJob<'env>>>> =
-            jobs.drain(..).map(|j| Mutex::new(Some(j))).collect();
-        self.map_indexed(slots.len(), |i| {
-            let job = slots[i]
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .take()
-                .expect("each job runs once");
-            job();
-        });
-    }
 }
 
 /// A captured panic payload, carried from a worker back to the caller.
@@ -281,35 +255,6 @@ fn default_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-thread_local! {
-    static CURRENT: std::cell::RefCell<Vec<WorkerPool>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
-
-/// Installs `pool` as the pool [`current`] resolves to on this thread
-/// for the duration of `f`. Nestable; the innermost installation wins.
-pub fn with_pool<R>(pool: &WorkerPool, f: impl FnOnce() -> R) -> R {
-    CURRENT.with(|stack| stack.borrow_mut().push(pool.clone()));
-    struct PopOnDrop;
-    impl Drop for PopOnDrop {
-        fn drop(&mut self) {
-            CURRENT.with(|stack| {
-                stack.borrow_mut().pop();
-            });
-        }
-    }
-    let _guard = PopOnDrop;
-    f()
-}
-
-/// The pool parallel pipeline stages should use: the innermost
-/// [`with_pool`] installation on this thread, else the global pool.
-pub fn current() -> WorkerPool {
-    CURRENT
-        .with(|stack| stack.borrow().last().cloned())
-        .unwrap_or_else(|| WorkerPool::global().clone())
 }
 
 #[cfg(test)]
@@ -383,15 +328,6 @@ mod tests {
     }
 
     #[test]
-    fn with_pool_overrides_current_per_thread() {
-        let serial = WorkerPool::new(1);
-        let outer = current().threads();
-        let inner = with_pool(&serial, || current().threads());
-        assert_eq!(inner, 1);
-        assert_eq!(current().threads(), outer);
-    }
-
-    #[test]
     fn pool_metrics_recorded_when_subscribed() {
         let session = puppies_obs::Obs::install();
         let pool = WorkerPool::new(2);
@@ -418,20 +354,5 @@ mod tests {
             .find(|(n, _)| n == "pool.queue_depth")
             .map_or(0, |&(_, v)| v);
         assert_eq!(depth, 0);
-    }
-
-    #[test]
-    fn run_executes_every_job() {
-        let pool = WorkerPool::new(3);
-        let counter = AtomicUsize::new(0);
-        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = (0..20)
-            .map(|_| {
-                Box::new(|| {
-                    counter.fetch_add(1, Ordering::Relaxed);
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        pool.run(jobs);
-        assert_eq!(counter.load(Ordering::Relaxed), 20);
     }
 }

@@ -13,9 +13,10 @@ use std::time::Duration;
 pub enum Fault {
     /// The backend is dead: every store/fetch against it errors.
     Kill,
-    /// The backend serves its share with bytes flipped (caught by the
-    /// share integrity tag — a corrupting backend must look like a dead
-    /// one to the reconstructor, never like a healthy one).
+    /// The backend stores and serves its share with bytes flipped
+    /// (caught by the share integrity tag — a corrupting backend must
+    /// look like a dead one to the reconstructor, never like a healthy
+    /// one).
     Corrupt,
     /// The backend answers after sleeping this many milliseconds
     /// (exercises the fetch path's tolerance of slow quorum members).
@@ -75,8 +76,8 @@ impl FaultPlan {
     /// Applies the armed fault to an operation against `backend`:
     /// sleeps through `Delay` then reports the backend usable, reports
     /// `Kill` as unusable, and hands `Corrupt` back for the caller to
-    /// mangle the share bytes (stores ignore it; fetches flip bits so
-    /// the tag check fires).
+    /// mangle the share bytes (stores and fetches flip different bits,
+    /// so the tag check fires).
     pub fn apply(&self, backend: usize) -> FaultOutcome {
         match self.get(backend) {
             None => FaultOutcome::Healthy,

@@ -7,9 +7,10 @@
 //! serialized [`KeyGrant`] (private perturbation matrices) together with
 //! the protected JPEG payload — is framed, Shamir-split over GF(2⁸)
 //! ([`shamir`]), and one share is stored on each of `n` independent
-//! simulated backends (each a full [`PspServer`]). Public parameters stay
-//! public and are replicated. Any `k` backends reconstruct the upload
-//! byte-exactly; any `k−1` learn nothing (information-theoretically — the
+//! simulated backends, each only a map from (upload id, generation) to
+//! share bytes. Public parameters stay public and are held by the
+//! cluster. Any `k` backends reconstruct the upload byte-exactly; any
+//! `k−1` learn nothing (information-theoretically — the
 //! `puppies-attacks` leakage oracles measure this rather than assume it).
 //!
 //! Because the perturbed image itself is inside the split secret, a
@@ -18,54 +19,55 @@
 //! backends cannot apply server-side transformations; receivers
 //! reconstruct and recover locally. DESIGN.md lays out the trade.
 //!
+//! Stores and fetches visit the backends in a plain loop on the calling
+//! thread; the split and the digest run first, so each visit is one map
+//! insert or lookup.
+//!
 //! Failure injection ([`fault`]) arms per-backend Kill/Corrupt/Delay
 //! faults consulted on every share store/fetch, and
 //! [`ShardedPspCluster::replace_backend`] + `rebalance` re-share with
 //! fresh randomness under a bumped generation so replaced capacity heals
-//! and stale shares can never be mixed into a fresh quorum.
+//! and stale shares can never be mixed into a fresh quorum. A successful
+//! rebalance drops the old generation, and a store that misses its
+//! quorum drops what it wrote; a killed backend keeps what it holds,
+//! which the generation in the lookup key never reads again.
 
 pub mod fault;
 pub mod gf256;
 pub mod shamir;
 
 use crate::sha256::sha256_concat;
-use crate::store::{PhotoId, PspConfig, PspServer};
 use crate::{PspError, Result};
 use fault::{Fault, FaultOutcome, FaultPlan};
-use parking_lot::RwLock;
-use puppies_core::parallel;
+use parking_lot::{Mutex, RwLock};
 use puppies_core::{KeyGrant, PublicParams};
 use puppies_image::RgbImage;
 use shamir::Share;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Identifier of an upload in the cluster (distinct from the per-backend
-/// [`PhotoId`]s its shares map to).
+/// Identifier of an upload in the cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ClusterPhotoId(pub u64);
 
-/// Cluster shape and per-backend tuning.
+/// Cluster shape and split seed.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
     /// Number of backends (shares issued per upload), 1 ..= 255.
     pub n: usize,
     /// Reconstruction threshold, 1 ..= n.
     pub k: usize,
-    /// Configuration applied to every simulated backend server.
-    pub backend: PspConfig,
     /// Root seed for split randomness (per-upload seeds are derived by
     /// hashing this with the upload id, generation, and a nonce).
     pub seed: [u8; 32],
 }
 
 impl ClusterConfig {
-    /// A (n, k) cluster with default backend tuning and a fixed seed.
+    /// A (n, k) cluster with a fixed seed.
     pub fn new(n: usize, k: usize) -> Self {
         ClusterConfig {
             n,
             k,
-            backend: PspConfig::default(),
             seed: [0x5C; 32],
         }
     }
@@ -84,11 +86,18 @@ struct UploadMeta {
     params: std::sync::Arc<[u8]>,
     /// Current share generation; bumped by every rebalance.
     generation: u16,
-    /// Per-backend photo id of the stored share (`None` = missing).
-    slots: Vec<Option<PhotoId>>,
     /// SHA-256 of the framed secret, checked after reconstruction.
     secret_sha: [u8; 32],
 }
+
+/// One simulated backend: share bytes keyed by (upload id, generation).
+type Backend = RwLock<HashMap<(u64, u16), Vec<u8>>>;
+
+/// The bits a corrupting backend flips in a share's middle byte when it
+/// stores and when it serves it. They differ, so a backend that corrupts
+/// both ways never serves the share back intact.
+const STORE_FLIP: u8 = 0x01;
+const FETCH_FLIP: u8 = 0x02;
 
 /// A k-of-n cluster of simulated PSP backends with failure injection.
 ///
@@ -96,9 +105,12 @@ struct UploadMeta {
 /// can drive uploads, faults, and rebalances from many threads.
 pub struct ShardedPspCluster {
     config: ClusterConfig,
-    backends: Vec<RwLock<PspServer>>,
+    backends: Vec<Backend>,
     faults: FaultPlan,
     uploads: RwLock<HashMap<u64, UploadMeta>>,
+    /// Held through each rebalance, so two re-shares of one upload never
+    /// interleave their stores under the same (id, generation) key.
+    rebalancing: Mutex<()>,
     next_id: AtomicU64,
     split_nonce: AtomicU64,
 }
@@ -162,14 +174,13 @@ impl ShardedPspCluster {
                 config.n, config.k
             )));
         }
-        let backends = (0..config.n)
-            .map(|_| RwLock::new(PspServer::with_config(config.backend.clone())))
-            .collect();
+        let backends = (0..config.n).map(|_| Backend::default()).collect();
         Ok(ShardedPspCluster {
             faults: FaultPlan::healthy(config.n),
             backends,
             config,
             uploads: RwLock::new(HashMap::new()),
+            rebalancing: Mutex::new(()),
             next_id: AtomicU64::new(1),
             split_nonce: AtomicU64::new(0),
         })
@@ -229,44 +240,47 @@ impl ShardedPspCluster {
     }
 
     /// Splits `secret` at `generation` and stores one share per backend,
-    /// honoring armed faults. Returns the slot vector and how many
-    /// shares were stored *healthily* (corrupting backends store mangled
-    /// bytes, which cannot count toward a reconstruction quorum).
-    fn store_shares(
-        &self,
-        id: u64,
-        secret: &[u8],
-        generation: u16,
-        params: &[u8],
-    ) -> Result<(Vec<Option<PhotoId>>, usize)> {
+    /// honoring armed faults. Fails, and drops the shares it stored, when
+    /// fewer than k were stored *healthily* (corrupting backends store
+    /// mangled bytes, which cannot count toward a reconstruction quorum).
+    fn store_shares(&self, id: u64, secret: &[u8], generation: u16) -> Result<()> {
         let seed = self.derive_split_seed(id, generation);
         let shares = shamir::split(secret, self.config.n, self.config.k, generation, seed)
             .map_err(|e| cluster_err(e.to_string()))?;
-        // Worker threads have their own span stacks, so each backend call
-        // parents itself explicitly to keep the trace tree connected.
-        let parent = puppies_obs::current_span_id();
-        let stored = parallel::current().map_indexed(self.config.n, |i| {
-            let _span = puppies_obs::span_with_parent("cluster.backend.store", "cluster", parent);
-            let outcome = self.faults.apply(i);
-            if outcome == FaultOutcome::Dead {
-                return (None, false);
-            }
-            let mut wire = shares[i].to_bytes();
-            let healthy = outcome == FaultOutcome::Healthy;
-            if !healthy {
+        let mut healthy = 0;
+        for (i, share) in shares.iter().enumerate() {
+            let _span = puppies_obs::span("cluster.backend.store", "cluster");
+            let mut wire = share.to_bytes();
+            match self.faults.apply(i) {
+                FaultOutcome::Dead => continue,
+                FaultOutcome::Healthy => healthy += 1,
                 // A corrupting backend mangles the share in flight; the
                 // integrity tag turns this into a loud fetch-time reject.
-                let mid = wire.len() / 2;
-                wire[mid] ^= 0x01;
+                FaultOutcome::Corrupting => {
+                    let mid = wire.len() / 2;
+                    wire[mid] ^= STORE_FLIP;
+                }
             }
-            match self.backends[i].read().upload(wire, params.to_vec()) {
-                Ok(pid) => (Some(pid), healthy),
-                Err(_) => (None, false),
+            self.backends[i].write().insert((id, generation), wire);
+        }
+        if healthy < self.config.k {
+            self.drop_shares(id, generation);
+            return Err(cluster_err(format!(
+                "quorum failed: {healthy} healthy share stores < k = {}",
+                self.config.k
+            )));
+        }
+        Ok(())
+    }
+
+    /// Drops generation `generation` of upload `id` from every backend
+    /// that is not killed right now.
+    fn drop_shares(&self, id: u64, generation: u16) {
+        for (i, backend) in self.backends.iter().enumerate() {
+            if self.faults.get(i) != Some(Fault::Kill) {
+                backend.write().remove(&(id, generation));
             }
-        });
-        let healthy_stores = stored.iter().filter(|(_, h)| *h).count();
-        let slots = stored.into_iter().map(|(pid, _)| pid).collect();
-        Ok((slots, healthy_stores))
+        }
     }
 
     /// Uploads a protected photo: frames (grant ‖ bytes) as the secret,
@@ -287,20 +301,15 @@ impl ShardedPspCluster {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let secret = frame_secret(grant, &bytes);
         let secret_sha = crate::sha256::sha256(&secret);
-        let (slots, healthy) = self.store_shares(id, &secret, 0, &params)?;
-        if healthy < self.config.k {
+        if let Err(e) = self.store_shares(id, &secret, 0) {
             puppies_obs::counted!("cluster.upload_rejected");
-            return Err(cluster_err(format!(
-                "quorum failed: {healthy} healthy share stores < k = {}",
-                self.config.k
-            )));
+            return Err(e);
         }
         self.uploads.write().insert(
             id,
             UploadMeta {
                 params: params.into(),
                 generation: 0,
-                slots,
                 secret_sha,
             },
         );
@@ -314,36 +323,42 @@ impl ShardedPspCluster {
     /// # Errors
     /// Fails on unknown ids.
     pub fn download_params(&self, id: ClusterPhotoId) -> Result<std::sync::Arc<[u8]>> {
+        self.with_meta(id, |m| m.params.clone())
+    }
+
+    /// Reads an upload's book-keeping through `f`.
+    fn with_meta<T>(&self, id: ClusterPhotoId, f: impl FnOnce(&UploadMeta) -> T) -> Result<T> {
         self.uploads
             .read()
             .get(&id.0)
-            .map(|m| m.params.clone())
+            .map(f)
             .ok_or_else(|| cluster_err(format!("unknown cluster photo {}", id.0)))
     }
 
-    /// Fetches the current-generation share held by `backend` for `id`,
-    /// honoring armed faults. `Ok(None)` means the backend has no usable
-    /// share (dead, empty slot, corrupted, or stale generation).
+    /// Fetches the generation-`generation` share held by `backend` for
+    /// `id`, honoring armed faults. `None` means the backend has no usable
+    /// share (dead, missing, corrupted, or stale generation).
     fn fetch_share(&self, id: u64, backend: usize, generation: u16) -> Option<Share> {
-        let meta_slot = {
-            let uploads = self.uploads.read();
-            uploads.get(&id)?.slots.get(backend).copied().flatten()
-        };
-        let pid = meta_slot?;
-        let outcome = self.faults.apply(backend);
-        if outcome == FaultOutcome::Dead {
-            return None;
-        }
-        let wire = self.backends[backend].read().download(pid).ok()?;
-        let mut wire = wire.to_vec();
-        if outcome == FaultOutcome::Corrupting {
-            let mid = wire.len() / 2;
-            wire[mid] ^= 0x01;
+        let _span = puppies_obs::span("cluster.backend.fetch", "cluster");
+        let mut wire = self
+            .backends
+            .get(backend)?
+            .read()
+            .get(&(id, generation))?
+            .clone();
+        match self.faults.apply(backend) {
+            FaultOutcome::Dead => return None,
+            FaultOutcome::Healthy => {}
+            FaultOutcome::Corrupting => {
+                let mid = wire.len() / 2;
+                wire[mid] ^= FETCH_FLIP;
+            }
         }
         let share = Share::from_bytes(&wire).ok()?;
         // Tag verification rejects corrupted shares; the generation check
-        // rejects stale shares surviving on a backend that missed a
-        // rebalance. Both look like "no share" to the quorum count.
+        // rejects a share whose bytes name another generation than the
+        // key it was found under. Both look like "no share" to the
+        // quorum count.
         if !share.verify() || share.generation != generation {
             puppies_obs::counted!("cluster.share_rejected");
             return None;
@@ -354,26 +369,10 @@ impl ShardedPspCluster {
     /// Reconstructs the framed secret from the given backend subset,
     /// verifying the stored SHA-256 before returning.
     fn reconstruct_secret(&self, id: ClusterPhotoId, subset: &[usize]) -> Result<Vec<u8>> {
-        let (generation, secret_sha) = {
-            let uploads = self.uploads.read();
-            let meta = uploads
-                .get(&id.0)
-                .ok_or_else(|| cluster_err(format!("unknown cluster photo {}", id.0)))?;
-            (meta.generation, meta.secret_sha)
-        };
-        let parent = puppies_obs::current_span_id();
-        let shares: Vec<Share> = parallel::current()
-            .map_indexed(subset.len(), |j| {
-                let _span =
-                    puppies_obs::span_with_parent("cluster.backend.fetch", "cluster", parent);
-                let b = subset[j];
-                if b >= self.config.n {
-                    return None;
-                }
-                self.fetch_share(id.0, b, generation)
-            })
-            .into_iter()
-            .flatten()
+        let (generation, secret_sha) = self.with_meta(id, |m| (m.generation, m.secret_sha))?;
+        let shares: Vec<Share> = subset
+            .iter()
+            .filter_map(|&b| self.fetch_share(id.0, b, generation))
             .collect();
         if shares.len() < self.config.k {
             return Err(cluster_err(format!(
@@ -429,63 +428,48 @@ impl ShardedPspCluster {
         )?)
     }
 
-    /// Swaps backend `i` for a fresh, empty server (simulating a node
-    /// replacement), clearing its fault slot and voiding its share slot
-    /// in every upload. Until [`Self::rebalance_all`] runs, uploads
-    /// tolerate one fewer failure.
+    /// Empties backend `i` (simulating a node replacement) and clears its
+    /// fault slot. Until [`Self::rebalance_all`] runs, uploads tolerate
+    /// one fewer failure.
     pub fn replace_backend(&self, i: usize) -> Result<()> {
-        if i >= self.config.n {
-            return Err(cluster_err(format!("no backend {i}")));
-        }
-        *self.backends[i].write() = PspServer::with_config(self.config.backend.clone());
+        let backend = self
+            .backends
+            .get(i)
+            .ok_or_else(|| cluster_err(format!("no backend {i}")))?;
+        backend.write().clear();
         self.faults.clear(i);
-        let mut uploads = self.uploads.write();
-        for meta in uploads.values_mut() {
-            meta.slots[i] = None;
-        }
         puppies_obs::counted!("cluster.backend_replaced");
         Ok(())
     }
 
     /// Re-shares one upload: reconstructs the secret from the current
     /// quorum, splits it again with fresh randomness under generation+1,
-    /// and stores the new shares on every live backend. Stale shares of
-    /// the old generation are rejected by the generation check wherever
-    /// they survive.
+    /// stores the new shares on every live backend, and drops the old
+    /// generation from every live backend. A killed backend keeps its
+    /// old share, which the generation in the lookup key never reads
+    /// again.
     ///
     /// # Errors
     /// Fails when the current quorum cannot reconstruct, or fewer than k
-    /// healthy backends accept the new shares.
+    /// healthy backends accept the new shares; the new shares are then
+    /// dropped and the old generation stays current.
     pub fn rebalance(&self, id: ClusterPhotoId) -> Result<()> {
         let _span = puppies_obs::span("cluster.rebalance", "psp");
+        let _one_at_a_time = self.rebalancing.lock();
         let secret = {
             let all: Vec<usize> = (0..self.config.n).collect();
             self.reconstruct_secret(id, &all)?
         };
-        let (generation, params) = {
-            let uploads = self.uploads.read();
-            let meta = uploads
-                .get(&id.0)
-                .ok_or_else(|| cluster_err(format!("unknown cluster photo {}", id.0)))?;
-            let next = meta
-                .generation
-                .checked_add(1)
-                .ok_or_else(|| cluster_err("re-share generation exhausted (u16 wrapped)"))?;
-            (next, meta.params.clone())
-        };
-        let (slots, healthy) = self.store_shares(id.0, &secret, generation, &params)?;
-        if healthy < self.config.k {
-            return Err(cluster_err(format!(
-                "rebalance quorum failed: {healthy} healthy share stores < k = {}",
-                self.config.k
-            )));
-        }
-        let mut uploads = self.uploads.write();
-        let meta = uploads
+        let generation = self
+            .with_meta(id, |m| m.generation.checked_add(1))?
+            .ok_or_else(|| cluster_err("re-share generation exhausted (u16 wrapped)"))?;
+        self.store_shares(id.0, &secret, generation)?;
+        self.uploads
+            .write()
             .get_mut(&id.0)
-            .ok_or_else(|| cluster_err(format!("unknown cluster photo {}", id.0)))?;
-        meta.generation = generation;
-        meta.slots = slots;
+            .ok_or_else(|| cluster_err(format!("unknown cluster photo {}", id.0)))?
+            .generation = generation;
+        self.drop_shares(id.0, generation - 1);
         puppies_obs::counted!("cluster.rebalances");
         Ok(())
     }
@@ -513,13 +497,7 @@ impl ShardedPspCluster {
     /// # Errors
     /// Fails on unknown ids.
     pub fn visible_shares(&self, id: ClusterPhotoId) -> Result<Vec<(usize, Share)>> {
-        let generation = {
-            let uploads = self.uploads.read();
-            uploads
-                .get(&id.0)
-                .ok_or_else(|| cluster_err(format!("unknown cluster photo {}", id.0)))?
-                .generation
-        };
+        let generation = self.with_meta(id, |m| m.generation)?;
         Ok((0..self.config.n)
             .filter_map(|b| self.fetch_share(id.0, b, generation).map(|s| (b, s)))
             .collect())
@@ -536,9 +514,12 @@ mod tests {
     }
 
     fn cluster(n: usize, k: usize) -> ShardedPspCluster {
-        let mut cfg = ClusterConfig::new(n, k);
-        cfg.backend = PspConfig::uncached();
-        ShardedPspCluster::new(cfg).unwrap()
+        ShardedPspCluster::new(ClusterConfig::new(n, k)).unwrap()
+    }
+
+    /// Shares each backend holds, over every upload and generation.
+    fn held(c: &ShardedPspCluster) -> Vec<usize> {
+        c.backends.iter().map(|b| b.read().len()).collect()
     }
 
     #[test]
@@ -583,6 +564,96 @@ mod tests {
     }
 
     #[test]
+    fn quorum_failed_upload_leaves_no_share() {
+        let c = cluster(3, 2);
+        c.fault(0, Fault::Kill);
+        c.fault(1, Fault::Corrupt);
+        assert!(c.upload(vec![5u8; 32], vec![], &grant()).is_err());
+        c.clear_faults();
+        assert_eq!(held(&c), vec![0, 0, 0]);
+    }
+
+    #[test]
+    fn corrupting_backend_never_serves_a_valid_share() {
+        // Backend 0 corrupts the share it stores and again the share it
+        // serves; the two manglings must not cancel out.
+        let c = cluster(3, 2);
+        c.fault(0, Fault::Corrupt);
+        let id = c.upload(vec![0x33; 200], vec![], &grant()).unwrap();
+        let visible: Vec<usize> = c
+            .visible_shares(id)
+            .unwrap()
+            .into_iter()
+            .map(|(b, _)| b)
+            .collect();
+        assert_eq!(visible, vec![1, 2]);
+        assert!(c.reconstruct_from(id, &[0, 1]).is_err());
+        // Healed, it still holds only the share it mangled on store.
+        c.clear_fault(0);
+        assert!(c.reconstruct_from(id, &[0, 1]).is_err());
+        assert_eq!(c.reconstruct(id).unwrap().1, vec![0x33; 200]);
+    }
+
+    #[test]
+    fn rebalances_keep_one_share_per_upload_per_backend() {
+        let c = cluster(3, 2);
+        let ids: Vec<ClusterPhotoId> = (0..2u8)
+            .map(|i| c.upload(vec![i; 64], vec![], &grant()).unwrap())
+            .collect();
+        for _ in 0..4 {
+            assert_eq!(c.rebalance_all().unwrap(), 2);
+            assert_eq!(held(&c), vec![2, 2, 2]);
+        }
+        for (i, &id) in ids.iter().enumerate() {
+            assert_eq!(c.reconstruct(id).unwrap().1, vec![i as u8; 64]);
+        }
+    }
+
+    #[test]
+    fn concurrent_rebalances_of_one_upload_stay_reconstructable() {
+        let c = cluster(3, 2);
+        let id = c.upload(vec![0x55; 256], vec![], &grant()).unwrap();
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    for _ in 0..20 {
+                        c.rebalance(id).unwrap();
+                    }
+                });
+            }
+        });
+        assert_eq!(held(&c), vec![1, 1, 1]);
+        assert_eq!(c.reconstruct(id).unwrap().1, vec![0x55; 256]);
+    }
+
+    #[test]
+    fn rebalance_that_misses_quorum_keeps_the_old_generation() {
+        let c = cluster(3, 2);
+        let id = c.upload(vec![0x44; 128], vec![], &grant()).unwrap();
+        // Backend 0 answers slowly. Once the rebalance has reconstructed
+        // and split (the split nonce moves past the upload's), backends 1
+        // and 2 die while backend 0's store sleeps, so one new share
+        // lands: below k.
+        c.fault(0, Fault::Delay(300));
+        let rebalanced = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                while c.split_nonce.load(Ordering::Relaxed) < 2 {
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                }
+                c.fault(1, Fault::Kill);
+                c.fault(2, Fault::Kill);
+            });
+            c.rebalance(id)
+        });
+        assert!(rebalanced.is_err());
+        c.clear_faults();
+        // Backend 0's generation-1 share is gone; every backend still
+        // holds its generation-0 share.
+        assert_eq!(held(&c), vec![1, 1, 1]);
+        assert_eq!(c.reconstruct(id).unwrap().1, vec![0x44; 128]);
+    }
+
+    #[test]
     fn replace_and_rebalance_restores_tolerance() {
         let c = cluster(4, 2);
         let id = c.upload(vec![0xAB; 300], vec![], &grant()).unwrap();
@@ -608,6 +679,9 @@ mod tests {
         c.fault(0, Fault::Kill);
         c.rebalance(id).unwrap();
         c.clear_fault(0);
+        // Backends 1 and 2 dropped generation 0; the killed backend 0
+        // kept it.
+        assert_eq!(held(&c), vec![1, 1, 1]);
         let shares = c.visible_shares(id).unwrap();
         assert!(
             shares.iter().all(|(b, _)| *b != 0),

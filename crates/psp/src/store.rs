@@ -22,7 +22,7 @@
 //!   can make another photo's *exact-key* lookups hit its entries. The
 //!   signature-family layer is a different matter: a miss probes the
 //!   family root's entries, and a forged upload that becomes the root
-//!   can plant what later family members are served (ROADMAP item 8).
+//!   can plant what later family members are served (ROADMAP item 3).
 //!   [`PspServer::upload`] hashes both blobs; the durable store
 //!   ([`crate::store_disk`]) hands down the digests it computes for the
 //!   WAL, so there each blob is hashed once.
@@ -32,9 +32,6 @@
 //!   codec.
 //! - **Decode memo** — transform misses on the same hot photo share one
 //!   entropy decode.
-//! - **Batch APIs** — [`PspServer::download_batch`] /
-//!   [`PspServer::transform_batch`] fan independent requests across the
-//!   ambient [`puppies_core::parallel`] worker pool.
 
 use crate::cache::{CacheStats, DecodeMemo, ServedPair, TransformCache};
 use crate::sha256::sha256;
@@ -727,29 +724,6 @@ impl PspServer {
         Ok(((new_bytes, new_params), served))
     }
 
-    /// Serves many `(photo, transformation)` requests, fanning across the
-    /// ambient worker pool ([`puppies_core::parallel::current`]). Results
-    /// come back in request order; each is exactly what
-    /// [`PspServer::download_transformed`] would return. The store is not
-    /// modified.
-    pub fn transform_batch(
-        &self,
-        requests: &[(PhotoId, Transformation)],
-    ) -> Vec<Result<ServedPair>> {
-        let _span = puppies_obs::span("psp.transform_batch", "psp");
-        puppies_core::parallel::current().map_indexed(requests.len(), |i| {
-            let (id, ref t) = requests[i];
-            self.download_transformed(id, t)
-        })
-    }
-
-    /// Downloads many photos, fanning across the ambient worker pool.
-    /// Results come back in request order.
-    pub fn download_batch(&self, ids: &[PhotoId]) -> Vec<Result<Arc<[u8]>>> {
-        let _span = puppies_obs::span("psp.download_batch", "psp");
-        puppies_core::parallel::current().map_indexed(ids.len(), |i| self.download(ids[i]))
-    }
-
     /// Number of stored photos (O(1) — maintained incrementally).
     pub fn len(&self) -> usize {
         self.photo_count.load(Ordering::Relaxed) as usize
@@ -1059,48 +1033,14 @@ mod tests {
     }
 
     #[test]
-    fn batch_apis_match_serial_results() {
-        let server = PspServer::new();
-        let (id1, _) = upload_test_photo(&server);
-        let (id2, _) = upload_test_photo(&server);
-        let requests = vec![
-            (id1, Transformation::Rotate90),
-            (id2, Transformation::FlipVertical),
-            (PhotoId(999), Transformation::Rotate90),
-            (id1, Transformation::Rotate90),
-        ];
-        let batch = server.transform_batch(&requests);
-        assert_eq!(batch.len(), 4);
-        assert!(batch[2].is_err());
-        let serial = server
-            .download_transformed(id1, &Transformation::Rotate90)
-            .unwrap();
-        assert_eq!(batch[0].as_ref().unwrap().0, serial.0);
-        assert_eq!(
-            batch[3].as_ref().unwrap().0,
-            batch[0].as_ref().unwrap().0,
-            "duplicate request in one batch serves identical bytes"
-        );
-        let downloads = server.download_batch(&[id1, PhotoId(999), id2]);
-        assert_eq!(
-            downloads[0].as_ref().unwrap(),
-            &server.download(id1).unwrap()
-        );
-        assert!(downloads[1].is_err());
-        assert_eq!(
-            downloads[2].as_ref().unwrap(),
-            &server.download(id2).unwrap()
-        );
-    }
-
-    #[test]
     fn concurrent_uploads_get_distinct_ids() {
         let server = PspServer::new();
-        let pool = puppies_core::parallel::WorkerPool::new(4);
-        let ids: std::collections::HashSet<_> = pool
-            .map_indexed(8, |_| server.upload(vec![1, 2, 3], vec![]).unwrap())
-            .into_iter()
-            .collect();
+        let ids: std::collections::HashSet<_> = std::thread::scope(|scope| {
+            let uploads: Vec<_> = (0..8)
+                .map(|_| scope.spawn(|| server.upload(vec![1, 2, 3], vec![]).unwrap()))
+                .collect();
+            uploads.into_iter().map(|h| h.join().unwrap()).collect()
+        });
         assert_eq!(ids.len(), 8);
         assert_eq!(server.len(), 8);
     }

@@ -246,8 +246,8 @@ impl DiskStore {
     }
 
     /// The in-memory server behind this store — read-only doors
-    /// (`download`, `download_params`, `download_transformed`, batch APIs,
-    /// stats) are safe to call directly; mutations must go through
+    /// (`download`, `download_params`, `download_transformed`, stats)
+    /// are safe to call directly; mutations must go through
     /// [`DiskStore::upload`] / [`DiskStore::transform`] to stay durable.
     pub fn server(&self) -> &PspServer {
         &self.server

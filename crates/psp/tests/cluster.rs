@@ -86,7 +86,7 @@ fn acknowledged_uploads_survive_n_minus_k_failures_and_rebalance() {
         assert_reconstructs(&cluster, up, &format!("upload {i} mid-failure"));
     }
 
-    // Phase 3: replace the dead backend (fresh empty server — its old
+    // Phase 3: replace the dead backend (fresh empty map — its old
     // shares are gone) and heal the corruptor, then re-share everything.
     cluster.replace_backend(1).unwrap();
     cluster.clear_fault(3);

@@ -377,9 +377,8 @@ fn trace_header_stitches_one_tree_and_malformed_headers_are_safe() {
         client
             .download_transformed(receipt.id, &Transformation::Rotate90)
             .unwrap();
-        let mut cfg = puppies_psp::ClusterConfig::new(3, 2);
-        cfg.backend = PspConfig::uncached();
-        let cluster = puppies_psp::ShardedPspCluster::new(cfg).unwrap();
+        let cluster =
+            puppies_psp::ShardedPspCluster::new(puppies_psp::ClusterConfig::new(3, 2)).unwrap();
         let grant = OwnerKey::from_seed([8u8; 32]).grant_all();
         let id = cluster
             .upload(bytes.clone(), params.clone(), &grant)

@@ -1,13 +1,14 @@
 //! Guard: one share runs every per-image stage on the calling thread.
 //!
 //! Parallelism on the share path comes from concurrent requests; the
-//! worker pool is only for batches of independent requests. This test
-//! drives protect → upload → four views → recover on an INRIA-sized photo
-//! under a wide ambient pool with tracing on, and fails if any stage fans
-//! its image out over the pool. It lives in its own test binary because
-//! the trace subscriber is process-global.
+//! worker pool is only for batches of independent jobs. This test sizes
+//! the process-wide pool to four workers, drives protect → upload → four
+//! views → recover on an INRIA-sized photo with tracing on, and fails if
+//! any stage fans its image out over a pool. It lives in its own test
+//! binary because the trace subscriber is process-global and because the
+//! pool size must be set before anything touches the global pool.
 
-use puppies_core::parallel::{with_pool, WorkerPool};
+use puppies_core::parallel::WorkerPool;
 use puppies_core::{shadow, OwnerKey, ProtectOptions, PublicParams};
 use puppies_image::{Rect, Rgb, RgbImage};
 use puppies_psp::PspServer;
@@ -38,9 +39,12 @@ fn share_path_never_fans_one_image_out_over_the_pool() {
         Transformation::Recompress { quality: 50 },
         Transformation::scale_by(WIDTH, HEIGHT, 1, 2).unwrap(),
     ];
-    let pool = WorkerPool::new(4);
+    // A serial global pool would run any fan-out inline and record no
+    // job, so the global pool gets four workers.
+    std::env::set_var("PUPPIES_THREADS", "4");
+    assert_eq!(WorkerPool::global().threads(), 4);
     let session = puppies_obs::Obs::install();
-    with_pool(&pool, || {
+    {
         let protected = puppies_core::protect(
             &img,
             &[Rect::new(128, 128, 256, 320), Rect::new(640, 960, 320, 256)],
@@ -59,7 +63,7 @@ fn share_path_never_fans_one_image_out_over_the_pool() {
             let (w, h) = t.output_size(WIDTH, HEIGHT).unwrap();
             assert_eq!((recovered.width(), recovered.height()), (w, h), "{t:?}");
         }
-    });
+    }
     let obs = session.finish().unwrap();
     let jobs = obs.metrics().counter("pool.jobs").map_or(0, |c| c.get());
     assert_eq!(jobs, 0, "a share stage submitted {jobs} pool job(s)");

@@ -4,7 +4,6 @@
 //! scoped and never held across codec work); afterwards the footprint
 //! accounting and cache coherence are checked exactly.
 
-use puppies_core::parallel::{with_pool, WorkerPool};
 use puppies_core::{protect, OwnerKey, ProtectOptions};
 use puppies_image::{Rect, Rgb, RgbImage};
 use puppies_psp::{PhotoId, PspConfig, PspServer};
@@ -143,8 +142,8 @@ fn mixed_ops_from_eight_threads_no_deadlock_and_exact_accounting() {
 
 #[test]
 fn cache_on_vs_off_is_byte_identical_across_worker_counts() {
-    // The same batched workload must produce byte-identical results with
-    // the transform cache on or off, at 1, 2 and 4 workers. This is the
+    // The same workload, served by 1, 2 or 4 threads, must produce
+    // byte-identical results with the transform cache on or off. This is the
     // "caching is an optimization, never an observable" guarantee.
     let fixtures: Vec<(Vec<u8>, Vec<u8>)> = (0..3u8)
         .map(|s| protected_photo(s + 10, 65 + s * 10))
@@ -175,15 +174,32 @@ fn cache_on_vs_off_is_byte_identical_across_worker_counts() {
                 }
             }
         }
-        let pool = WorkerPool::new(workers);
-        let results = with_pool(&pool, || server.transform_batch(&requests));
+        // Worker w serves requests w, w + workers, ...; the answers are
+        // put back in request order.
+        let mut results = vec![(Vec::new(), Vec::new()); requests.len()];
+        thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|w| {
+                    let (server, requests) = (&server, &requests);
+                    scope.spawn(move || {
+                        (w..requests.len())
+                            .step_by(workers)
+                            .map(|i| {
+                                let (id, t) = &requests[i];
+                                let (b, p) = server.download_transformed(*id, t).unwrap();
+                                (i, (b.to_vec(), p.to_vec()))
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            for handle in handles {
+                for (i, answer) in handle.join().unwrap() {
+                    results[i] = answer;
+                }
+            }
+        });
         results
-            .into_iter()
-            .map(|r| {
-                let (b, p) = r.unwrap();
-                (b.to_vec(), p.to_vec())
-            })
-            .collect()
     };
     let reference = run(PspConfig::uncached(), 1);
     for workers in [1usize, 2, 4] {
