@@ -90,14 +90,6 @@ fn render(scrape: &Scrape, prev: Option<&Scrape>, interval_ms: u64) -> String {
             value(scrape, "psp_sig_search_memo_hit_total"),
         ));
     }
-    let healthy = scrape.get("psp_cluster_backends_healthy");
-    if let Some(h) = healthy {
-        out.push_str(&format!(
-            "cluster: {h:.0}/{:.0} backends healthy, quorum k={:.0}\n",
-            value(scrape, "psp_cluster_backends_total"),
-            value(scrape, "psp_cluster_quorum_k"),
-        ));
-    }
     let mut endpoints: Vec<&str> = series(scrape, "psp_slo_requests_total")
         .filter_map(|(k, _)| label_of(k, "endpoint"))
         .collect();

@@ -219,9 +219,9 @@ pub mod bounds {
     pub const RECOMPRESS_ABS_DB: f64 = 22.0;
     /// Pixel-domain shadow recovery (transform-friendly only) must beat
     /// the unrecovered baseline by this margin. Sharpen gets a reduced
-    /// margin (see [`shadow_bounds`](super::shadow_bounds)): its overshoot
-    /// is clamped at the PSP, a nonlinearity the linear shadow cannot
-    /// model (measured margins 2.1–3.7 dB vs ≥5 dB for smoothing kernels).
+    /// margin (see `shadow_bounds`): its overshoot is clamped at the PSP,
+    /// a nonlinearity the linear shadow cannot model (measured margins
+    /// 2.1–3.7 dB vs ≥5 dB for smoothing kernels).
     pub const SHADOW_MARGIN_DB: f64 = 4.0;
     /// Reduced margin for the overshooting Sharpen kernel.
     pub const SHADOW_SHARPEN_MARGIN_DB: f64 = 1.5;

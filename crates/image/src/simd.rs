@@ -15,13 +15,14 @@
 //! (`scalar` | `sse2` | `avx2` | `neon`). An unknown or unavailable override
 //! panics loudly so CI matrix jobs can never silently test the wrong lanes.
 //! Under Miri the default is the scalar backend; explicitly requested
-//! backends (via [`simd_dispatch!`]'s `*_with` variants) remain usable for
-//! compile-time-detected features.
+//! backends (via [`simd_dispatch!`](crate::simd_dispatch!)'s `*_with`
+//! variants) remain usable for compile-time-detected features.
 //!
 //! Hot-path consumers do not match on [`Backend`] themselves — they declare
-//! dispatchers with the [`simd_dispatch!`] macro, which monomorphises the
-//! generic kernel per backend inside `#[target_feature]` wrappers and
-//! dispatches on the cached detection result.
+//! dispatchers with the [`simd_dispatch!`](crate::simd_dispatch!) macro,
+//! which monomorphises the generic kernel per backend inside
+//! `#[target_feature]` wrappers and dispatches on the cached detection
+//! result.
 
 // The trait's methods are wholesale `unsafe fn` so that backend impls can
 // call `core::arch` intrinsics directly; the single safety contract (callers
@@ -954,9 +955,9 @@ pub use arm::Neon;
 // Backend selection
 // ---------------------------------------------------------------------------
 
-/// The instruction-set backends [`simd_dispatch!`] can route to. All
-/// variants exist on every architecture; `available()` reports whether the
-/// current CPU/build can actually execute one.
+/// The instruction-set backends [`simd_dispatch!`](crate::simd_dispatch!)
+/// can route to. All variants exist on every architecture; `available()`
+/// reports whether the current CPU/build can actually execute one.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Backend {
     Scalar,

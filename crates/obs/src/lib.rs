@@ -246,15 +246,6 @@ pub fn gauge_set(name: &str, v: i64) {
     });
 }
 
-/// Adds (possibly negatively) to a global gauge.
-pub fn gauge_add(name: &str, d: i64) {
-    with(|obs| {
-        if let Some(g) = obs.metrics.gauge(name) {
-            g.add(d);
-        }
-    });
-}
-
 /// Records a value into a global histogram (the pipeline's convention:
 /// nanoseconds for durations).
 pub fn record(name: &str, v: u64) {
@@ -333,9 +324,9 @@ impl TraceContext {
 /// sw.record_us("psp.net.upload_us");
 /// ```
 ///
-/// Unlike [`span`], nothing is emitted to the trace; when no subscriber
-/// is installed the record is a no-op but the elapsed time is still
-/// available via [`Stopwatch::elapsed_us`].
+/// Unlike [`span`](fn@span), nothing is emitted to the trace; when no
+/// subscriber is installed the record is a no-op but the elapsed time is
+/// still available via [`Stopwatch::elapsed_us`].
 #[derive(Debug, Clone, Copy)]
 pub struct Stopwatch {
     started: std::time::Instant,
@@ -511,6 +502,26 @@ mod tests {
         assert!(trace.contains("\"remote\""));
         assert!(trace.contains(&format!("\"parent\":{root_id}")));
         assert_ne!(child_parent, 0);
+    }
+
+    #[test]
+    fn thread_names_stay_bounded_over_many_batches() {
+        // Each batch runs on fresh threads, the way pool batches do.
+        let obs = Arc::new(Obs::new());
+        let batches = span::THREAD_NAME_CAPACITY / 2 + 8;
+        for _ in 0..batches {
+            std::thread::scope(|scope| {
+                for i in 0..2 {
+                    std::thread::Builder::new()
+                        .name(format!("puppies-worker-{i}"))
+                        .spawn_scoped(scope, || drop(obs.span("pool.job", "pool")))
+                        .unwrap();
+                }
+            });
+        }
+        assert_eq!(obs.span_count(), 2 * batches);
+        let names = obs.chrome_trace().matches("\"thread_name\"").count();
+        assert_eq!(names, span::THREAD_NAME_CAPACITY);
     }
 
     #[test]

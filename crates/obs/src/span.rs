@@ -3,8 +3,8 @@
 //! Each thread keeps a stack of open span ids; a new span's parent is the
 //! top of the executing thread's stack. Work that hops threads (worker
 //! pool jobs) carries its logical parent explicitly via
-//! [`crate::Obs::span_with_parent`], so a trace shows `pool.job` nested
-//! under the submitting `core.protect` span even though they ran on
+//! [`crate::Obs::span_with_parent`], so a trace shows each `pool.job`
+//! nested under the span that ran the batch even though they ran on
 //! different threads. Finished spans land in a bounded in-memory buffer
 //! (the Chrome-trace exporter drains it) and their durations feed a
 //! histogram named after the span, which is where `puppies stats`
@@ -36,7 +36,13 @@ pub struct SpanRecord {
     pub dur_ns: u64,
 }
 
-/// Bounded buffer of finished spans plus the thread-name table.
+/// Most `thread_name` entries one subscriber keeps. Pool batches and
+/// server connections each run on fresh threads, so a long traced
+/// session meets threads without end; a thread past the cap still gets
+/// its own id, and trace viewers label its track by that number.
+pub(crate) const THREAD_NAME_CAPACITY: usize = 1024;
+
+/// Bounded buffer of finished spans plus the bounded thread-name table.
 pub(crate) struct TraceBuffer {
     pub(crate) spans: Mutex<Vec<SpanRecord>>,
     pub(crate) dropped: AtomicU64,
@@ -72,10 +78,10 @@ impl TraceBuffer {
             .name()
             .map(str::to_string)
             .unwrap_or_else(|| format!("thread-{tid}"));
-        self.threads
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push((tid, name));
+        let mut threads = self.threads.lock().unwrap_or_else(|e| e.into_inner());
+        if threads.len() < THREAD_NAME_CAPACITY {
+            threads.push((tid, name));
+        }
         tid
     }
 }

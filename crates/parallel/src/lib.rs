@@ -1,125 +1,47 @@
-//! The shared worker-pool execution layer for batches of independent
-//! jobs in the PuPPIeS stack (`protect-batch`, experiment sweeps, the
-//! benchmark's fixture generation). Per-image stages do not use it: a
-//! single protect, transform or recovery runs on its calling thread, and
-//! concurrent requests are the parallelism. No library code picks a pool
-//! implicitly; a caller names the pool it runs on, either one it built
-//! with [`WorkerPool::new`] or the process-wide [`WorkerPool::global`]
-//! (sized by `PUPPIES_THREADS` or the machine's available parallelism).
+//! The worker pool for batches of independent jobs in the PuPPIeS stack
+//! (`protect-batch`, experiment sweeps, the benchmark's fixture
+//! generation). Per-image stages do not use it: a single protect,
+//! transform or recovery runs on its calling thread, and concurrent
+//! requests are the parallelism. A caller names the pool it runs on: one
+//! it built with [`WorkerPool::new`], or [`WorkerPool::global`].
 //!
-//! # Design
-//!
-//! One [`WorkerPool`] owns a set of persistent worker threads fed from a
-//! single MPMC job queue. Work is submitted through the *scoped* entry
-//! point [`WorkerPool::map_indexed`], which:
-//!
-//! - returns only after every submitted job has finished, so jobs may
-//!   borrow from the caller's stack (the internal lifetime erasure is
-//!   sound because of exactly this barrier);
-//! - reassembles results **in submission order**, which is what makes
-//!   every batch bit-identical to its serial counterpart regardless of
-//!   worker count or scheduling;
-//! - makes the waiting thread *help*: while its own jobs are
-//!   outstanding it drains other jobs from the shared queue instead of
-//!   blocking. Nested parallelism (a batch job that itself submits a
-//!   batch) therefore cannot deadlock even with one worker thread.
-//!
-//! A pool with `threads <= 1` executes everything inline on the calling
-//! thread; combined with ordered reassembly this gives the
-//! SERIAL == PARALLEL property that `crates/core/tests/parallel.rs`
-//! checks end-to-end.
+//! A [`WorkerPool`] is a thread count and owns no threads between calls.
+//! [`WorkerPool::map_indexed`] runs one batch on `min(threads, count)`
+//! scoped threads (`std::thread::scope`) that claim indices from one
+//! shared counter. It joins them all before it returns, so jobs may
+//! borrow from the caller's stack, and a job that maps again spawns
+//! threads of its own, so nested batches cannot deadlock. It returns
+//! results **in index order**, so a batch is bit-identical to its serial
+//! run at any thread count (`crates/core/tests/parallel.rs`), and it
+//! re-raises a job's panic in the caller with the job's own payload.
+//! `threads <= 1`, or a batch of at most one job, runs inline on the
+//! caller. Spawning per batch costs tens of microseconds, which the
+//! callers' millisecond-scale jobs do not notice.
 
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Instant;
+use std::sync::OnceLock;
 
-use crossbeam::channel::{self, Receiver, Sender};
-
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-struct Inner {
-    sender: Option<Sender<Job>>,
-    receiver: Receiver<Job>,
-    threads: usize,
-    workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
-}
-
-impl Drop for Inner {
-    fn drop(&mut self) {
-        // Closing the queue lets every worker's `recv` return Err.
-        self.sender.take();
-        for handle in self
-            .workers
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .drain(..)
-        {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// A pool of persistent worker threads with a shared job queue.
+/// The number of threads a batch of independent jobs runs on.
 ///
-/// Cloning is cheap (the clone shares the same threads and queue).
-#[derive(Clone)]
+/// Cloning is cheap: a pool is only its thread count.
+#[derive(Clone, Debug)]
 pub struct WorkerPool {
-    inner: Arc<Inner>,
-}
-
-impl std::fmt::Debug for WorkerPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkerPool")
-            .field("threads", &self.inner.threads)
-            .finish()
-    }
+    threads: usize,
 }
 
 impl WorkerPool {
-    /// Creates a pool with `threads` workers. `threads <= 1` creates a
-    /// *serial* pool: no threads are spawned and all scoped entry points
-    /// run inline on the caller.
+    /// A pool that runs each batch on up to `threads` threads; with
+    /// `threads <= 1` every batch runs inline on the caller.
     pub fn new(threads: usize) -> Self {
-        let (sender, receiver) = channel::unbounded::<Job>();
-        let spawned = if threads <= 1 { 0 } else { threads };
-        let workers = (0..spawned)
-            .map(|i| {
-                let rx = receiver.clone();
-                std::thread::Builder::new()
-                    .name(format!("puppies-worker-{i}"))
-                    .spawn(move || loop {
-                        // Per-worker busy/idle accounting. Behind the
-                        // `enabled` branch the loop is exactly the old
-                        // `while let Ok(job) = rx.recv() { job() }`.
-                        let idle_from = puppies_obs::enabled().then(Instant::now);
-                        let Ok(job) = rx.recv() else { break };
-                        if let Some(t) = idle_from {
-                            puppies_obs::counter_add("pool.idle_ns", t.elapsed().as_nanos() as u64);
-                        }
-                        let busy_from = puppies_obs::enabled().then(Instant::now);
-                        job();
-                        if let Some(t) = busy_from {
-                            puppies_obs::counter_add("pool.busy_ns", t.elapsed().as_nanos() as u64);
-                        }
-                    })
-                    .expect("spawn worker thread")
-            })
-            .collect();
         WorkerPool {
-            inner: Arc::new(Inner {
-                sender: Some(sender),
-                receiver,
-                threads: threads.max(1),
-                workers: Mutex::new(workers),
-            }),
+            threads: threads.max(1),
         }
     }
 
-    /// The worker count this pool was created with (minimum 1; 1 means
-    /// serial inline execution).
+    /// The thread count (minimum 1; 1 means serial inline execution).
     pub fn threads(&self) -> usize {
-        self.inner.threads
+        self.threads
     }
 
     /// The process-wide default pool. Sized by the `PUPPIES_THREADS`
@@ -130,117 +52,64 @@ impl WorkerPool {
         GLOBAL.get_or_init(|| WorkerPool::new(default_threads()))
     }
 
-    /// Runs `count` jobs `f(0) .. f(count-1)` on the pool and returns
-    /// their results **in index order**. Panics from jobs are propagated
-    /// to the caller (after all jobs have settled).
-    pub fn map_indexed<'env, R, F>(&self, count: usize, f: F) -> Vec<R>
+    /// Runs `count` jobs `f(0) .. f(count-1)` and returns their results
+    /// **in index order**. A job's panic is re-raised in the caller with
+    /// its own payload, after every thread has finished.
+    pub fn map_indexed<R, F>(&self, count: usize, f: F) -> Vec<R>
     where
-        R: Send + 'env,
-        F: Fn(usize) -> R + Sync + 'env,
+        R: Send,
+        F: Fn(usize) -> R + Sync,
     {
-        if self.inner.threads <= 1 || count <= 1 {
+        if self.threads <= 1 || count <= 1 {
             return (0..count).map(f).collect();
         }
-
-        let (result_tx, result_rx) = channel::unbounded::<(usize, Result<R, Panic>)>();
-        let pending = AtomicUsize::new(count);
-        {
-            let f = &f;
-            let pending = &pending;
-            for index in 0..count {
-                let tx = result_tx.clone();
-                // Submission-side observability: capture the enqueue time
-                // and the submitting span so the job keeps its lineage on
-                // whichever thread runs it. `submitted` is `None` with no
-                // subscriber, and everything below short-circuits.
-                let submitted = puppies_obs::enabled().then(Instant::now);
-                let parent = if submitted.is_some() {
-                    puppies_obs::gauge_add("pool.queue_depth", 1);
-                    puppies_obs::counter_add("pool.jobs", 1);
-                    puppies_obs::current_span_id()
-                } else {
-                    0
-                };
-                let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                    let _span = match submitted {
-                        Some(t) => {
-                            puppies_obs::gauge_add("pool.queue_depth", -1);
-                            puppies_obs::record("pool.job_wait", t.elapsed().as_nanos() as u64);
-                            Some(puppies_obs::span_with_parent("pool.job", "pool", parent))
-                        }
-                        None => None,
-                    };
-                    let outcome = catch_unwind(AssertUnwindSafe(|| f(index))).map_err(Panic);
-                    pending.fetch_sub(1, Ordering::Release);
-                    // The receiver lives until `map_indexed` returns, and
-                    // the pool never drops jobs, so this cannot fail.
-                    let _ = tx.send((index, outcome));
-                });
-                // SAFETY: this function does not return until all `count`
-                // results have been received below, so every borrow the
-                // job captures ('env, plus `pending`/`result_tx` on this
-                // stack frame) strictly outlives the job's execution.
-                let job: Job = unsafe { std::mem::transmute(job) };
-                self.inner
-                    .sender
-                    .as_ref()
-                    .expect("pool queue open while pool is alive")
-                    .send(job)
-                    .expect("worker queue disconnected");
-            }
-        }
-        drop(result_tx);
-
-        let mut slots: Vec<Option<Result<R, Panic>>> = Vec::new();
-        slots.resize_with(count, || None);
-        let mut received = 0;
-        while received < count {
-            // Help: run queued jobs (ours or anyone's) instead of
-            // blocking, so nested fan-outs cannot deadlock.
-            match result_rx.try_recv() {
-                Ok((index, outcome)) => {
-                    slots[index] = Some(outcome);
-                    received += 1;
+        // Each job span keeps the caller's span as its parent.
+        let parent = puppies_obs::current_span_id();
+        let next = AtomicUsize::new(0);
+        let claim = || {
+            let mut done = Vec::new();
+            // Relaxed: the counter publishes no data; `join` returns results.
+            loop {
+                let index = next.fetch_add(1, Ordering::Relaxed);
+                if index >= count {
+                    return done;
                 }
-                Err(_) => match self.inner.receiver.try_recv() {
-                    Ok(job) => job(),
-                    Err(_) => {
-                        if pending.load(Ordering::Acquire) == 0 {
-                            // All jobs finished; results are in flight.
-                            if let Ok((index, outcome)) = result_rx.recv() {
-                                slots[index] = Some(outcome);
-                                received += 1;
-                            }
-                        } else {
-                            std::thread::yield_now();
-                        }
-                    }
-                },
+                let _span = puppies_obs::enabled().then(|| {
+                    puppies_obs::counter_add("pool.jobs", 1);
+                    puppies_obs::span_with_parent("pool.job", "pool", parent)
+                });
+                done.push((index, f(index)));
             }
-        }
-
-        slots
-            .into_iter()
-            .map(|slot| match slot.expect("every index reported") {
-                Ok(value) => value,
-                Err(Panic(payload)) => resume_unwind(payload),
-            })
-            .collect()
+        };
+        let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..self.threads.min(count))
+                .map(|i| {
+                    std::thread::Builder::new()
+                        .name(format!("puppies-worker-{i}"))
+                        .spawn_scoped(scope, claim)
+                        .expect("spawn worker thread")
+                })
+                .collect();
+            // The scope waits for every thread before it re-raises.
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap_or_else(|payload| resume_unwind(payload)))
+                .collect()
+        });
+        done.sort_unstable_by_key(|&(index, _)| index);
+        done.into_iter().map(|(_, result)| result).collect()
     }
 
     /// Maps `f` over `items`, returning results in item order.
     pub fn map_slice<'env, T, R, F>(&self, items: &'env [T], f: F) -> Vec<R>
     where
         T: Sync,
-        R: Send + 'env,
-        F: Fn(&'env T) -> R + Sync + 'env,
+        R: Send,
+        F: Fn(&'env T) -> R + Sync,
     {
         self.map_indexed(items.len(), move |i| f(&items[i]))
     }
 }
-
-/// A captured panic payload, carried from a worker back to the caller.
-struct Panic(Box<dyn std::any::Any + Send + 'static>);
 
 fn default_threads() -> usize {
     if let Ok(value) = std::env::var("PUPPIES_THREADS") {
@@ -260,6 +129,7 @@ fn default_threads() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::AssertUnwindSafe;
 
     #[test]
     fn map_indexed_preserves_order() {
@@ -301,8 +171,7 @@ mod tests {
 
     #[test]
     fn nested_maps_do_not_deadlock() {
-        // One worker thread + nesting: the inner map must be helped to
-        // completion by threads blocked in the outer map.
+        // Every job of the outer map runs an inner map on the same pool.
         let pool = WorkerPool::new(2);
         let out = pool.map_indexed(4, |i| {
             let inner: usize = pool.map_indexed(4, |j| i * 10 + j).into_iter().sum();
@@ -322,7 +191,8 @@ mod tests {
                 i
             })
         }));
-        assert!(result.is_err());
+        let payload = result.expect_err("the job's panic reaches the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"job 5 exploded"));
         // The pool must still be usable afterwards.
         assert_eq!(pool.map_indexed(3, |i| i), vec![0, 1, 2]);
     }
@@ -331,7 +201,10 @@ mod tests {
     fn pool_metrics_recorded_when_subscribed() {
         let session = puppies_obs::Obs::install();
         let pool = WorkerPool::new(2);
+        let caller = puppies_obs::span("caller", "test");
+        let caller_id = puppies_obs::current_span_id();
         let out = pool.map_indexed(16, |i| i * 2);
+        drop(caller);
         assert_eq!(out, (0..16).map(|i| i * 2).collect::<Vec<_>>());
         let obs = session.finish().unwrap();
         let snap = obs.metrics().snapshot();
@@ -347,12 +220,15 @@ mod tests {
             .find(|(n, _)| n == "pool.job")
             .expect("job latency histogram");
         assert!(lat.count >= 16);
-        // Queue drained: depth gauge returned to zero.
-        let depth = snap
-            .gauges
+        // Tests running beside this one may record pool.job spans of
+        // their own while the subscriber is installed, so count the
+        // caller's children rather than every job span.
+        assert_ne!(caller_id, 0);
+        let children = obs
+            .spans()
             .iter()
-            .find(|(n, _)| n == "pool.queue_depth")
-            .map_or(0, |&(_, v)| v);
-        assert_eq!(depth, 0);
+            .filter(|s| s.name == "pool.job" && s.parent == caller_id)
+            .count();
+        assert_eq!(children, 16, "pool.job spans parented to the caller");
     }
 }

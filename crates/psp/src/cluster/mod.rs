@@ -221,13 +221,6 @@ impl ShardedPspCluster {
         self.faults.dead_backends()
     }
 
-    /// `(healthy, total, k)` — the readiness quorum summary the serving
-    /// layer's `/readyz` probe wants (see `net::server::QuorumProbe`).
-    pub fn quorum_status(&self) -> (usize, usize, usize) {
-        let n = self.config.n;
-        (n - self.faults.dead_backends().len(), n, self.config.k)
-    }
-
     fn derive_split_seed(&self, id: u64, generation: u16) -> [u8; 32] {
         let nonce = self.split_nonce.fetch_add(1, Ordering::Relaxed);
         sha256_concat(&[
@@ -366,13 +359,39 @@ impl ShardedPspCluster {
         Some(share)
     }
 
+    /// Fetches the current generation's shares held by `backends`. No
+    /// lock is held while fetching, so a rebalance may commit the next
+    /// generation and drop this one meanwhile; a rebalance commits before
+    /// it drops, so when the generation read after the fetch is still the
+    /// one fetched, every share was read before any was dropped.
+    /// Otherwise the fetch runs again at the new generation.
+    fn fetch_current(
+        &self,
+        id: ClusterPhotoId,
+        backends: impl Iterator<Item = usize> + Clone,
+    ) -> Result<Vec<(usize, Share)>> {
+        let mut generation = self.with_meta(id, |m| m.generation)?;
+        loop {
+            let shares = backends
+                .clone()
+                .filter_map(|b| self.fetch_share(id.0, b, generation).map(|s| (b, s)))
+                .collect();
+            let now = self.with_meta(id, |m| m.generation)?;
+            if now == generation {
+                return Ok(shares);
+            }
+            generation = now;
+        }
+    }
+
     /// Reconstructs the framed secret from the given backend subset,
     /// verifying the stored SHA-256 before returning.
     fn reconstruct_secret(&self, id: ClusterPhotoId, subset: &[usize]) -> Result<Vec<u8>> {
-        let (generation, secret_sha) = self.with_meta(id, |m| (m.generation, m.secret_sha))?;
-        let shares: Vec<Share> = subset
-            .iter()
-            .filter_map(|&b| self.fetch_share(id.0, b, generation))
+        let secret_sha = self.with_meta(id, |m| m.secret_sha)?;
+        let shares: Vec<Share> = self
+            .fetch_current(id, subset.iter().copied())?
+            .into_iter()
+            .map(|(_, s)| s)
             .collect();
         if shares.len() < self.config.k {
             return Err(cluster_err(format!(
@@ -497,10 +516,7 @@ impl ShardedPspCluster {
     /// # Errors
     /// Fails on unknown ids.
     pub fn visible_shares(&self, id: ClusterPhotoId) -> Result<Vec<(usize, Share)>> {
-        let generation = self.with_meta(id, |m| m.generation)?;
-        Ok((0..self.config.n)
-            .filter_map(|b| self.fetch_share(id.0, b, generation).map(|s| (b, s)))
-            .collect())
+        self.fetch_current(id, 0..self.config.n)
     }
 }
 
@@ -624,6 +640,35 @@ mod tests {
         });
         assert_eq!(held(&c), vec![1, 1, 1]);
         assert_eq!(c.reconstruct(id).unwrap().1, vec![0x55; 256]);
+    }
+
+    #[test]
+    fn reconstructs_never_fail_during_rebalances() {
+        let c = cluster(3, 2);
+        let id = c.upload(vec![0x66; 256], vec![], &grant()).unwrap();
+        let rebalancing = std::sync::atomic::AtomicBool::new(true);
+        let failures = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for _ in 0..200 {
+                    c.rebalance(id).unwrap();
+                }
+                rebalancing.store(false, Ordering::Release);
+            });
+            let mut failures = 0;
+            while rebalancing.load(Ordering::Acquire) {
+                if !c.reconstruct(id).is_ok_and(|(_, b)| b == [0x66; 256]) {
+                    failures += 1;
+                }
+                if c.visible_shares(id).map_or(0, |v| v.len()) != 3 {
+                    failures += 1;
+                }
+            }
+            failures
+        });
+        assert_eq!(
+            failures, 0,
+            "reconstructs or share views failed mid-rebalance"
+        );
     }
 
     #[test]

@@ -34,7 +34,7 @@ use crate::sha256::{ct_eq, sha256_concat};
 use crate::store::{PhotoId, PspConfig, ServedPath};
 use crate::store_disk::{DiskStore, RecoveryStats};
 use crate::{PspError, Result};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
@@ -124,11 +124,6 @@ fn random_token() -> [u8; 32] {
     ])
 }
 
-/// Reports cluster backend health as `(healthy, total, k)` for readiness:
-/// ready needs `healthy >= k`. Attached via [`Server::set_quorum_probe`]
-/// when the store fronts a [`crate::cluster::ShardedPspCluster`].
-pub type QuorumProbe = Box<dyn Fn() -> (usize, usize, usize) + Send + Sync>;
-
 /// Shared state between the accept loop and handler threads.
 struct Shared {
     /// Published by [`Recovery::run`] once WAL replay finishes; every
@@ -139,7 +134,6 @@ struct Shared {
     draining: AtomicBool,
     connections: AtomicUsize,
     slo: SloRegistry,
-    quorum: RwLock<Option<QuorumProbe>>,
     access_log: Mutex<Option<File>>,
     /// The access log's `seq` field.
     access_seq: AtomicU64,
@@ -278,7 +272,6 @@ impl Server {
             draining: AtomicBool::new(false),
             connections: AtomicUsize::new(0),
             slo: SloRegistry::new(),
-            quorum: RwLock::new(None),
             access_log: Mutex::new(access_log),
             access_seq: AtomicU64::new(0),
             wake_addr,
@@ -308,15 +301,6 @@ impl Server {
             .get()
             .map(DiskStore::recovery)
             .unwrap_or_default()
-    }
-
-    /// Attaches a cluster-quorum health probe that `/readyz` and
-    /// `/metrics` consult (see [`QuorumProbe`]).
-    pub fn set_quorum_probe(
-        &self,
-        probe: impl Fn() -> (usize, usize, usize) + Send + Sync + 'static,
-    ) {
-        *self.shared.quorum.write() = Some(Box::new(probe));
     }
 
     /// Serves until SIGTERM/SIGINT/SIGHUP or `POST /admin/shutdown`, then drains:
@@ -422,10 +406,9 @@ fn handle_connection(shared: &Shared, stream: TcpStream) -> io::Result<()> {
         let trace = req
             .header("x-puppies-trace")
             .and_then(puppies_obs::TraceContext::parse);
-        let endpoint = endpoint_key(&req);
         let sw = puppies_obs::Stopwatch::start();
         let mut served = None;
-        let resp = {
+        let (endpoint, resp) = {
             let _span = match &trace {
                 Some(ctx) => {
                     puppies_obs::span_with_parent("psp.net.request", "net.server", ctx.span_id)
@@ -453,24 +436,7 @@ fn handle_connection(shared: &Shared, stream: TcpStream) -> io::Result<()> {
     }
 }
 
-/// Stable per-endpoint key, shared by the latency histograms and the SLO
-/// trackers (see [`super::slo::ENDPOINTS`]).
-fn endpoint_key(req: &Request) -> &'static str {
-    let mut segs = req.path.split('/').filter(|s| !s.is_empty());
-    match (req.method.as_str(), segs.next(), segs.next(), segs.next()) {
-        ("POST", Some("photos"), None, None) => "upload",
-        ("GET", Some("photos"), Some(_), None) => "download",
-        ("GET", Some("photos"), Some(_), Some("params")) => "params",
-        ("POST", Some("photos"), Some(_), Some("transformed")) => "transformed",
-        ("POST", Some("photos"), Some(_), Some("transform")) => "transform",
-        ("POST", Some("search"), None, None) => "search",
-        (_, Some("grants"), ..) => "grants",
-        (_, Some("receivers"), ..) => "receivers",
-        _ => "other",
-    }
-}
-
-/// Per-endpoint latency histogram name for an [`endpoint_key`].
+/// Per-endpoint latency histogram name for an endpoint [`route`] names.
 fn endpoint_metric(key: &'static str) -> &'static str {
     match key {
         "upload" => "psp.net.upload_us",
@@ -560,37 +526,55 @@ fn cache_header(served: ServedPath) -> &'static str {
     }
 }
 
-/// Dispatches one request. The transform door reports the path it served
-/// through `served`; every other route leaves it `None`.
-fn route(shared: &Shared, req: &Request, served: &mut Option<ServedPath>) -> Response {
+/// Dispatches one request and names the endpoint that answered it, the
+/// key of the latency histograms and the SLO trackers (see
+/// [`super::slo::ENDPOINTS`]). The transform door reports the path it
+/// served through `served`; every other route leaves it `None`.
+fn route(
+    shared: &Shared,
+    req: &Request,
+    served: &mut Option<ServedPath>,
+) -> (&'static str, Response) {
     let segs: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
     match (req.method.as_str(), segs.as_slice()) {
         // Liveness, readiness, and metrics answer before the store is
         // recovered; everything below the ready guard needs the store.
-        ("GET", ["health" | "healthz"]) => Response::text("ok\n"),
-        ("GET", ["readyz"]) => readyz(shared),
-        ("GET", ["metrics"]) => metrics(shared),
-        _ if !shared.ready() => Response::status(503, "starting: store recovery in progress"),
-        ("POST", ["photos"]) => upload(shared, req),
-        ("GET", ["photos", id]) => with_id(id, |id| {
-            respond(shared.store().server().download(id), |b| {
-                Response::ok(b.to_vec())
-            })
-        }),
-        ("GET", ["photos", id, "params"]) => with_id(id, |id| {
-            respond(shared.store().server().download_params(id), |p| {
-                Response::ok(p.to_vec())
-            })
-        }),
-        ("POST", ["photos", id, "transformed"]) => {
-            with_id(id, |id| download_transformed(shared, req, id, served))
+        ("GET", ["health" | "healthz"]) => ("other", Response::text("ok\n")),
+        ("GET", ["readyz"]) => ("other", readyz(shared)),
+        ("GET", ["metrics"]) => ("other", metrics(shared)),
+        _ if !shared.ready() => (
+            "other",
+            Response::status(503, "starting: store recovery in progress"),
+        ),
+        ("POST", ["photos"]) => ("upload", upload(shared, req)),
+        ("GET", ["photos", id]) => (
+            "download",
+            with_id(id, |id| {
+                respond(shared.store().server().download(id), |b| {
+                    Response::ok(b.to_vec())
+                })
+            }),
+        ),
+        ("GET", ["photos", id, "params"]) => (
+            "params",
+            with_id(id, |id| {
+                respond(shared.store().server().download_params(id), |p| {
+                    Response::ok(p.to_vec())
+                })
+            }),
+        ),
+        ("POST", ["photos", id, "transformed"]) => (
+            "transformed",
+            with_id(id, |id| download_transformed(shared, req, id, served)),
+        ),
+        ("POST", ["photos", id, "transform"]) => {
+            ("transform", with_id(id, |id| transform(shared, req, id)))
         }
-        ("POST", ["photos", id, "transform"]) => with_id(id, |id| transform(shared, req, id)),
-        ("POST", ["search"]) => search(shared, req),
-        ("POST", ["receivers"]) => register_receiver(shared, req),
-        ("POST", ["grants"]) => deposit_grant(shared, req),
-        ("GET", ["grants"]) => drain_grants(shared, req),
-        ("POST", ["admin", "shutdown"]) => shutdown(shared, req),
+        ("POST", ["search"]) => ("search", search(shared, req)),
+        ("POST", ["receivers"]) => ("receivers", register_receiver(shared, req)),
+        ("POST", ["grants"]) => ("grants", deposit_grant(shared, req)),
+        ("GET", ["grants"]) => ("grants", drain_grants(shared, req)),
+        ("POST", ["admin", "shutdown"]) => ("other", shutdown(shared, req)),
         // A path that exists, asked with a method it does not serve.
         (
             _,
@@ -599,14 +583,13 @@ fn route(shared: &Shared, req: &Request, served: &mut Option<ServedPath>) -> Res
             | ["photos", _]
             | ["photos", _, "params" | "transformed" | "transform"]
             | ["admin", "shutdown"],
-        ) => Response::status(405, "method not allowed"),
-        _ => Response::status(404, "no such endpoint"),
+        ) => ("other", Response::status(405, "method not allowed")),
+        _ => ("other", Response::status(404, "no such endpoint")),
     }
 }
 
-/// Readiness: 200 only when the store is recovered, its IO is healthy,
-/// and (when a probe is attached) the cluster has write quorum. The 503
-/// body lists every failing condition, one per line.
+/// Readiness: 200 only when the store is recovered and its IO is healthy.
+/// The 503 body lists every failing condition, one per line.
 fn readyz(shared: &Shared) -> Response {
     let mut reasons: Vec<String> = Vec::new();
     if !shared.ready() {
@@ -617,14 +600,6 @@ fn readyz(shared: &Shared) -> Response {
             shared.store().io_failures()
         ));
     }
-    if let Some(probe) = shared.quorum.read().as_ref() {
-        let (healthy, total, k) = probe();
-        if healthy < k {
-            reasons.push(format!(
-                "cluster: {healthy}/{total} backends healthy, quorum needs {k}"
-            ));
-        }
-    }
     if reasons.is_empty() {
         Response::text("ready\n")
     } else {
@@ -634,7 +609,7 @@ fn readyz(shared: &Shared) -> Response {
 
 /// The Prometheus text exposition: the process-wide [`puppies_obs`]
 /// registry, the per-endpoint SLO families, and the server's own
-/// readiness/connection/quorum gauges. 503 when no subscriber is installed, so a
+/// readiness/connection gauges. 503 when no subscriber is installed, so a
 /// scrape of a metrics-less process is an explicit failure rather than
 /// an empty success.
 fn metrics(shared: &Shared) -> Response {
@@ -655,15 +630,6 @@ fn metrics(shared: &Shared) -> Response {
         "psp_net_connections {}\n",
         shared.connections.load(Ordering::Relaxed)
     ));
-    if let Some(probe) = shared.quorum.read().as_ref() {
-        let (healthy, total, k) = probe();
-        out.push_str("# TYPE psp_cluster_backends_healthy gauge\n");
-        out.push_str(&format!("psp_cluster_backends_healthy {healthy}\n"));
-        out.push_str("# TYPE psp_cluster_backends_total gauge\n");
-        out.push_str(&format!("psp_cluster_backends_total {total}\n"));
-        out.push_str("# TYPE psp_cluster_quorum_k gauge\n");
-        out.push_str(&format!("psp_cluster_quorum_k {k}\n"));
-    }
     Response::ok(out.into_bytes()).with_header("content-type", "text/plain; version=0.0.4")
 }
 

@@ -229,6 +229,8 @@ fn unknown_paths_are_404_and_wrong_methods_on_known_paths_405() {
         ("GET", "/photos/1/bogus", 404),
         ("GET", "/admin", 404),
         ("GET", "/nowhere", 404),
+        ("GET", "/photos/1/params/x", 404),
+        ("POST", "/grants/x", 404),
         ("DELETE", "/photos/1", 405),
         ("GET", "/photos/1/transformed", 405),
         ("GET", "/search", 405),
@@ -237,6 +239,13 @@ fn unknown_paths_are_404_and_wrong_methods_on_known_paths_405() {
     ] {
         let got = raw_request(&run.addr, method, path, "");
         assert_eq!(got, status, "{method} {path}");
+    }
+    // No endpoint served any of them, so each request is accounted to
+    // `other`, even where its path starts like a served one.
+    let log = std::fs::read_to_string(dir.join("access.log")).unwrap();
+    assert_eq!(log.lines().count(), 12);
+    for line in log.lines() {
+        assert!(line.contains(r#""endpoint":"other""#), "{line}");
     }
     stop(run);
     let _ = std::fs::remove_dir_all(&dir);
@@ -286,6 +295,13 @@ fn readyz_is_503_until_recovery_publishes_the_store() {
     let mut c = Client::connect(&addr).unwrap();
     c.shutdown(&admin).unwrap();
     join.join().unwrap();
+    // The download refused during recovery is charged to `other`, not to
+    // the download endpoint's error budget; `psp_ready` shows that outage.
+    let log = std::fs::read_to_string(dir.join("access.log")).unwrap();
+    let refused = format!(r#""path":"/photos/{}","status":503"#, seeded_id.0);
+    let lines: Vec<&str> = log.lines().filter(|l| l.contains(&refused)).collect();
+    assert_eq!(lines.len(), 1, "{log}");
+    assert!(lines[0].contains(r#""endpoint":"other""#), "{log}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
