@@ -34,6 +34,7 @@ use puppies_psp::net::{Client, ServeConfig, Server};
 use puppies_psp::{PhotoId, PspConfig, PspServer};
 use puppies_transform::Transformation;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 /// One timed scenario: op count, wall, throughput, percentiles (µs).
@@ -100,7 +101,7 @@ fn drive_clients(
     let barrier = std::sync::Barrier::new(connections + 1);
     let mut merged: Vec<u32> = Vec::with_capacity(connections * per_conn);
     let mut wall_s = 0.0;
-    let err: parking_lot::Mutex<Option<String>> = parking_lot::Mutex::new(None);
+    let err: Mutex<Option<String>> = Mutex::new(None);
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..connections)
             .map(|tid| {
@@ -111,7 +112,8 @@ fn drive_clients(
                     let mut client = match Client::connect(addr) {
                         Ok(c) => c,
                         Err(e) => {
-                            *err.lock() = Some(format!("connect: {e}"));
+                            *err.lock().unwrap_or_else(PoisonError::into_inner) =
+                                Some(format!("connect: {e}"));
                             barrier.wait();
                             return Vec::new();
                         }
@@ -122,7 +124,7 @@ fn drive_clients(
                     for i in 0..per_conn {
                         let start = Instant::now();
                         if let Err(e) = body(&mut client, i, &mut rng) {
-                            *err.lock() = Some(e);
+                            *err.lock().unwrap_or_else(PoisonError::into_inner) = Some(e);
                             break;
                         }
                         let ns = start.elapsed().as_nanos().min(u32::MAX as u128) as u32;
@@ -140,7 +142,7 @@ fn drive_clients(
         }
         wall_s = started.elapsed().as_secs_f64();
     });
-    if let Some(e) = err.into_inner() {
+    if let Some(e) = err.into_inner().unwrap_or_else(PoisonError::into_inner) {
         return Err(format!("net bench client failed: {e}"));
     }
     Ok((wall_s, merged))

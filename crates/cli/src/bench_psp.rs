@@ -36,6 +36,7 @@ use puppies_transform::{ScaleFilter, Transformation};
 use std::collections::{HashMap, VecDeque};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{PoisonError, RwLock};
 use std::time::Instant;
 
 /// Everything `bench psp` measured, ready for rendering and JSON.
@@ -130,17 +131,17 @@ type LegacyPhotoMap = HashMap<u64, (Vec<u8>, Vec<u8>)>;
 /// same lock shapes, the same clones, the same per-request bookkeeping,
 /// the same codec work per transformed view.
 struct LegacyServer {
-    photos: parking_lot::RwLock<LegacyPhotoMap>,
+    photos: RwLock<LegacyPhotoMap>,
     next_id: AtomicU64,
-    requests: parking_lot::RwLock<VecDeque<LegacyEntry>>,
+    requests: RwLock<VecDeque<LegacyEntry>>,
 }
 
 impl LegacyServer {
     fn new() -> Self {
         LegacyServer {
-            photos: parking_lot::RwLock::new(HashMap::new()),
+            photos: RwLock::new(HashMap::new()),
             next_id: AtomicU64::new(0),
-            requests: parking_lot::RwLock::new(VecDeque::new()),
+            requests: RwLock::new(VecDeque::new()),
         }
     }
 
@@ -153,7 +154,10 @@ impl LegacyServer {
             ok,
         };
         black_box((entry.op, entry.id, entry.bytes, entry.dur_ns, entry.ok));
-        let mut log = self.requests.write();
+        let mut log = self
+            .requests
+            .write()
+            .unwrap_or_else(PoisonError::into_inner);
         if log.len() == LEGACY_LOG_CAPACITY {
             log.pop_front();
         }
@@ -164,21 +168,36 @@ impl LegacyServer {
         let start = Instant::now();
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let size = (bytes.len() + params.len()) as u64;
-        self.photos.write().insert(id, (bytes, params));
+        self.photos
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(id, (bytes, params));
         self.log("upload", id, size, start, true);
         id
     }
 
     fn download(&self, id: u64) -> Vec<u8> {
         let start = Instant::now();
-        let out = self.photos.read().get(&id).map(|p| p.0.clone()).unwrap();
+        let out = self
+            .photos
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&id)
+            .map(|p| p.0.clone())
+            .unwrap();
         self.log("download", id, out.len() as u64, start, true);
         out
     }
 
     fn download_params(&self, id: u64) -> Vec<u8> {
         let start = Instant::now();
-        let out = self.photos.read().get(&id).map(|p| p.1.clone()).unwrap();
+        let out = self
+            .photos
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&id)
+            .map(|p| p.1.clone())
+            .unwrap();
         self.log("download_params", id, out.len() as u64, start, true);
         out
     }
@@ -188,7 +207,13 @@ impl LegacyServer {
     /// pixel path), re-encode params — from scratch, every request.
     fn download_transformed(&self, id: u64, t: &Transformation) -> (Vec<u8>, Vec<u8>) {
         let start = Instant::now();
-        let (bytes, params_bytes) = self.photos.read().get(&id).cloned().unwrap();
+        let (bytes, params_bytes) = self
+            .photos
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&id)
+            .cloned()
+            .unwrap();
         let coeff = CoeffImage::decode(&bytes).expect("legacy decode");
         let new_bytes = if t.is_coeff_domain(coeff.width(), coeff.height()) {
             t.apply_to_coeff(&coeff)

@@ -66,8 +66,7 @@ pub fn run(ctx: &Ctx) {
             for r in &rec.regions {
                 draw::stroke_rect(&mut annotated, *r, Rgb::new(255, 255, 0));
             }
-            let path = ctx.out_dir.join(format!("fig12_scene{}.ppm", li.id));
-            puppies_image::io::save_ppm(&annotated, &path).ok();
+            let path = ctx.save_ppm(&annotated, &format!("fig12_scene{}.ppm", li.id));
             println!("  annotated scene saved to {}", path.display());
         }
     }

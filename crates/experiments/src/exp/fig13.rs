@@ -69,8 +69,8 @@ pub fn run(ctx: &Ctx) {
             psnr_rgb(&ac_only, &reference),
         );
         if li.id == 0 {
-            puppies_image::io::save_ppm(&dc_only, ctx.out_dir.join("fig13_dc_only.ppm")).ok();
-            puppies_image::io::save_ppm(&ac_only, ctx.out_dir.join("fig13_ac_only.ppm")).ok();
+            ctx.save_ppm(&dc_only, "fig13_dc_only.ppm");
+            ctx.save_ppm(&ac_only, "fig13_ac_only.ppm");
         }
     }
     println!(

@@ -20,7 +20,7 @@ pub fn run(ctx: &Ctx) {
         .encode(&puppies_jpeg::EncodeOptions::default())
         .expect("encode")
         .len();
-    puppies_image::io::save_ppm(&img, ctx.out_dir.join("fig15_original.ppm")).ok();
+    ctx.save_ppm(&img, "fig15_original.ppm");
 
     println!("plate ROI: {plate:?}; original {original_len} bytes");
     println!(
@@ -58,7 +58,7 @@ pub fn run(ctx: &Ctx) {
             }
         );
         let name = format!("fig15_{}.ppm", scheme.name().replace(['-', ' '], "_"));
-        puppies_image::io::save_ppm(&perturbed, ctx.out_dir.join(name)).ok();
+        ctx.save_ppm(&perturbed, &name);
     }
     println!("\nimages saved under {}", ctx.out_dir.display());
 }

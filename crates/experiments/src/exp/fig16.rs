@@ -62,10 +62,9 @@ pub fn run(ctx: &Ctx) {
                 paper.push(psnr);
             }
             if !saved {
-                puppies_image::io::save_ppm(&perturbed, ctx.out_dir.join("fig16_perturbed.ppm"))
-                    .ok();
-                puppies_image::io::save_ppm(&scaled, ctx.out_dir.join("fig16_scaled.ppm")).ok();
-                puppies_image::io::save_ppm(&rec, ctx.out_dir.join("fig16_recovered.ppm")).ok();
+                ctx.save_ppm(&perturbed, "fig16_perturbed.ppm");
+                ctx.save_ppm(&scaled, "fig16_scaled.ppm");
+                ctx.save_ppm(&rec, "fig16_recovered.ppm");
                 saved = true;
             }
         }

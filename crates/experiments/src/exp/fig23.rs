@@ -28,8 +28,8 @@ pub fn run(ctx: &Ctx) {
     let reference = CoeffImage::from_rgb(&img, opts.quality).to_rgb();
     let rois: Vec<Rect> = protected.params.rois.iter().map(|r| r.rect).collect();
 
-    puppies_image::io::save_ppm(&reference, ctx.out_dir.join("fig23_original.ppm")).ok();
-    puppies_image::io::save_ppm(&perturbed, ctx.out_dir.join("fig23_perturbed.ppm")).ok();
+    ctx.save_ppm(&reference, "fig23_original.ppm");
+    ctx.save_ppm(&perturbed, "fig23_perturbed.ppm");
 
     let candidates: Vec<(&str, puppies_image::GrayImage)> = vec![
         (
@@ -68,7 +68,7 @@ pub fn run(ctx: &Ctx) {
             "fig23_{}.ppm",
             name.replace([' ', '(', ')'], "_").to_lowercase()
         );
-        puppies_image::io::save_pgm(out, ctx.out_dir.join(file)).ok();
+        ctx.save_pgm(out, &file);
     }
     println!(
         "\npaper: 'all three methods cannot recover any of the perturbed \

@@ -10,7 +10,9 @@ pub mod baselines;
 pub mod exp;
 pub mod util;
 
+use puppies_image::{GrayImage, RgbImage};
 use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 
 /// Experiment scale knob.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,19 +44,51 @@ pub struct Ctx {
     /// RNG/dataset seed (fixed for reproducibility).
     pub seed: u64,
     /// Directory for image dumps and result files.
-    pub out_dir: std::path::PathBuf,
+    pub out_dir: PathBuf,
 }
 
 impl Ctx {
-    /// Standard context at the given scale.
+    /// Standard context at the given scale. Outputs go to the workspace's
+    /// `results/`, found from this crate's own location, so `repro` writes
+    /// to the same place from any working directory.
+    ///
+    /// # Panics
+    /// If that directory cannot be created.
     pub fn new(scale: Scale) -> Ctx {
-        let out_dir = std::path::PathBuf::from("results");
-        std::fs::create_dir_all(&out_dir).ok();
+        let out_dir = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .parent()
+            .and_then(Path::parent)
+            .expect("the crate sits two levels below the workspace root")
+            .join("results");
+        std::fs::create_dir_all(&out_dir)
+            .unwrap_or_else(|e| panic!("creating {}: {e}", out_dir.display()));
         Ctx {
             scale,
             seed: 0x9E37_2026,
             out_dir,
         }
+    }
+
+    /// Writes a colour dump to `out_dir/name` and returns its path.
+    ///
+    /// # Panics
+    /// If the file cannot be written.
+    pub fn save_ppm(&self, img: &RgbImage, name: &str) -> PathBuf {
+        let path = self.out_dir.join(name);
+        puppies_image::io::save_ppm(img, &path)
+            .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
+        path
+    }
+
+    /// Writes a grayscale dump to `out_dir/name` and returns its path.
+    ///
+    /// # Panics
+    /// If the file cannot be written.
+    pub fn save_pgm(&self, img: &GrayImage, name: &str) -> PathBuf {
+        let path = self.out_dir.join(name);
+        puppies_image::io::save_pgm(img, &path)
+            .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
+        path
     }
 }
 
@@ -180,4 +214,27 @@ pub fn registry() -> BTreeMap<&'static str, (&'static str, ExpFn)> {
         ),
     );
     m
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn out_dir_is_the_workspace_results_dir() {
+        let ctx = Ctx::new(Scale::Quick);
+        assert!(ctx.out_dir.is_absolute(), "{}", ctx.out_dir.display());
+        assert!(ctx.out_dir.ends_with("results"));
+        let root = ctx.out_dir.parent().unwrap();
+        let manifest = std::fs::read_to_string(root.join("Cargo.toml")).unwrap();
+        assert!(
+            manifest.contains("[workspace]"),
+            "{} is not the workspace root",
+            root.display()
+        );
+        assert!(
+            ctx.out_dir.join("repro_all.txt").is_file(),
+            "the committed transcript lives there"
+        );
+    }
 }

@@ -20,20 +20,20 @@
 //! key that anyone can collide (a 64-bit FNV, say) would let one uploader
 //! plant results that another photo's receivers are then served.
 //!
-//! Both are internally locked ([`parking_lot::Mutex`], held only for map
+//! Both are internally locked ([`std::sync::Mutex`], held only for map
 //! bookkeeping — never across codec work) and safe to share across server
-//! shards. Hit/miss/eviction counts feed `puppies-obs` counters
+//! shards. A poisoned lock is entered anyway, so one panicking request does
+//! not disable a cache for every later one. Hit/miss/eviction counts feed `puppies-obs` counters
 //! (`psp.cache.hit`, `psp.cache.miss`, `psp.cache.eviction`,
 //! `psp.memo.hit`, `psp.memo.miss`) and the `psp.cache.bytes` gauge.
 
 use crate::store::ContentId;
-use parking_lot::Mutex;
 use puppies_jpeg::CoeffImage;
 use std::borrow::Borrow;
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// A served `(JPEG bytes, public-params blob)` pair behind shared
 /// allocations — what `download_transformed` returns and what the
@@ -213,7 +213,11 @@ impl TransformCache {
     pub fn get(&self, key: &TransformKey) -> Option<ServedPair> {
         let hit = match self.budget {
             0 => None,
-            _ => self.inner.lock().get(key),
+            _ => self
+                .inner
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .get(key),
         };
         if hit.is_some() {
             self.hits.fetch_add(1, Ordering::Relaxed);
@@ -254,7 +258,7 @@ impl TransformCache {
         if self.budget == 0 || charge > self.budget {
             return;
         }
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         let evicted = inner.insert(Arc::new(key), (bytes, params), charge, self.budget);
         let resident = inner.charged;
         drop(inner);
@@ -271,7 +275,7 @@ impl TransformCache {
 
     /// Snapshot of the cache counters.
     pub fn stats(&self) -> CacheStats {
-        let inner = self.inner.lock();
+        let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
@@ -298,7 +302,15 @@ impl std::fmt::Debug for DecodeMemo {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DecodeMemo")
             .field("capacity", &self.capacity)
-            .field("entries", &self.inner.lock().map.len())
+            .field(
+                "entries",
+                &self
+                    .inner
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .map
+                    .len(),
+            )
             .finish()
     }
 }
@@ -320,7 +332,11 @@ impl DecodeMemo {
         if self.capacity == 0 {
             return None;
         }
-        let hit = self.inner.lock().get(bytes_sha);
+        let hit = self
+            .inner
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(bytes_sha);
         if hit.is_some() {
             self.hits.fetch_add(1, Ordering::Relaxed);
             puppies_obs::counted!("psp.memo.hit");
@@ -335,7 +351,10 @@ impl DecodeMemo {
     /// capacity.
     pub fn insert(&self, bytes_sha: [u8; 32], img: Arc<CoeffImage>) {
         if self.capacity > 0 {
-            self.inner.lock().insert(bytes_sha, img, 1, self.capacity);
+            self.inner
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .insert(bytes_sha, img, 1, self.capacity);
         }
     }
 
@@ -343,7 +362,10 @@ impl DecodeMemo {
     /// its last copy, so the decode does not linger until eviction).
     pub fn invalidate(&self, bytes_sha: &[u8; 32]) {
         if self.capacity > 0 {
-            self.inner.lock().remove(bytes_sha);
+            self.inner
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .remove(bytes_sha);
         }
     }
 
@@ -471,7 +493,7 @@ mod tests {
         for _ in 0..10_000 {
             assert!(cache.get(&key(1)).is_some());
         }
-        let order_len = cache.inner.lock().order.len();
+        let order_len = cache.inner.lock().unwrap().order.len();
         assert!(order_len <= 64, "stamp queue grew to {order_len}");
     }
 
@@ -493,5 +515,41 @@ mod tests {
         assert!(memo.get(&[1; 32]).is_none());
         let (h, m) = memo.counters();
         assert!(h >= 3 && m >= 2);
+    }
+
+    /// Runs `take` on a thread that panics while the guard it returns is
+    /// alive, which poisons the lock that guard came from.
+    fn panic_holding<G>(take: impl FnOnce() -> G + Send) {
+        std::thread::scope(|s| {
+            let joined = s.spawn(|| {
+                let _guard = take();
+                panic!("panic while holding the lock");
+            });
+            assert!(joined.join().is_err());
+        });
+    }
+
+    #[test]
+    fn locks_survive_inner_panic() {
+        let cache = TransformCache::new(1024);
+        cache.insert(key(1), blob(4, 1), blob(0, 0));
+        panic_holding(|| cache.inner.lock());
+        assert!(cache.inner.is_poisoned());
+        assert!(cache.get(&key(1)).is_some());
+        cache.insert(key(2), blob(4, 2), blob(0, 0));
+        assert!(cache.get(&key(2)).is_some());
+        assert_eq!(cache.stats().entries, 2);
+
+        let img = Arc::new(CoeffImage::from_rgb(
+            &puppies_image::RgbImage::filled(8, 8, puppies_image::Rgb::new(1, 2, 3)),
+            75,
+        ));
+        let memo = DecodeMemo::new(2);
+        memo.insert([1; 32], img.clone());
+        panic_holding(|| memo.inner.lock());
+        assert!(memo.inner.is_poisoned());
+        assert!(memo.get(&[1; 32]).is_some());
+        memo.insert([2; 32], img);
+        assert!(memo.get(&[2; 32]).is_some());
     }
 }

@@ -5,7 +5,7 @@
 //! cluster's oracles assert that acknowledged uploads still reconstruct
 //! byte-identically as long as ≤ n−k backends are down.
 
-use parking_lot::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 /// What a faulty backend does on its next operations.
@@ -53,24 +53,30 @@ impl FaultPlan {
     /// Panics if `backend` is out of range — faults are a test-harness
     /// construct and a bad index is harness misuse.
     pub fn set(&self, backend: usize, fault: Fault) {
-        *self.slots[backend].lock() = Some(fault);
+        *self.slots[backend]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) = Some(fault);
     }
 
     /// Heals `backend`.
     pub fn clear(&self, backend: usize) {
-        *self.slots[backend].lock() = None;
+        *self.slots[backend]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) = None;
     }
 
     /// Heals every backend.
     pub fn clear_all(&self) {
         for slot in &self.slots {
-            *slot.lock() = None;
+            *slot.lock().unwrap_or_else(PoisonError::into_inner) = None;
         }
     }
 
     /// The currently armed fault for `backend`, if any.
     pub fn get(&self, backend: usize) -> Option<Fault> {
-        *self.slots[backend].lock()
+        *self.slots[backend]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Applies the armed fault to an operation against `backend`:

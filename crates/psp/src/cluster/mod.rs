@@ -39,12 +39,12 @@ pub mod shamir;
 use crate::sha256::sha256_concat;
 use crate::{PspError, Result};
 use fault::{Fault, FaultOutcome, FaultPlan};
-use parking_lot::{Mutex, RwLock};
 use puppies_core::{KeyGrant, PublicParams};
 use puppies_image::RgbImage;
 use shamir::Share;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError, RwLock};
 
 /// Identifier of an upload in the cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -120,7 +120,14 @@ impl std::fmt::Debug for ShardedPspCluster {
         f.debug_struct("ShardedPspCluster")
             .field("n", &self.config.n)
             .field("k", &self.config.k)
-            .field("uploads", &self.uploads.read().len())
+            .field(
+                "uploads",
+                &self
+                    .uploads
+                    .read()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .len(),
+            )
             .finish()
     }
 }
@@ -198,7 +205,10 @@ impl ShardedPspCluster {
 
     /// Number of uploads currently tracked.
     pub fn upload_count(&self) -> usize {
-        self.uploads.read().len()
+        self.uploads
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
     }
 
     /// Arms a fault on one backend (test/chaos harness).
@@ -254,7 +264,10 @@ impl ShardedPspCluster {
                     wire[mid] ^= STORE_FLIP;
                 }
             }
-            self.backends[i].write().insert((id, generation), wire);
+            self.backends[i]
+                .write()
+                .unwrap_or_else(PoisonError::into_inner)
+                .insert((id, generation), wire);
         }
         if healthy < self.config.k {
             self.drop_shares(id, generation);
@@ -271,7 +284,10 @@ impl ShardedPspCluster {
     fn drop_shares(&self, id: u64, generation: u16) {
         for (i, backend) in self.backends.iter().enumerate() {
             if self.faults.get(i) != Some(Fault::Kill) {
-                backend.write().remove(&(id, generation));
+                backend
+                    .write()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .remove(&(id, generation));
             }
         }
     }
@@ -298,14 +314,17 @@ impl ShardedPspCluster {
             puppies_obs::counted!("cluster.upload_rejected");
             return Err(e);
         }
-        self.uploads.write().insert(
-            id,
-            UploadMeta {
-                params: params.into(),
-                generation: 0,
-                secret_sha,
-            },
-        );
+        self.uploads
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(
+                id,
+                UploadMeta {
+                    params: params.into(),
+                    generation: 0,
+                    secret_sha,
+                },
+            );
         puppies_obs::counted!("cluster.uploads");
         Ok(ClusterPhotoId(id))
     }
@@ -323,6 +342,7 @@ impl ShardedPspCluster {
     fn with_meta<T>(&self, id: ClusterPhotoId, f: impl FnOnce(&UploadMeta) -> T) -> Result<T> {
         self.uploads
             .read()
+            .unwrap_or_else(PoisonError::into_inner)
             .get(&id.0)
             .map(f)
             .ok_or_else(|| cluster_err(format!("unknown cluster photo {}", id.0)))
@@ -337,6 +357,7 @@ impl ShardedPspCluster {
             .backends
             .get(backend)?
             .read()
+            .unwrap_or_else(PoisonError::into_inner)
             .get(&(id, generation))?
             .clone();
         match self.faults.apply(backend) {
@@ -455,7 +476,10 @@ impl ShardedPspCluster {
             .backends
             .get(i)
             .ok_or_else(|| cluster_err(format!("no backend {i}")))?;
-        backend.write().clear();
+        backend
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clear();
         self.faults.clear(i);
         puppies_obs::counted!("cluster.backend_replaced");
         Ok(())
@@ -474,7 +498,10 @@ impl ShardedPspCluster {
     /// dropped and the old generation stays current.
     pub fn rebalance(&self, id: ClusterPhotoId) -> Result<()> {
         let _span = puppies_obs::span("cluster.rebalance", "psp");
-        let _one_at_a_time = self.rebalancing.lock();
+        let _one_at_a_time = self
+            .rebalancing
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         let secret = {
             let all: Vec<usize> = (0..self.config.n).collect();
             self.reconstruct_secret(id, &all)?
@@ -485,6 +512,7 @@ impl ShardedPspCluster {
         self.store_shares(id.0, &secret, generation)?;
         self.uploads
             .write()
+            .unwrap_or_else(PoisonError::into_inner)
             .get_mut(&id.0)
             .ok_or_else(|| cluster_err(format!("unknown cluster photo {}", id.0)))?
             .generation = generation;
@@ -499,7 +527,13 @@ impl ShardedPspCluster {
     /// Fails on the first upload whose quorum cannot reconstruct.
     pub fn rebalance_all(&self) -> Result<usize> {
         let ids: Vec<u64> = {
-            let mut v: Vec<u64> = self.uploads.read().keys().copied().collect();
+            let mut v: Vec<u64> = self
+                .uploads
+                .read()
+                .unwrap_or_else(PoisonError::into_inner)
+                .keys()
+                .copied()
+                .collect();
             v.sort_unstable();
             v
         };
@@ -535,7 +569,7 @@ mod tests {
 
     /// Shares each backend holds, over every upload and generation.
     fn held(c: &ShardedPspCluster) -> Vec<usize> {
-        c.backends.iter().map(|b| b.read().len()).collect()
+        c.backends.iter().map(|b| b.read().unwrap().len()).collect()
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Minimal HTTP/1.1 over a `TcpStream`: just enough protocol for the PSP
 //! service and its blocking client — request-line + headers,
 //! `Content-Length` framing both ways, keep-alive. Deliberately not a
-//! general server: no chunked encoding, no `Expect: continue`, no TLS.
+//! general server: no chunked encoding (a `Transfer-Encoding` request is
+//! answered 501, conflicting `Content-Length`s 400), no `Expect: continue`,
+//! no TLS.
 
 use std::io::{self, BufRead, BufReader, IoSlice, Read, Write};
 use std::net::TcpStream;
@@ -165,10 +167,20 @@ pub fn read_request(reader: &mut BufReader<TcpStream>, max_body: usize) -> io::R
             None => return Ok(ReadOutcome::Malformed(400, "Bad Request")),
         }
     }
-    let content_length = headers
+    // Only `Content-Length` framing is supported. A chunked body left
+    // unread would be parsed as the next request, so refuse it outright.
+    if headers.iter().any(|(k, _)| k == "transfer-encoding") {
+        return Ok(ReadOutcome::Malformed(501, "Not Implemented"));
+    }
+    let mut lengths = headers
         .iter()
-        .find(|(k, _)| k == "content-length")
-        .map(|(_, v)| v.parse::<usize>());
+        .filter(|(k, _)| k == "content-length")
+        .map(|(_, v)| v.as_str());
+    let first_length = lengths.next();
+    if lengths.any(|v| Some(v) != first_length) {
+        return Ok(ReadOutcome::Malformed(400, "Bad Request"));
+    }
+    let content_length = first_length.map(str::parse::<usize>);
     let body = match content_length {
         None => Vec::new(),
         Some(Err(_)) => return Ok(ReadOutcome::Malformed(400, "Bad Request")),
@@ -247,6 +259,7 @@ fn reason(status: u16) -> &'static str {
         414 => "URI Too Long",
         431 => "Request Header Fields Too Large",
         500 => "Internal Server Error",
+        501 => "Not Implemented",
         503 => "Service Unavailable",
         505 => "HTTP Version Not Supported",
         _ => "Unknown",
@@ -554,6 +567,42 @@ mod tests {
             other => panic!("unexpected: {other:?}"),
         }
         drop(writer.join().unwrap());
+    }
+
+    /// Writes a raw request head and returns what `read_request` makes
+    /// of it.
+    fn read_raw(raw: &'static [u8]) -> ReadOutcome {
+        let (mut client, server) = pipe();
+        client.write_all(raw).unwrap();
+        let mut reader = BufReader::new(server);
+        read_request(&mut reader, 1024).unwrap()
+    }
+
+    #[test]
+    fn transfer_encoding_is_rejected_as_501() {
+        let chunked =
+            b"POST /photos HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n";
+        match read_raw(chunked) {
+            ReadOutcome::Malformed(501, _) => {}
+            other => panic!("unexpected: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn conflicting_content_lengths_are_rejected_as_400() {
+        let conflicting =
+            b"POST /photos HTTP/1.1\r\ncontent-length: 2\r\nContent-Length: 5\r\n\r\nhello";
+        match read_raw(conflicting) {
+            ReadOutcome::Malformed(400, _) => {}
+            other => panic!("unexpected: {other:?}"),
+        }
+        // The same length repeated is one framing, not two.
+        let repeated =
+            b"POST /photos HTTP/1.1\r\ncontent-length: 5\r\ncontent-length: 5\r\n\r\nhello";
+        match read_raw(repeated) {
+            ReadOutcome::Request(req) => assert_eq!(req.body, b"hello"),
+            other => panic!("unexpected: {other:?}"),
+        }
     }
 
     #[test]

@@ -34,13 +34,12 @@ use crate::sha256::{ct_eq, sha256_concat};
 use crate::store::{PhotoId, PspConfig, ServedPath};
 use crate::store_disk::{DiskStore, RecoveryStats};
 use crate::{PspError, Result};
-use parking_lot::Mutex;
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 /// How the server is stood up, fixed for the process lifetime.
@@ -490,7 +489,10 @@ fn log_access(
         line.push_str(",\"slow\":true");
     }
     line.push_str("}\n");
-    let mut guard = shared.access_log.lock();
+    let mut guard = shared
+        .access_log
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
     if let Some(log) = guard.as_mut() {
         // A dead log must not take requests down with it.
         if log.write_all(line.as_bytes()).is_err() {

@@ -37,7 +37,6 @@ use crate::cache::{CacheStats, DecodeMemo, ServedPair, TransformCache};
 use crate::sha256::sha256;
 use crate::sig::{dc_signature, SigEntry, SigIndex, SigMatch};
 use crate::{PspError, Result};
-use parking_lot::{Mutex, RwLock};
 use puppies_core::PublicParams;
 use puppies_image::Rect;
 use puppies_jpeg::codec::decode_dc;
@@ -45,7 +44,7 @@ use puppies_jpeg::{CoeffImage, EncodeOptions};
 use puppies_transform::Transformation;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
 
 /// Identifies a stored photo.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -178,7 +177,7 @@ impl ByteInterner {
     /// accounts footprint only then). A duplicate's `Vec` is dropped
     /// without ever being copied into an `Arc`.
     fn intern(&self, sha: [u8; 32], bytes: impl Into<Arc<[u8]>>) -> (Arc<[u8]>, bool) {
-        let mut table = self.table.lock();
+        let mut table = self.table.lock().unwrap_or_else(PoisonError::into_inner);
         let (shared, refs) = table.entry(sha).or_insert_with(|| (bytes.into(), 0));
         *refs += 1;
         (shared.clone(), *refs == 1)
@@ -188,7 +187,7 @@ impl ByteInterner {
     /// whether its allocation left the interner (the caller subtracts
     /// footprint only then).
     fn release(&self, sha: &[u8; 32]) -> bool {
-        let mut table = self.table.lock();
+        let mut table = self.table.lock().unwrap_or_else(PoisonError::into_inner);
         match table.get_mut(sha) {
             Some((_, refs)) if *refs > 1 => {
                 *refs -= 1;
@@ -294,6 +293,7 @@ impl PspServer {
     fn lookup(&self, id: PhotoId) -> Result<Arc<StoredPhoto>> {
         self.shard(id)
             .read()
+            .unwrap_or_else(PoisonError::into_inner)
             .get(&id)
             .cloned()
             .ok_or(PspError::UnknownPhoto(id))
@@ -308,7 +308,13 @@ impl PspServer {
                 self.footprint.load(Ordering::Relaxed) as i64,
             );
             puppies_obs::gauge_set("psp.photos", self.len() as i64);
-            puppies_obs::gauge_set("psp.sig.index_entries", self.index.lock().len() as i64);
+            puppies_obs::gauge_set(
+                "psp.sig.index_entries",
+                self.index
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .len() as i64,
+            );
         }
     }
 
@@ -339,7 +345,12 @@ impl PspServer {
                     puppies_obs::counted!("psp.sig.computed");
                 }
                 // The slot is gone only if this photo was already retired.
-                if let Some(slot) = self.sig_memo.lock().get_mut(&content) {
+                if let Some(slot) = self
+                    .sig_memo
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .get_mut(&content)
+                {
                     slot.sig = Some(entry);
                 }
                 entry
@@ -352,7 +363,7 @@ impl PspServer {
             return;
         };
         let matched = {
-            let mut index = self.index.lock();
+            let mut index = self.index.lock().unwrap_or_else(PoisonError::into_inner);
             let matched = index.family_of(sig, &content.params_sha, w, h);
             let family = matched.map_or(content, |m| m.family);
             index.insert(SigEntry {
@@ -390,6 +401,7 @@ impl PspServer {
             .fetch_add(accounted as u64, Ordering::Relaxed);
         self.sig_memo
             .lock()
+            .unwrap_or_else(PoisonError::into_inner)
             .entry(content)
             .or_insert(SigSlot { refs: 0, sig: None })
             .refs += 1;
@@ -406,13 +418,16 @@ impl PspServer {
     /// entered) the map.
     fn retire_photo(&self, id: PhotoId, old: &StoredPhoto) {
         if let Some(Some((sig, _))) = old.identity.get() {
-            self.index.lock().remove(*sig, id);
+            self.index
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .remove(*sig, id);
         }
         // Last photo with this content identity is gone — drop its
         // signature, so churn workloads don't accumulate signatures of
         // content the store no longer holds. (The bytes may live on under
         // other params; the signature depends on both.)
-        let mut memo = self.sig_memo.lock();
+        let mut memo = self.sig_memo.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(slot) = memo.get_mut(&old.content) {
             slot.refs -= 1;
             if slot.refs == 0 {
@@ -493,7 +508,12 @@ impl PspServer {
         content: ContentId,
     ) {
         let stored = self.intern(bytes, params, content);
-        match self.shard(id).write().insert(id, stored.clone()) {
+        match self
+            .shard(id)
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(id, stored.clone())
+        {
             Some(old) => self.retire_photo(id, &old),
             None => {
                 self.photo_count.fetch_add(1, Ordering::Relaxed);
@@ -609,7 +629,10 @@ impl PspServer {
         let content = ContentId::of(&new_bytes, &new_params);
         let replacement = self.intern(new_bytes, new_params, content);
         let swapped = {
-            let mut photos = self.shard(id).write();
+            let mut photos = self
+                .shard(id)
+                .write()
+                .unwrap_or_else(PoisonError::into_inner);
             match photos.get(&id) {
                 // The entry we computed from is still current: swap it.
                 Some(cur) if Arc::ptr_eq(cur, &stored) => {
@@ -801,7 +824,11 @@ impl PspServer {
     /// The memoized signature of a stored content identity, if the
     /// indexer has computed it. Holds the memo lock for the lookup only.
     fn memoized_signature(&self, content: &ContentId) -> Option<SigMemoEntry> {
-        self.sig_memo.lock().get(content).and_then(|slot| slot.sig)
+        self.sig_memo
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(content)
+            .and_then(|slot| slot.sig)
     }
 
     /// Sublinear near-duplicate search: every stored photo whose signature
@@ -811,7 +838,11 @@ impl PspServer {
     /// whole store.
     pub fn search_similar(&self, sig: u64, max_dist: u32, limit: usize) -> Vec<(PhotoId, u32)> {
         puppies_obs::counted!("psp.sig.search");
-        let matches: Vec<SigMatch> = self.index.lock().lookup(sig, max_dist);
+        let matches: Vec<SigMatch> = self
+            .index
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .lookup(sig, max_dist);
         matches
             .into_iter()
             .take(limit)
@@ -821,13 +852,19 @@ impl PspServer {
 
     /// Live entries in the near-duplicate signature index.
     pub fn sig_index_len(&self) -> usize {
-        self.index.lock().len()
+        self.index
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
     }
 
     /// Total candidate entries scanned by index lookups so far — the
     /// benchmark's `sig.scanned_per_query` reads it.
     pub fn sig_index_scanned(&self) -> u64 {
-        self.index.lock().scanned()
+        self.index
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .scanned()
     }
 }
 
@@ -891,6 +928,30 @@ mod tests {
         assert_ne!(before, after);
         let params = PublicParams::from_bytes(&server.download_params(id).unwrap()).unwrap();
         assert_eq!(params.transformation, Some(Transformation::Rotate180));
+    }
+
+    #[test]
+    fn poisoned_shard_still_serves() {
+        let server = PspServer::new();
+        let (id, _) = upload_test_photo(&server);
+        std::thread::scope(|s| {
+            let joined = s.spawn(|| {
+                let _guard = server.shard(id).write();
+                panic!("panic while holding a shard");
+            });
+            assert!(joined.join().is_err());
+        });
+        assert!(server.shard(id).is_poisoned());
+        assert!(server.download(id).is_ok());
+        server.transform(id, &Transformation::Rotate180).unwrap();
+        let params = PublicParams::from_bytes(&server.download_params(id).unwrap()).unwrap();
+        assert_eq!(params.transformation, Some(Transformation::Rotate180));
+        // A new photo whose id lands in the same shard is stored there too.
+        let same_shard = (1..=SHARDS)
+            .map(|_| upload_test_photo(&server).0)
+            .find(|&other| std::ptr::eq(server.shard(other), server.shard(id)))
+            .expect("one of SHARDS sequential ids shares the shard");
+        assert!(server.download(same_shard).is_ok());
     }
 
     #[test]
@@ -1262,7 +1323,7 @@ mod tests {
         let (bare, _) = protected_fixture(40);
         server.upload(bytes.clone(), params.clone()).unwrap();
         server.upload(bare.clone(), Vec::new()).unwrap();
-        assert_eq!(server.sig_memo.lock().len(), 2);
+        assert_eq!(server.sig_memo.lock().unwrap().len(), 2);
         assert_eq!(
             server.search_signature(&bytes, &params),
             PspServer::probe_signature(&bytes, Some(&params))
@@ -1284,7 +1345,7 @@ mod tests {
             PspServer::probe_signature(&bytes, None)
         );
         assert_eq!(server.search_signature(&[1, 2, 3], &[]), None);
-        assert_eq!(server.sig_memo.lock().len(), 2);
+        assert_eq!(server.sig_memo.lock().unwrap().len(), 2);
     }
 
     #[test]
@@ -1298,7 +1359,7 @@ mod tests {
         let other = other.to_bytes();
         let a = server.upload(bytes.clone(), params.clone()).unwrap();
         let b = server.upload(bytes.clone(), other.clone()).unwrap();
-        assert_eq!(server.sig_memo.lock().len(), 2);
+        assert_eq!(server.sig_memo.lock().unwrap().len(), 2);
         let old = [
             ContentId::of(&bytes, &params),
             ContentId::of(&bytes, &other),
@@ -1311,7 +1372,7 @@ mod tests {
             .iter()
             .map(|&id| server.stored(id).unwrap().1)
             .collect();
-        let memo = server.sig_memo.lock();
+        let memo = server.sig_memo.lock().unwrap();
         assert_eq!(memo.len(), 2, "one slot per stored identity");
         for content in &old {
             assert!(!memo.contains_key(content), "retired identity leaked");

@@ -40,14 +40,13 @@ use crate::net::proto::{hex, MAX_FRAME_LEN};
 use crate::store::{ContentId, PhotoId, PspConfig, PspServer};
 use crate::wal::{Batch, Wal, WalRecord};
 use crate::{PspError, Result};
-use parking_lot::Mutex;
 use puppies_transform::Transformation;
 use std::collections::{HashMap, HashSet};
 use std::fs;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// What [`DiskStore::open`] found while recovering.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -314,7 +313,7 @@ impl DiskStore {
     fn blob_batch(&self, content: ContentId, blobs: [&[u8]; 2]) -> Batch {
         let shas = [content.bytes_sha, content.params_sha];
         let fresh = {
-            let logged = self.logged.lock();
+            let logged = self.logged.lock().unwrap_or_else(PoisonError::into_inner);
             [
                 !logged.contains(&shas[0]),
                 !logged.contains(&shas[1]) && shas[1] != shas[0],
@@ -340,11 +339,13 @@ impl DiskStore {
         let r = self
             .wal
             .lock()
+            .unwrap_or_else(PoisonError::into_inner)
             .commit(batch)
             .map_err(|e| io_err(e, "appending wal"));
         if r.is_ok() {
             self.logged
                 .lock()
+                .unwrap_or_else(PoisonError::into_inner)
                 .extend([content.bytes_sha, content.params_sha]);
         }
         self.note_io(r)
@@ -357,7 +358,7 @@ impl DiskStore {
     pub fn register_receiver(&self, dh_public: u128, token: [u8; 32]) -> Result<()> {
         // Like every grant-state mutation: WAL append under the grants
         // lock, so log order always matches in-memory order.
-        let mut grants = self.grants.lock();
+        let mut grants = self.grants.lock().unwrap_or_else(PoisonError::into_inner);
         self.append(&WalRecord::Receiver { dh_public, token })?;
         grants.tokens.insert(token, dh_public);
         Ok(())
@@ -366,7 +367,12 @@ impl DiskStore {
     /// The DH public value a token authenticates, if the token is known.
     pub fn receiver_for_token(&self, token: &[u8]) -> Option<u128> {
         let token: [u8; 32] = token.try_into().ok()?;
-        self.grants.lock().tokens.get(&token).copied()
+        self.grants
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .tokens
+            .get(&token)
+            .copied()
     }
 
     /// Deposits an end-to-end-encrypted grant in a receiver's mailbox
@@ -381,7 +387,7 @@ impl DiskStore {
         // removal and that drain's GrantDrain append, replay would order
         // the deposit *before* the drain and silently drop acknowledged
         // mail on recovery.
-        let mut grants = self.grants.lock();
+        let mut grants = self.grants.lock().unwrap_or_else(PoisonError::into_inner);
         self.append(&WalRecord::GrantDeposit {
             receiver,
             sender,
@@ -405,7 +411,7 @@ impl DiskStore {
     pub fn drain_grants(&self, receiver: u128) -> Result<Vec<(u128, Vec<u8>)>> {
         // Remove-and-log under one critical section (see deposit_grant
         // for why the lock must span the append).
-        let mut grants = self.grants.lock();
+        let mut grants = self.grants.lock().unwrap_or_else(PoisonError::into_inner);
         let pending = match grants.mailboxes.remove(&receiver) {
             Some(mb) if !mb.deposits.is_empty() => mb.deposits,
             _ => return Ok(Vec::new()),
@@ -422,6 +428,7 @@ impl DiskStore {
     pub fn peek_grants(&self, receiver: u128) -> usize {
         self.grants
             .lock()
+            .unwrap_or_else(PoisonError::into_inner)
             .mailboxes
             .get(&receiver)
             .map_or(0, |m| m.deposits.len())
@@ -433,7 +440,12 @@ impl DiskStore {
     /// # Errors
     /// Propagates filesystem errors.
     pub fn sync(&self) -> Result<()> {
-        let r = self.wal.lock().sync().map_err(|e| io_err(e, "syncing wal"));
+        let r = self
+            .wal
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .sync()
+            .map_err(|e| io_err(e, "syncing wal"));
         self.note_io(r)
     }
 
@@ -441,6 +453,7 @@ impl DiskStore {
         let r = self
             .wal
             .lock()
+            .unwrap_or_else(PoisonError::into_inner)
             .append(record)
             .map_err(|e| io_err(e, "appending wal"));
         self.note_io(r)
