@@ -12,7 +12,7 @@
 //! puppies grant --key <key-file> --image-id N --out <grant-file> [--roi i]...
 //! puppies recover <in.jpg> <out.ppm> --params <in.pup> (--key <key-file> | --grant <grant-file>)
 //! puppies inspect --params <in.pup>
-//! puppies stats <stats.json>
+//! puppies stats <stats-file>
 //! puppies serve --dir <store-dir> [--addr host:port] [--no-fsync]
 //! puppies net smoke|flood|verify|ready|dup --addr <host:port> [...]
 //! puppies search <probe.jpg> --addr <host:port> [--params <in.pup>]
@@ -27,8 +27,9 @@
 //!
 //! `protect`, `protect-batch`, `recover`, `conformance`, and `bench` all
 //! accept `--trace <file>` (write a Chrome `trace_event` file loadable in
-//! Perfetto / `about:tracing`) and `--stats <file>` (write a JSON metrics
-//! snapshot that `puppies stats` pretty-prints).
+//! Perfetto / `about:tracing`) and `--stats <file>` (write the metrics in
+//! the Prometheus text format `/metrics` serves, which `puppies stats`
+//! pretty-prints).
 //!
 //! `bench` measures the codec hot path; `bench psp` runs the closed-loop
 //! PSP serving benchmark (sharded store + transform cache vs an embedded
@@ -140,8 +141,8 @@ fn positional(args: &[String], idx: usize) -> Result<&str, String> {
 }
 
 /// An observability session requested on the command line: `--trace <file>`
-/// collects a Chrome `trace_event` timeline, `--stats <file>` a JSON
-/// metrics snapshot. Absent both flags this is `None` and the pipeline's
+/// collects a Chrome `trace_event` timeline, `--stats <file>` the metrics
+/// in Prometheus text. Absent both flags this is `None` and the pipeline's
 /// instrumentation stays a no-op.
 struct ObsOutput {
     session: puppies_obs::ObsSession,
@@ -170,7 +171,8 @@ impl ObsOutput {
             println!("trace ({} span(s)) written to {path}", obs.span_count());
         }
         if let Some(path) = &self.stats {
-            std::fs::write(path, obs.stats_json()).map_err(|e| format!("writing {path}: {e}"))?;
+            let text = puppies_obs::prometheus_text(obs.metrics());
+            std::fs::write(path, text).map_err(|e| format!("writing {path}: {e}"))?;
             println!("stats written to {path} — view with `puppies stats {path}`");
         }
         Ok(())
@@ -426,13 +428,13 @@ fn cmd_recover(args: &[String]) -> CliResult {
     Ok(())
 }
 
-/// `puppies stats <stats.json>` — pretty-prints a metrics snapshot written
-/// by `--stats`, with per-stage p50/p95/p99 latencies in ms.
+/// `puppies stats <stats-file>` — pretty-prints the metrics a `--stats`
+/// run wrote, with per-stage p50/p95/p99 latencies in ms.
 fn cmd_stats(args: &[String]) -> CliResult {
     let path = positional(args, 0)?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let snap = puppies_obs::parse_stats_json(&text)?;
-    print!("{}", puppies_obs::render_stats(&snap));
+    let scrape = puppies_obs::parse_prometheus(&text).map_err(|e| format!("{path}: {e}"))?;
+    print!("{}", puppies_obs::render_stats(&scrape));
     Ok(())
 }
 
@@ -464,7 +466,7 @@ fn cmd_inspect(args: &[String]) -> CliResult {
 /// `puppies bench [--out f.json] [--check committed.json] [--pre old.json]
 /// [--pre-section current] [--threshold 0.4] [--min-protect-speedup F]
 /// [--iters N] [--quality Q] [--obs-overhead-gate PCT]
-/// [--trace f.json] [--stats f.json]`
+/// [--trace f.json] [--stats f.prom]`
 ///
 /// Measures codec + protect/recover throughput on the deterministic
 /// fixture, then repeats the run with an observability subscriber
@@ -519,7 +521,8 @@ fn cmd_bench(args: &[String]) -> CliResult {
         println!("trace written to {path}");
     }
     if let Some(path) = flag_value(args, "--stats") {
-        std::fs::write(path, obs.stats_json()).map_err(|e| format!("writing {path}: {e}"))?;
+        let text = puppies_obs::prometheus_text(obs.metrics());
+        std::fs::write(path, text).map_err(|e| format!("writing {path}: {e}"))?;
         println!("stats written to {path} — view with `puppies stats {path}`");
     }
 

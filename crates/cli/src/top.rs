@@ -5,39 +5,28 @@
 //!             [--plain] [--assert-monotonic] [--assert-nonzero <series>]...
 //! ```
 //!
-//! Polls the Prometheus text exposition, renders totals plus the
-//! per-endpoint SLO window table, and derives rates from successive
-//! samples. The `--assert-*` flags turn it into CI's scrape checker:
-//! `--assert-monotonic` fails if any `*_total` counter ever decreases
-//! between samples, `--assert-nonzero <substring>` fails if no matching
-//! series is positive by the final sample.
+//! Polls the Prometheus text exposition, reads it with
+//! [`puppies_obs::parse_prometheus`], and renders totals plus a
+//! per-endpoint table. Every series the server writes is cumulative, so
+//! each column is the difference between this scrape and the previous
+//! one, and req/s divides it by the time measured between the two. The
+//! first frame compares against an empty scrape: it shows whole-life
+//! figures, and no rate, since there is no interval yet.
+//!
+//! The `--assert-*` flags turn it into CI's scrape checker:
+//! `--assert-monotonic` fails if any cumulative series (a counter, or a
+//! histogram's `_bucket`, `_sum` or `_count`) decreases between samples;
+//! `--assert-nonzero <substring>` fails if no matching series is positive
+//! by the final sample. Series are matched by their parsed keys: dotted
+//! registry names (`psp.sig.hit`), the server's own families by
+//! exposition name (`psp_slo_requests_total{endpoint="upload"}`), and a
+//! histogram as its `_count` and `_sum` series.
 
 use crate::{flag_value, flag_values, has_flag, CliResult};
+use puppies_obs::{parse_prometheus, HistogramSnapshot, Scrape};
 use puppies_psp::net::Client;
-use std::collections::BTreeMap;
 use std::io::{ErrorKind, Write};
-
-/// One scrape, parsed: full series key (`name{labels}`) → value.
-type Scrape = BTreeMap<String, f64>;
-
-fn parse_scrape(text: &str) -> Scrape {
-    let mut out = Scrape::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        // Split on the last space: label values may not contain unescaped
-        // spaces but this stays safe if a timestamp is ever appended.
-        let Some((key, value)) = line.rsplit_once(' ') else {
-            continue;
-        };
-        if let Ok(v) = value.parse::<f64>() {
-            out.insert(key.to_string(), v);
-        }
-    }
-    out
-}
+use std::time::Instant;
 
 /// The label value of `label` inside a `name{a="b",...}` series key.
 fn label_of<'a>(key: &'a str, label: &str) -> Option<&'a str> {
@@ -47,53 +36,61 @@ fn label_of<'a>(key: &'a str, label: &str) -> Option<&'a str> {
     Some(&key[start..end])
 }
 
-fn series<'a>(scrape: &'a Scrape, name: &str) -> impl Iterator<Item = (&'a str, f64)> + 'a {
-    let prefix = format!("{name}{{");
-    let bare = name.to_string();
+/// `key` with `suffix` on its name: `h{a="b"}` + `_count` is
+/// `h_count{a="b"}`.
+fn suffixed(key: &str, suffix: &str) -> String {
+    let (name, labels) = key.split_at(key.find('{').unwrap_or(key.len()));
+    format!("{name}{suffix}{labels}")
+}
+
+/// The sum of every series of counter `name`, whatever its labels.
+fn total(scrape: &Scrape, name: &str) -> u64 {
     scrape
+        .counters
         .iter()
-        .filter(move |(k, _)| **k == bare || k.starts_with(&prefix))
-        .map(|(k, v)| (k.as_str(), *v))
+        .filter(|(k, _)| k.split('{').next() == Some(name))
+        .map(|(_, v)| v)
+        .sum()
 }
 
-fn value(scrape: &Scrape, key: &str) -> f64 {
-    scrape.get(key).copied().unwrap_or(0.0)
+/// `part` as a percentage of `whole`, or `-` when `whole` is zero.
+fn pct(part: u64, whole: u64) -> String {
+    if whole == 0 {
+        "-".to_string()
+    } else {
+        format!("{:.1}", part as f64 * 100.0 / whole as f64)
+    }
 }
 
-/// The sum of every series of `name`, whatever its labels.
-fn total(scrape: &Scrape, name: &str) -> f64 {
-    // fold, not sum(): an empty f64 sum() is -0.0, which prints as "-0".
-    series(scrape, name).map(|(_, v)| v).fold(0.0, |a, b| a + b)
-}
-
-fn render(scrape: &Scrape, prev: Option<&Scrape>, interval_ms: u64) -> String {
-    let mut out = String::new();
-    let requests = total(scrape, "psp_slo_requests_total");
-    let errors = total(scrape, "psp_slo_errors_total");
-    let rate = prev
-        .map(|p| {
-            let dr = requests - total(p, "psp_slo_requests_total");
-            dr.max(0.0) * 1000.0 / interval_ms.max(1) as f64
-        })
-        .unwrap_or(0.0);
-    out.push_str(&format!(
-        "ready:{} connections:{} requests:{requests:.0} ({rate:.1}/s) errors:{errors:.0}\n",
-        value(scrape, "psp_ready"),
-        value(scrape, "psp_net_connections"),
-    ));
-    if let Some(entries) = scrape.get("psp_sig_index_entries") {
+/// One frame: `cur` against `prev`, `secs` apart (`None` on the first
+/// frame, whose `prev` is empty).
+fn render(cur: &Scrape, prev: &Scrape, secs: Option<f64>) -> String {
+    let rate = |n: u64| secs.map_or("-".to_string(), |s| format!("{:.1}", n as f64 / s));
+    let requests = total(cur, "psp_slo_requests_total");
+    let gauge = |name: &str| cur.gauges.get(name).copied().unwrap_or(0);
+    let counter = |name: &str| cur.counters.get(name).copied().unwrap_or(0);
+    let mut out = format!(
+        "ready:{} connections:{} requests:{requests} ({}/s) errors:{}\n",
+        gauge("psp_ready"),
+        gauge("psp_net_connections"),
+        rate(requests.saturating_sub(total(prev, "psp_slo_requests_total"))),
+        total(cur, "psp_slo_errors_total"),
+    );
+    if let Some(entries) = cur.gauges.get("psp.sig.index_entries") {
         out.push_str(&format!(
-            "sig index: {entries:.0} entries, {:.0} family hit(s), {:.0} search(es), \
-             {:.0} answered from memo\n",
-            value(scrape, "psp_sig_hit_total"),
-            value(scrape, "psp_sig_search_total"),
-            value(scrape, "psp_sig_search_memo_hit_total"),
+            "sig index: {entries} entries, {} family hit(s), {} search(es), \
+             {} answered from memo\n",
+            counter("psp.sig.hit"),
+            counter("psp.sig.search"),
+            counter("psp.sig.search_memo_hit"),
         ));
     }
-    let mut endpoints: Vec<&str> = series(scrape, "psp_slo_requests_total")
-        .filter_map(|(k, _)| label_of(k, "endpoint"))
+    let endpoints: Vec<&str> = cur
+        .counters
+        .keys()
+        .filter(|k| k.starts_with("psp_slo_requests_total{"))
+        .filter_map(|k| label_of(k, "endpoint"))
         .collect();
-    endpoints.sort_unstable();
     if !endpoints.is_empty() {
         out.push_str(&format!(
             "{:<12} {:>9} {:>7} {:>9} {:>9} {:>7} {:>7} {:>7} {:>7}\n",
@@ -108,45 +105,89 @@ fn render(scrape: &Scrape, prev: Option<&Scrape>, interval_ms: u64) -> String {
             "sig %"
         ));
     }
-    let slo = |name: &str, ep: &str| value(scrape, &format!("{name}{{endpoint=\"{ep}\"}}"));
-    let pct = |v: f64| {
-        if v < 0.0 {
-            "-".to_string()
-        } else {
-            format!("{:.1}", v * 100.0)
-        }
-    };
     for ep in endpoints {
-        let opt = |name: &str| {
-            scrape
-                .get(&format!("{name}{{endpoint=\"{ep}\"}}"))
-                .copied()
-                .unwrap_or(-1.0)
+        let key = |name: &str| format!("{name}{{endpoint=\"{ep}\"}}");
+        let now = |key: &str| cur.counters.get(key).copied().unwrap_or(0);
+        let delta =
+            |key: &str| now(key).saturating_sub(prev.counters.get(key).copied().unwrap_or(0));
+        let served = |path: &str| {
+            delta(&format!(
+                "psp_slo_served_total{{endpoint=\"{ep}\",path=\"{path}\"}}"
+            ))
         };
+        let (coeff, pixel) = (served("coeff-domain"), served("pixel-fallback"));
+        let (cached, sig) = (served("cached"), served("sig-cached"));
+        let (lat, none) = (key("psp_slo_latency_us"), HistogramSnapshot::default());
+        let latency = (cur.histograms.get(&lat).unwrap_or(&none))
+            .since(prev.histograms.get(&lat).unwrap_or(&none));
+        let p99 = match latency.count {
+            0 => "-".to_string(),
+            _ => format!("{:.2}", latency.quantile(0.99) / 1000.0),
+        };
+        let (requests, errors) = (key("psp_slo_requests_total"), key("psp_slo_errors_total"));
         out.push_str(&format!(
-            "{ep:<12} {:>9.0} {:>7.0} {:>9.2} {:>9.2} {:>7} {:>7} {:>7} {:>7}\n",
-            slo("psp_slo_requests_total", ep),
-            slo("psp_slo_errors_total", ep),
-            slo("psp_slo_window_request_rate", ep),
-            slo("psp_slo_window_p99_us", ep) / 1000.0,
-            pct(slo("psp_slo_window_error_rate", ep)),
-            pct(opt("psp_slo_window_cache_hit_rate")),
-            pct(opt("psp_slo_window_coeff_serve_rate")),
-            pct(opt("psp_slo_window_sig_hit_rate")),
+            "{ep:<12} {:>9} {:>7} {:>9} {:>9} {:>7} {:>7} {:>7} {:>7}\n",
+            now(&requests),
+            now(&errors),
+            rate(delta(&requests)),
+            p99,
+            pct(delta(&errors), delta(&requests)),
+            pct(cached + sig, cached + sig + coeff + pixel),
+            pct(coeff, coeff + pixel),
+            pct(sig, cached + sig),
         ));
     }
     out
 }
 
-/// Counters that decreased between two scrapes (name → before/after).
+/// Cumulative series that decreased between two scrapes, each as
+/// `series: before -> after`.
 fn regressions(prev: &Scrape, cur: &Scrape) -> Vec<String> {
-    prev.iter()
-        .filter(|(k, _)| k.split('{').next().unwrap_or("").ends_with("_total"))
-        .filter_map(|(k, before)| {
-            let after = cur.get(k)?;
-            (after < before).then(|| format!("{k}: {before} -> {after}"))
+    let mut bad = Vec::new();
+    let mut check = |series: String, before: u64, after: u64| {
+        if after < before {
+            bad.push(format!("{series}: {before} -> {after}"));
+        }
+    };
+    for (k, &before) in &prev.counters {
+        if let Some(&after) = cur.counters.get(k) {
+            check(k.clone(), before, after);
+        }
+    }
+    for (k, before) in &prev.histograms {
+        let Some(after) = cur.histograms.get(k) else {
+            continue;
+        };
+        check(suffixed(k, "_count"), before.count, after.count);
+        check(suffixed(k, "_sum"), before.sum, after.sum);
+        for &(le, c) in &before.buckets {
+            let now = after.buckets.iter().take_while(|b| b.0 <= le).last();
+            check(
+                format!("{} le={le}", suffixed(k, "_bucket")),
+                c,
+                now.map_or(0, |b| b.1),
+            );
+        }
+    }
+    bad
+}
+
+/// Whether a series of `scrape` whose key contains `needle` is positive;
+/// a histogram is matched as its `_count` and `_sum` series.
+fn nonzero(scrape: &Scrape, needle: &str) -> bool {
+    scrape
+        .counters
+        .iter()
+        .any(|(k, &v)| v > 0 && k.contains(needle))
+        || scrape
+            .gauges
+            .iter()
+            .any(|(k, &v)| v > 0 && k.contains(needle))
+        || scrape.histograms.iter().any(|(k, h)| {
+            [("_count", h.count), ("_sum", h.sum)]
+                .iter()
+                .any(|&(suffix, v)| v > 0 && suffixed(k, suffix).contains(needle))
         })
-        .collect()
 }
 
 /// What one `top` run samples and asserts.
@@ -203,31 +244,34 @@ fn run(
     mut fetch: impl FnMut() -> Result<String, String>,
     watch: &Watch,
 ) -> CliResult {
-    let mut prev: Option<Scrape> = None;
+    let mut prev = Scrape::default();
+    let mut prev_at: Option<Instant> = None;
     let mut reading = true;
     for i in 0..watch.samples.max(1) {
-        let scrape = parse_scrape(&fetch()?);
-        if scrape.is_empty() {
+        let text = fetch()?;
+        let at = Instant::now();
+        let scrape = parse_prometheus(&text).map_err(|e| format!("reading /metrics: {e}"))?;
+        if scrape == Scrape::default() {
             return Err("scrape parsed to zero series — is /metrics serving?".into());
         }
         if watch.assert_monotonic {
-            if let Some(p) = &prev {
-                let bad = regressions(p, &scrape);
-                if !bad.is_empty() {
-                    return Err(format!("counter(s) went backwards: {}", bad.join("; ")));
-                }
+            let bad = regressions(&prev, &scrape);
+            if !bad.is_empty() {
+                return Err(format!("series went backwards: {}", bad.join("; ")));
             }
         }
         let mut frame = String::new();
         if !watch.plain {
             frame.push_str("\x1b[2J\x1b[H");
         }
-        frame.push_str(&render(&scrape, prev.as_ref(), watch.interval_ms));
+        let secs = prev_at.map(|t| at.duration_since(t).as_secs_f64());
+        frame.push_str(&render(&scrape, &prev, secs));
         if watch.plain {
             frame.push_str("---\n");
         }
         reading = emit(out, &frame)?;
-        prev = Some(scrape);
+        prev = scrape;
+        prev_at = Some(at);
         if !reading {
             break;
         }
@@ -235,10 +279,8 @@ fn run(
             std::thread::sleep(std::time::Duration::from_millis(watch.interval_ms));
         }
     }
-    let last = prev.unwrap_or_default();
     for needle in &watch.assert_nonzero {
-        let hit = last.iter().any(|(k, v)| k.contains(needle) && *v > 0.0);
-        if !hit {
+        if !nonzero(&prev, needle) {
             return Err(format!("no series matching {needle:?} is nonzero"));
         }
         if reading {
@@ -246,7 +288,7 @@ fn run(
         }
     }
     if watch.assert_monotonic && reading {
-        emit(out, "assert-monotonic ok: no *_total series decreased\n")?;
+        emit(out, "assert-monotonic ok: no cumulative series decreased\n")?;
     }
     Ok(())
 }
@@ -254,72 +296,160 @@ fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use puppies_psp::net::{Sample, SloRegistry};
+    use puppies_psp::store::ServedPath;
 
     const SAMPLE: &str = "\
 # HELP psp_slo_requests_total requests per endpoint\n\
 # TYPE psp_slo_requests_total counter\n\
 psp_slo_requests_total{endpoint=\"download\"} 25\n\
 psp_slo_requests_total{endpoint=\"upload\"} 17\n\
+# HELP psp_slo_errors_total 5xx responses per endpoint\n\
+# TYPE psp_slo_errors_total counter\n\
 psp_slo_errors_total{endpoint=\"upload\"} 2\n\
-psp_slo_window_p99_us{endpoint=\"upload\"} 1234.5\n\
+# HELP psp_slo_latency_us request latency per endpoint, in us\n\
+# TYPE psp_slo_latency_us histogram\n\
+psp_slo_latency_us_bucket{endpoint=\"upload\",le=\"1279\"} 16\n\
+psp_slo_latency_us_bucket{endpoint=\"upload\",le=\"1343\"} 17\n\
+psp_slo_latency_us_bucket{endpoint=\"upload\",le=\"+Inf\"} 17\n\
+psp_slo_latency_us_sum{endpoint=\"upload\"} 20900\n\
+psp_slo_latency_us_count{endpoint=\"upload\"} 17\n\
+# HELP psp_ready whether the store is recovered and serving\n\
+# TYPE psp_ready gauge\n\
 psp_ready 1\n";
 
+    fn scrape(text: &str) -> Scrape {
+        parse_prometheus(text).unwrap()
+    }
+
+    /// The columns of `endpoint`'s row in a rendered frame.
+    fn row<'a>(frame: &'a str, endpoint: &str) -> Vec<&'a str> {
+        let line = frame
+            .lines()
+            .find(|l| l.starts_with(endpoint))
+            .unwrap_or_else(|| panic!("no {endpoint} row in {frame}"));
+        line.split_whitespace().collect()
+    }
+
+    fn record(reg: &SloRegistry, n: usize, ok: bool, latency_us: u64, served: ServedPath) {
+        for _ in 0..n {
+            let sample = Sample {
+                ok,
+                latency_us,
+                served: Some(served),
+            };
+            reg.record("transformed", sample);
+        }
+    }
+
     #[test]
-    fn scrape_parses_values_and_labels() {
-        let s = parse_scrape(SAMPLE);
-        assert_eq!(
-            s.get("psp_slo_requests_total{endpoint=\"download\"}"),
-            Some(&25.0)
+    fn columns_are_differences_between_scrapes() {
+        let reg = SloRegistry::new();
+        record(&reg, 3, true, 8_000, ServedPath::CoeffDomain);
+        record(&reg, 1, true, 8_000, ServedPath::PixelFallback);
+        record(&reg, 3, true, 8_000, ServedPath::Cached);
+        record(&reg, 1, false, 8_000, ServedPath::Cached);
+        record(&reg, 2, true, 8_000, ServedPath::SigCached);
+        let first = scrape(&reg.render_prometheus());
+        record(&reg, 1, true, 500, ServedPath::CoeffDomain);
+        record(&reg, 1, false, 500, ServedPath::PixelFallback);
+        record(&reg, 2, false, 500, ServedPath::Cached);
+        record(&reg, 4, false, 500, ServedPath::SigCached);
+        record(&reg, 2, true, 500, ServedPath::SigCached);
+        let second = scrape(&reg.render_prometheus());
+
+        // One scrape: whole-life figures, and no rate without an interval.
+        let whole = render(&first, &Scrape::default(), None);
+        assert!(whole.contains("requests:10 (-/s) errors:1"), "{whole}");
+        let cols = row(&whole, "transformed");
+        assert_eq!(cols[1..4], ["10", "1", "-"], "{whole}");
+        let p99: f64 = cols[4].parse().unwrap();
+        assert!((7.9..=8.2).contains(&p99), "{whole}");
+        assert_eq!(cols[5..], ["10.0", "60.0", "75.0", "33.3"], "{whole}");
+
+        // Two scrapes 2 s apart: only the ten requests between them.
+        let delta = render(&second, &first, Some(2.0));
+        assert!(delta.contains("requests:20 (5.0/s) errors:8"), "{delta}");
+        let cols = row(&delta, "transformed");
+        assert_eq!(cols[1..4], ["20", "8", "5.0"], "{delta}");
+        let p99: f64 = cols[4].parse().unwrap();
+        assert!((0.49..=0.52).contains(&p99), "{delta}");
+        assert_eq!(cols[5..], ["70.0", "80.0", "50.0", "75.0"], "{delta}");
+    }
+
+    #[test]
+    fn idle_interval_shows_no_percentages() {
+        let s = scrape(SAMPLE);
+        let frame = render(&s, &s, Some(1.0));
+        assert!(
+            frame.contains("ready:1 connections:0 requests:42 (0.0/s)"),
+            "{frame}"
         );
         assert_eq!(
-            s.get("psp_slo_requests_total{endpoint=\"upload\"}"),
-            Some(&17.0)
+            row(&frame, "upload")[1..],
+            ["17", "2", "0.0", "-", "-", "-", "-", "-"]
         );
-        assert_eq!(
-            label_of("psp_slo_requests_total{endpoint=\"upload\"}", "endpoint"),
-            Some("upload")
-        );
+        let whole = render(&s, &Scrape::default(), None);
+        assert_eq!(row(&whole, "upload")[4..6], ["1.33", "11.8"], "{whole}");
     }
 
     #[test]
     fn monotonicity_check_flags_decreases_only() {
-        let before = parse_scrape(SAMPLE);
+        let before = scrape(SAMPLE);
         let mut after = before.clone();
         assert!(regressions(&before, &after).is_empty());
-        after.insert("psp_slo_requests_total{endpoint=\"download\"}".into(), 24.0);
-        // Gauges may move freely; only *_total decreases are violations.
-        after.insert("psp_ready".into(), 0.0);
+        after
+            .counters
+            .insert("psp_slo_requests_total{endpoint=\"download\"}".into(), 24);
+        // Gauges may move freely; only cumulative series are checked.
+        after.gauges.insert("psp_ready".into(), 0);
         let bad = regressions(&before, &after);
         assert_eq!(bad.len(), 1);
         assert!(bad[0].starts_with("psp_slo_requests_total{endpoint=\"download\"}"));
     }
 
     #[test]
-    fn render_builds_the_endpoint_table() {
-        let s = parse_scrape(SAMPLE);
-        let text = render(&s, None, 1000);
-        assert!(text.contains("requests:42 (0.0/s) errors:2"), "got: {text}");
-        assert!(text.contains("upload"));
-        assert!(text.contains("1.23"));
+    fn monotonicity_check_covers_every_histogram_series() {
+        let before = scrape(SAMPLE);
+        // The 1279 bucket loses an observation to the 1343 one: count and
+        // sum hold, so only the bucket shows it.
+        let after = scrape(&SAMPLE.replace("le=\"1279\"} 16", "le=\"1279\"} 15"));
+        assert_eq!(
+            regressions(&before, &after),
+            ["psp_slo_latency_us_bucket{endpoint=\"upload\"} le=1279: 16 -> 15"]
+        );
+        let after = scrape(
+            &SAMPLE
+                .replace(
+                    "_sum{endpoint=\"upload\"} 20900",
+                    "_sum{endpoint=\"upload\"} 20000",
+                )
+                .replace(
+                    "_count{endpoint=\"upload\"} 17",
+                    "_count{endpoint=\"upload\"} 16",
+                ),
+        );
+        let bad = regressions(&before, &after);
+        assert_eq!(bad.len(), 2, "{bad:?}");
+        assert!(bad[0].starts_with("psp_slo_latency_us_count{endpoint=\"upload\"}: 17 -> 16"));
+        assert!(bad[1].starts_with("psp_slo_latency_us_sum{endpoint=\"upload\"}"));
     }
 
     #[test]
-    fn request_rate_sums_every_endpoint_of_both_scrapes() {
-        let mut prev = parse_scrape(SAMPLE);
-        prev.insert("psp_slo_requests_total{endpoint=\"download\"}".into(), 10.0);
-        prev.insert("psp_slo_requests_total{endpoint=\"upload\"}".into(), 20.0);
-        let text = render(&parse_scrape(SAMPLE), Some(&prev), 500);
-        // (42 - 30) requests over half a second.
-        assert!(text.contains("requests:42 (24.0/s)"), "got: {text}");
+    fn nonzero_matches_histograms_by_their_count_series() {
+        let s = scrape(SAMPLE);
+        assert!(nonzero(&s, "psp_slo_latency_us_count"));
+        assert!(nonzero(&s, "psp_ready"));
+        assert!(!nonzero(&s, "psp_slo_errors_total{endpoint=\"download\""));
     }
 
     #[test]
     fn render_shows_memo_answered_searches_beside_their_base() {
-        let mut s = parse_scrape(SAMPLE);
-        s.insert("psp_sig_index_entries".into(), 9.0);
-        s.insert("psp_sig_search_total".into(), 5.0);
-        s.insert("psp_sig_search_memo_hit_total".into(), 3.0);
-        let text = render(&s, None, 1000);
+        let mut s = scrape(SAMPLE);
+        s.gauges.insert("psp.sig.index_entries".into(), 9);
+        s.counters.insert("psp.sig.search".into(), 5);
+        s.counters.insert("psp.sig.search_memo_hit".into(), 3);
+        let text = render(&s, &Scrape::default(), None);
         assert!(
             text.contains("5 search(es), 3 answered from memo"),
             "got: {text}"
@@ -378,6 +508,6 @@ psp_ready 1\n";
         let text = String::from_utf8(out).unwrap();
         assert_eq!(text.matches("---\n").count(), 2, "got: {text}");
         assert!(text.contains("assert-nonzero ok: psp_ready"));
-        assert!(text.ends_with("assert-monotonic ok: no *_total series decreased\n"));
+        assert!(text.ends_with("assert-monotonic ok: no cumulative series decreased\n"));
     }
 }

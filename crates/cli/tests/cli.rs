@@ -243,7 +243,7 @@ fn trace_and_stats_flags_are_observable_and_inert() {
     let key = dir.join("owner.key");
     std::fs::write(&key, [3u8; 32]).unwrap();
     let trace = dir.join("trace.json");
-    let stats = dir.join("stats.json");
+    let stats = dir.join("stats.prom");
 
     let protect = |jpg: &PathBuf, extra: &[&str]| {
         let mut cmd = bin();

@@ -65,7 +65,7 @@ pub fn run(ctx: &Ctx) {
             if verdict.recognized { "YES (!)" } else { "no" }
         );
         let file = format!(
-            "fig23_{}.ppm",
+            "fig23_{}.pgm",
             name.replace([' ', '(', ')'], "_").to_lowercase()
         );
         ctx.save_pgm(out, &file);

@@ -72,9 +72,9 @@ impl Ctx {
     /// Writes a colour dump to `out_dir/name` and returns its path.
     ///
     /// # Panics
-    /// If the file cannot be written.
+    /// If `name` does not end in `.ppm`, or the file cannot be written.
     pub fn save_ppm(&self, img: &RgbImage, name: &str) -> PathBuf {
-        let path = self.out_dir.join(name);
+        let path = self.dump_path(name, "ppm");
         puppies_image::io::save_ppm(img, &path)
             .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
         path
@@ -83,11 +83,24 @@ impl Ctx {
     /// Writes a grayscale dump to `out_dir/name` and returns its path.
     ///
     /// # Panics
-    /// If the file cannot be written.
+    /// If `name` does not end in `.pgm`, or the file cannot be written.
     pub fn save_pgm(&self, img: &GrayImage, name: &str) -> PathBuf {
-        let path = self.out_dir.join(name);
+        let path = self.dump_path(name, "pgm");
         puppies_image::io::save_pgm(img, &path)
             .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
+        path
+    }
+
+    /// `out_dir/name`, which must carry the extension of the format written
+    /// into it: readers pick the format by extension.
+    fn dump_path(&self, name: &str, ext: &str) -> PathBuf {
+        let path = self.out_dir.join(name);
+        assert!(
+            path.extension().is_some_and(|e| e == ext),
+            "{}: a {} dump needs a .{ext} name",
+            path.display(),
+            ext.to_uppercase()
+        );
         path
     }
 }
@@ -219,6 +232,32 @@ pub fn registry() -> BTreeMap<&'static str, (&'static str, ExpFn)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn dumps_are_named_for_their_format() {
+        let ctx = Ctx {
+            out_dir: std::env::temp_dir().join(format!("puppies-dumps-{}", std::process::id())),
+            ..Ctx::new(Scale::Quick)
+        };
+        std::fs::create_dir_all(&ctx.out_dir).unwrap();
+        let gray = GrayImage::new(2, 2);
+        let rgb = RgbImage::new(2, 2);
+        assert!(ctx.save_pgm(&gray, "ok.pgm").is_file());
+        assert!(ctx.save_ppm(&rgb, "ok.ppm").is_file());
+        let pgm_as_ppm = std::panic::catch_unwind(|| ctx.save_pgm(&gray, "wrong.ppm"));
+        let ppm_as_pgm = std::panic::catch_unwind(|| ctx.save_ppm(&rgb, "wrong.pgm"));
+        let written: Vec<_> = std::fs::read_dir(&ctx.out_dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        std::fs::remove_dir_all(&ctx.out_dir).unwrap();
+        for (what, outcome) in [("pgm as .ppm", pgm_as_ppm), ("ppm as .pgm", ppm_as_pgm)] {
+            let payload = outcome.expect_err(what);
+            let msg = payload.downcast_ref::<String>().expect(what);
+            assert!(msg.contains("wrong."), "{what}: {msg}");
+        }
+        assert_eq!(written.len(), 2, "{written:?}");
+    }
 
     #[test]
     fn out_dir_is_the_workspace_results_dir() {

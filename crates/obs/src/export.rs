@@ -1,12 +1,17 @@
-//! Exporters: the JSON stats snapshot (written by `--stats`, read by
-//! `puppies stats`) and the Chrome `trace_event` file (written by
-//! `--trace`, loadable in `about:tracing` or <https://ui.perfetto.dev>).
+//! Exporters and the one reader of the metrics format: the Prometheus
+//! text exposition ([`prometheus_text`], served on the PSP's `/metrics`
+//! and written by `--stats`), read back by [`parse_prometheus`] for
+//! `puppies top` and `puppies stats`; and the Chrome `trace_event` file
+//! (written by `--trace`, loadable in `about:tracing` or
+//! <https://ui.perfetto.dev>).
 //!
-//! Both formats are emitted and parsed by hand — the workspace has no
-//! serde, and both schemas are small and ours.
+//! Both formats are emitted by hand — the workspace has no serde, and
+//! both schemas are small and ours.
 
-use crate::metrics::{HistStats, MetricRegistry, MetricsSnapshot};
+use crate::hist::HistogramSnapshot;
+use crate::metrics::MetricRegistry;
 use crate::span::SpanRecord;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Escapes `s` into a JSON string body (no surrounding quotes): `"`,
@@ -74,194 +79,6 @@ pub fn chrome_trace(spans: &[SpanRecord], threads: &[(u64, String)], dropped: u6
     out
 }
 
-/// Renders a metrics snapshot as the stats JSON document. Histogram
-/// values are nanoseconds for span- and latency-derived entries (the
-/// pipeline records ns); the document stores raw numbers and the pretty
-/// printer scales for display.
-pub fn stats_json(snap: &MetricsSnapshot) -> String {
-    let mut out = String::from("{\n  \"schema\": 1,\n  \"counters\": {");
-    for (i, (name, v)) in snap.counters.iter().enumerate() {
-        let sep = if i == 0 { "\n" } else { ",\n" };
-        let _ = write!(out, "{sep}    \"{}\": {v}", escape_json(name));
-    }
-    out.push_str("\n  },\n  \"gauges\": {");
-    for (i, (name, v)) in snap.gauges.iter().enumerate() {
-        let sep = if i == 0 { "\n" } else { ",\n" };
-        let _ = write!(out, "{sep}    \"{}\": {v}", escape_json(name));
-    }
-    out.push_str("\n  },\n  \"histograms\": {");
-    for (i, (name, h)) in snap.histograms.iter().enumerate() {
-        let sep = if i == 0 { "\n" } else { ",\n" };
-        let _ = write!(
-            out,
-            "{sep}    \"{}\": {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \
-             \"p50\": {:.1}, \"p95\": {:.1}, \"p99\": {:.1}}}",
-            escape_json(name),
-            h.count,
-            h.sum,
-            h.min,
-            h.max,
-            h.p50,
-            h.p95,
-            h.p99
-        );
-    }
-    out.push_str("\n  }\n}\n");
-    out
-}
-
-/// Parses a document produced by [`stats_json`] back into a snapshot.
-/// A fixed-schema scanner in the same spirit as the bench JSON reader —
-/// not a general JSON parser.
-///
-/// # Errors
-/// Returns a description of the first malformed construct.
-pub fn parse_stats_json(text: &str) -> Result<MetricsSnapshot, String> {
-    let mut snap = MetricsSnapshot::default();
-    let section = |name: &str| -> Result<&str, String> {
-        let key = format!("\"{name}\":");
-        let start = text
-            .find(&key)
-            .ok_or_else(|| format!("no \"{name}\" section"))?;
-        let body = &text[start + key.len()..];
-        let open = body.find('{').ok_or_else(|| format!("bad {name}"))?;
-        let mut depth = 0usize;
-        for (i, c) in body[open..].char_indices() {
-            match c {
-                '{' => depth += 1,
-                '}' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return Ok(&body[open + 1..open + i]);
-                    }
-                }
-                _ => {}
-            }
-        }
-        Err(format!("unterminated {name}"))
-    };
-    for (name, value) in scan_entries(section("counters")?) {
-        snap.counters.push((
-            name,
-            value
-                .trim()
-                .parse::<u64>()
-                .map_err(|e| format!("bad counter: {e}"))?,
-        ));
-    }
-    for (name, value) in scan_entries(section("gauges")?) {
-        snap.gauges.push((
-            name,
-            value
-                .trim()
-                .parse::<i64>()
-                .map_err(|e| format!("bad gauge: {e}"))?,
-        ));
-    }
-    for (name, value) in scan_entries(section("histograms")?) {
-        let field = |f: &str| -> Result<f64, String> {
-            let key = format!("\"{f}\":");
-            let p = value
-                .find(&key)
-                .ok_or_else(|| format!("histogram {name}: no {f}"))?;
-            let rest = value[p + key.len()..].trim_start();
-            let end = rest
-                .find(|c: char| c != '.' && c != '-' && !c.is_ascii_digit())
-                .unwrap_or(rest.len());
-            rest[..end]
-                .parse::<f64>()
-                .map_err(|e| format!("histogram {name}: bad {f}: {e}"))
-        };
-        snap.histograms.push((
-            name.clone(),
-            HistStats {
-                count: field("count")? as u64,
-                sum: field("sum")? as u64,
-                min: field("min")? as u64,
-                max: field("max")? as u64,
-                p50: field("p50")?,
-                p95: field("p95")?,
-                p99: field("p99")?,
-            },
-        ));
-    }
-    Ok(snap)
-}
-
-/// Yields `(unescaped name, raw value text)` for each top-level
-/// `"name": value` entry of an object body. Values end at a top-level
-/// comma (or the end of the body); object values keep their braces.
-fn scan_entries(body: &str) -> Vec<(String, String)> {
-    let mut out = Vec::new();
-    let mut pos = 0usize;
-    let bytes = body.as_bytes();
-    while pos < body.len() {
-        let Some(q0) = body[pos..].find('"').map(|i| pos + i) else {
-            break;
-        };
-        // Find the unescaped closing quote.
-        let mut i = q0 + 1;
-        let mut q1 = None;
-        while i < bytes.len() {
-            match bytes[i] {
-                b'\\' => i += 2,
-                b'"' => {
-                    q1 = Some(i);
-                    break;
-                }
-                _ => i += 1,
-            }
-        }
-        let Some(q1) = q1 else { break };
-        let name = unescape_json(&body[q0 + 1..q1]);
-        let Some(colon) = body[q1..].find(':').map(|i| q1 + i) else {
-            break;
-        };
-        let value_start = colon + 1;
-        let mut depth = 0i32;
-        let mut end = body.len();
-        for (i, c) in body[value_start..].char_indices() {
-            match c {
-                '{' => depth += 1,
-                '}' => depth -= 1,
-                ',' if depth == 0 => {
-                    end = value_start + i;
-                    break;
-                }
-                _ => {}
-            }
-        }
-        out.push((name, body[value_start..end].trim().to_string()));
-        pos = end + 1;
-    }
-    out
-}
-
-fn unescape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some('t') => out.push('\t'),
-            Some('u') => {
-                let hex: String = chars.by_ref().take(4).collect();
-                if let Some(c) = u32::from_str_radix(&hex, 16).ok().and_then(char::from_u32) {
-                    out.push(c);
-                }
-            }
-            Some(other) => out.push(other),
-            None => break,
-        }
-    }
-    out
-}
-
 /// Maps a dotted metric name onto the Prometheus identifier charset
 /// `[a-zA-Z_:][a-zA-Z0-9_:]*`: dots (and anything else illegal) become
 /// underscores, and a leading digit gets an underscore prefix.
@@ -318,8 +135,8 @@ pub fn escape_prom_help(s: &str) -> String {
 ///   (occupied buckets only — the grid has 593 cells, almost all empty),
 ///   always ending with `+Inf`, `_sum`, and `_count`; an empty histogram
 ///   still renders all three so scrapers see a well-formed family.
-/// * The original dotted name is preserved in `# HELP` (escaped), so the
-///   mapping back to `--stats` names is mechanical.
+/// * The original dotted name is preserved in `# HELP` (escaped), which
+///   is how [`parse_prometheus`] gives the dotted names back.
 ///
 /// Values are raw (the pipeline records ns for spans, µs for request
 /// latencies); unit suffixes in the metric name carry the unit.
@@ -345,51 +162,187 @@ pub fn prometheus_text(reg: &MetricRegistry) -> String {
         let Some(h) = reg.histogram(name) else {
             continue;
         };
-        let cum = h.cumulative();
         let pname = prometheus_name(name);
         let _ = writeln!(out, "# HELP {pname} {}", escape_prom_help(name));
         let _ = writeln!(out, "# TYPE {pname} histogram");
-        for &(le, c) in &cum.buckets {
-            let _ = writeln!(out, "{pname}_bucket{{le=\"{le}\"}} {c}");
-        }
-        let _ = writeln!(out, "{pname}_bucket{{le=\"+Inf\"}} {}", cum.count);
-        let _ = writeln!(out, "{pname}_sum {}", cum.sum);
-        let _ = writeln!(out, "{pname}_count {}", cum.count);
+        write_prom_histogram(&mut out, &pname, "", &h.cumulative());
     }
     out
 }
 
-/// Renders a snapshot as the human-readable table `puppies stats` prints.
-/// Histograms are shown in milliseconds (recorded values are ns).
-pub fn render_stats(snap: &MetricsSnapshot) -> String {
+/// Appends one histogram series' samples: a `_bucket` line per occupied
+/// bucket, then `+Inf`, `_sum` and `_count`. `labels` is the series' own
+/// `key="value"` list, already escaped, or empty; `le` goes last.
+pub fn write_prom_histogram(out: &mut String, name: &str, labels: &str, h: &HistogramSnapshot) {
+    let (sep, braced) = if labels.is_empty() {
+        ("", String::new())
+    } else {
+        (",", format!("{{{labels}}}"))
+    };
+    for &(le, c) in &h.buckets {
+        let _ = writeln!(out, "{name}_bucket{{{labels}{sep}le=\"{le}\"}} {c}");
+    }
+    let _ = writeln!(out, "{name}_bucket{{{labels}{sep}le=\"+Inf\"}} {}", h.count);
+    let _ = writeln!(out, "{name}_sum{braced} {}", h.sum);
+    let _ = writeln!(out, "{name}_count{braced} {}", h.count);
+}
+
+/// One parsed exposition. Every key is a series key, `name{labels}` with
+/// the labels as written (a histogram's without `le`). `name` is the
+/// family's dotted registry name when its `# HELP` line is one, as
+/// [`prometheus_text`] writes it (`psp.sig.hit`, `jpeg.encode`), and the
+/// exposition name otherwise (`psp_slo_requests_total{endpoint="upload"}`).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Scrape {
+    /// Counter samples.
+    pub counters: BTreeMap<String, u64>,
+    /// Gauge samples.
+    pub gauges: BTreeMap<String, i64>,
+    /// Histogram series.
+    pub histograms: BTreeMap<String, HistogramSnapshot>,
+}
+
+/// Parses the text format that [`prometheus_text`] and the PSP's
+/// `/metrics` write: `# HELP`, then `# TYPE`, then the family's samples,
+/// every value an integer.
+///
+/// # Errors
+/// Names the first sample that is not an integer, that lies outside a
+/// `# TYPE`d counter, gauge or histogram family, or that is a histogram
+/// sample other than `_bucket` (with `le`), `_sum` or `_count`.
+pub fn parse_prometheus(text: &str) -> Result<Scrape, String> {
+    let mut scrape = Scrape::default();
+    let mut help = ("", "");
+    // (exposition name, kind, key name) of the family being read.
+    let mut family: Option<(&str, &str, String)> = None;
+    for line in text.lines() {
+        if let Some(rest) = line.strip_prefix("# HELP ") {
+            help = rest.split_once(' ').unwrap_or((rest, ""));
+            continue;
+        }
+        if let Some(rest) = line.strip_prefix("# TYPE ") {
+            let (name, kind) = rest.split_once(' ').unwrap_or((rest, ""));
+            let dotted = unescape_prom_help(help.1);
+            let exposed = match kind {
+                "counter" => format!("{}_total", prometheus_name(&dotted)),
+                _ => prometheus_name(&dotted),
+            };
+            let key = if help.0 == name && exposed == name {
+                dotted
+            } else {
+                name.to_string()
+            };
+            family = Some((name, kind, key));
+            continue;
+        }
+        if line.is_empty() || line.starts_with('#') {
+            continue;
+        }
+        let bad = || format!("bad sample {line:?}");
+        let int = |v: &str| v.parse::<u64>().map_err(|_| bad());
+        let (series, value) = line.rsplit_once(' ').ok_or_else(bad)?;
+        let (name, labels) = series.split_at(series.find('{').unwrap_or(series.len()));
+        let Some((fam, kind, key)) = &family else {
+            return Err(bad());
+        };
+        match (*kind, name.strip_prefix(fam)) {
+            ("counter", Some("")) => {
+                scrape
+                    .counters
+                    .insert(format!("{key}{labels}"), int(value)?);
+            }
+            ("gauge", Some("")) => {
+                let v = value.parse::<i64>().map_err(|_| bad())?;
+                scrape.gauges.insert(format!("{key}{labels}"), v);
+            }
+            ("histogram", Some(part)) => {
+                let (labels, le) = split_le(labels);
+                let h = scrape
+                    .histograms
+                    .entry(format!("{key}{labels}"))
+                    .or_default();
+                match (part, le) {
+                    ("_bucket", Some("+Inf")) => {}
+                    ("_bucket", Some(le)) => h.buckets.push((int(le)?, int(value)?)),
+                    ("_sum", None) => h.sum = int(value)?,
+                    ("_count", None) => h.count = int(value)?,
+                    _ => return Err(bad()),
+                }
+            }
+            _ => return Err(bad()),
+        }
+    }
+    Ok(scrape)
+}
+
+/// Splits a trailing `le="…"` off a label list: `{endpoint="x",le="7"}`
+/// gives `{endpoint="x"}` and `7`, `{le="7"}` gives an empty list.
+fn split_le(labels: &str) -> (String, Option<&str>) {
+    let at = labels
+        .rfind("le=\"")
+        .filter(|&i| i > 0 && matches!(labels.as_bytes()[i - 1], b'{' | b','));
+    let Some(i) = at else {
+        return (labels.to_string(), None);
+    };
+    let le = labels[i + 4..].split('"').next();
+    let rest = match &labels[..i - 1] {
+        "" => String::new(),
+        rest => format!("{rest}}}"),
+    };
+    (rest, le)
+}
+
+/// Reverses [`escape_prom_help`].
+fn unescape_prom_help(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    let mut chars = s.chars();
+    while let Some(c) = chars.next() {
+        if c != '\\' {
+            out.push(c);
+            continue;
+        }
+        match chars.next() {
+            Some('n') => out.push('\n'),
+            Some(other) => out.push(other),
+            None => out.push('\\'),
+        }
+    }
+    out
+}
+
+/// Renders a parsed `--stats` file as the table `puppies stats` prints.
+/// Histograms are shown in milliseconds (recorded values are ns); `max`
+/// is the highest occupied bucket's bound.
+pub fn render_stats(scrape: &Scrape) -> String {
     let mut out = String::new();
-    if !snap.histograms.is_empty() {
+    if !scrape.histograms.is_empty() {
         out.push_str(&format!(
             "{:<26} {:>8} {:>10} {:>10} {:>10} {:>10}\n",
             "histogram (ms)", "count", "p50", "p95", "p99", "max"
         ));
-        for (name, h) in &snap.histograms {
+        for (name, h) in &scrape.histograms {
+            let ms = |q: f64| h.quantile(q) / 1e6;
             let _ = writeln!(
                 out,
                 "{:<26} {:>8} {:>10.3} {:>10.3} {:>10.3} {:>10.3}",
                 name,
                 h.count,
-                h.p50 / 1e6,
-                h.p95 / 1e6,
-                h.p99 / 1e6,
-                h.max as f64 / 1e6
+                ms(0.50),
+                ms(0.95),
+                ms(0.99),
+                ms(1.0)
             );
         }
     }
-    if !snap.counters.is_empty() {
+    if !scrape.counters.is_empty() {
         let _ = writeln!(out, "{:<26} {:>8}", "counter", "value");
-        for (name, v) in &snap.counters {
+        for (name, v) in &scrape.counters {
             let _ = writeln!(out, "{name:<26} {v:>8}");
         }
     }
-    if !snap.gauges.is_empty() {
+    if !scrape.gauges.is_empty() {
         let _ = writeln!(out, "{:<26} {:>8}", "gauge", "value");
-        for (name, v) in &snap.gauges {
+        for (name, v) in &scrape.gauges {
             let _ = writeln!(out, "{name:<26} {v:>8}");
         }
     }
@@ -430,35 +383,6 @@ mod tests {
         assert!(!json.bytes().any(|b| b < 0x20 && b != b'\n'));
         assert!(json.contains("\"ts\":1.500"));
         assert!(json.contains("\"dur\":2.500"));
-    }
-
-    #[test]
-    fn stats_json_roundtrips() {
-        let snap = MetricsSnapshot {
-            counters: vec![("a.b".into(), 42), ("weird \"name\"".into(), 7)],
-            gauges: vec![("g".into(), -5)],
-            histograms: vec![(
-                "jpeg.encode".into(),
-                HistStats {
-                    count: 10,
-                    sum: 1000,
-                    min: 50,
-                    max: 200,
-                    p50: 100.0,
-                    p95: 190.5,
-                    p99: 199.9,
-                },
-            )],
-        };
-        let json = stats_json(&snap);
-        let back = parse_stats_json(&json).unwrap();
-        assert_eq!(back.counters, snap.counters);
-        assert_eq!(back.gauges, snap.gauges);
-        assert_eq!(back.histograms.len(), 1);
-        let (name, h) = &back.histograms[0];
-        assert_eq!(name, "jpeg.encode");
-        assert_eq!(h.count, 10);
-        assert!((h.p95 - 190.5).abs() < 1e-9);
     }
 
     #[test]
@@ -548,26 +472,101 @@ mod tests {
     }
 
     #[test]
+    fn parse_gives_back_what_prometheus_text_wrote() {
+        let reg = MetricRegistry::default();
+        reg.counter("psp.sig.hit").unwrap().add(3);
+        reg.counter("weird\\name\nwith specials").unwrap().add(1);
+        reg.gauge("psp.photos").unwrap().set(-2);
+        reg.histogram("empty.hist").unwrap();
+        let h = reg.histogram("jpeg.encode").unwrap();
+        for v in [0u64, 5, 5, 700, 1 << 41] {
+            h.record(v);
+        }
+        let scrape = parse_prometheus(&prometheus_text(&reg)).unwrap();
+        let snap = reg.snapshot();
+        assert_eq!(scrape.counters, snap.counters.into_iter().collect());
+        let gauges: BTreeMap<String, i64> = snap.gauges.into_iter().collect();
+        assert_eq!(scrape.gauges, gauges);
+        let names: Vec<&String> = scrape.histograms.keys().collect();
+        assert_eq!(names, ["empty.hist", "jpeg.encode"]);
+        for (name, parsed) in &scrape.histograms {
+            assert_eq!(*parsed, reg.histogram(name).unwrap().cumulative(), "{name}");
+        }
+    }
+
+    #[test]
+    fn parse_keeps_labels_and_exposition_names_without_a_dotted_help() {
+        let mut text = String::from(
+            "# HELP psp_slo_requests_total requests per endpoint\n\
+             # TYPE psp_slo_requests_total counter\n\
+             psp_slo_requests_total{endpoint=\"upload\"} 4\n\
+             # HELP psp_slo_latency_us request latency\n\
+             # TYPE psp_slo_latency_us histogram\n",
+        );
+        let h = crate::Histogram::new();
+        for v in [3u64, 40, 40, 900] {
+            h.record(v);
+        }
+        write_prom_histogram(
+            &mut text,
+            "psp_slo_latency_us",
+            "endpoint=\"upload\"",
+            &h.cumulative(),
+        );
+        let scrape = parse_prometheus(&text).unwrap();
+        assert_eq!(
+            scrape.counters["psp_slo_requests_total{endpoint=\"upload\"}"],
+            4
+        );
+        assert_eq!(
+            scrape.histograms["psp_slo_latency_us{endpoint=\"upload\"}"],
+            h.cumulative()
+        );
+        for bad in [
+            "orphan 1\n",
+            "# TYPE c counter\nc 1.5\n",
+            "# TYPE c counter\nother_total 1\n",
+            "# TYPE h histogram\nh_bucket 1\n",
+            "# TYPE s summary\ns 1\n",
+        ] {
+            assert!(parse_prometheus(bad).is_err(), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn parsed_quantiles_are_within_one_bucket_at_us_and_ns_scale() {
+        // A skewed stream: most observations near the base, a long tail.
+        for base in [80u64, 80_000] {
+            let reg = MetricRegistry::default();
+            let h = reg.histogram("lat").unwrap();
+            let mut x = 0x2545_f491_4f6c_dd1du64;
+            for _ in 0..20_000 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                h.record(base + (x % 1_000) * (x % 1_000) * base / 1_000);
+            }
+            let scrape = parse_prometheus(&prometheus_text(&reg)).unwrap();
+            let parsed = &scrape.histograms["lat"];
+            for q in [0.5, 0.95, 0.99, 1.0] {
+                let (got, want) = (parsed.quantile(q), h.quantile(q));
+                // A bucket spans at most 1/16 of its lower bound.
+                assert!(
+                    (got - want).abs() <= want / 16.0 + 1.0,
+                    "base {base} q{q}: parsed {got}, recorded {want}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn render_includes_quantile_columns() {
-        let snap = MetricsSnapshot {
-            counters: vec![("c".into(), 1)],
-            gauges: vec![],
-            histograms: vec![(
-                "h".into(),
-                HistStats {
-                    count: 1,
-                    sum: 2_000_000,
-                    min: 2_000_000,
-                    max: 2_000_000,
-                    p50: 2_000_000.0,
-                    p95: 2_000_000.0,
-                    p99: 2_000_000.0,
-                },
-            )],
-        };
-        let text = render_stats(&snap);
-        assert!(text.contains("p50"));
-        assert!(text.contains("p99"));
-        assert!(text.contains("2.000"));
+        let reg = MetricRegistry::default();
+        reg.counter("c").unwrap().add(1);
+        reg.histogram("core.protect").unwrap().record(2_000_000);
+        let text = render_stats(&parse_prometheus(&prometheus_text(&reg)).unwrap());
+        for needle in ["p50", "p99", "max", "core.protect", "c "] {
+            assert!(text.contains(needle), "{needle} missing from {text}");
+        }
     }
 }

@@ -65,7 +65,9 @@ fn bucket_hi(i: usize) -> u64 {
     bucket_lo(i) + (1u64 << (e - LINEAR_BITS))
 }
 
-/// One-pass cumulative view of a histogram for exposition.
+/// One-pass cumulative view of a histogram: what exposition writes as
+/// `_bucket`/`_sum`/`_count` lines and what [`crate::parse_prometheus`]
+/// reads back.
 ///
 /// `buckets` holds `(le, cumulative)` pairs for every *occupied* bucket,
 /// where `le` is the largest value that lands in the bucket (Prometheus'
@@ -147,37 +149,6 @@ impl Histogram {
         self.max.load(Ordering::Relaxed)
     }
 
-    /// Folds another histogram (e.g. a per-thread shard) into this one.
-    /// Quantiles of the merged histogram are exactly those of a histogram
-    /// that recorded both value streams, since buckets are additive.
-    pub fn merge(&self, other: &Histogram) {
-        for (dst, src) in self.buckets.iter().zip(&other.buckets) {
-            dst.fetch_add(src.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-        self.count
-            .fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.sum
-            .fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.min
-            .fetch_min(other.min.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.max
-            .fetch_max(other.max.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-
-    /// Zeroes every bucket and summary statistic. Concurrent `record`s
-    /// racing with a reset may survive partially (a bucket increment
-    /// without its count, or vice versa) — callers using reset for
-    /// rolling windows accept losing a handful of edge samples.
-    pub fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-        self.min.store(u64::MAX, Ordering::Relaxed);
-        self.max.store(0, Ordering::Relaxed);
-    }
-
     /// Cumulative bucket snapshot for exposition (see
     /// [`HistogramSnapshot`]). One pass over the bucket array; the
     /// returned `count` is the pass's own total so renderers stay
@@ -202,31 +173,69 @@ impl Histogram {
         out
     }
 
-    /// Estimates the `q`-quantile (`0.0..=1.0`) by linear interpolation
-    /// inside the target bucket, clamped to the observed min/max so exact
-    /// extremes are never overstated. Returns 0.0 when empty.
+    /// Estimates the `q`-quantile (`0.0..=1.0`) as
+    /// [`HistogramSnapshot::quantile`] does, clamped to the observed
+    /// min/max so exact extremes are never overstated. Returns 0.0 when
+    /// empty.
     pub fn quantile(&self, q: f64) -> f64 {
-        let count = self.count();
-        if count == 0 {
+        if self.count() == 0 {
             return 0.0;
         }
-        let rank = (q.clamp(0.0, 1.0) * count as f64).max(1.0);
-        let mut cum = 0u64;
-        for i in 0..BUCKETS {
-            let c = self.buckets[i].load(Ordering::Relaxed);
-            if c == 0 {
-                continue;
-            }
-            if (cum + c) as f64 >= rank {
-                let lo = bucket_lo(i) as f64;
-                let hi = bucket_hi(i).min(self.max().max(1)) as f64;
-                let frac = (rank - cum as f64) / c as f64;
-                let est = lo + (hi.max(lo) - lo) * frac;
-                return est.clamp(self.min() as f64, self.max() as f64);
-            }
-            cum += c;
+        // Not `clamp`: a racing `record` can publish its min before its
+        // max, and `clamp` panics when the bounds cross.
+        let est = self.cumulative().quantile(q);
+        est.max(self.min() as f64).min(self.max() as f64)
+    }
+}
+
+impl HistogramSnapshot {
+    /// Estimates the `q`-quantile (`0.0..=1.0`) by linear interpolation
+    /// inside the target bucket, between its smallest value and its `le`
+    /// (both from this crate's bucket layout, so `quantile(1.0)` is the
+    /// highest occupied bucket's `le`). A rank past the finite buckets
+    /// lies in the overflow bucket and reports its lower bound. Returns
+    /// 0.0 when empty.
+    pub fn quantile(&self, q: f64) -> f64 {
+        if self.count == 0 {
+            return 0.0;
         }
-        self.max() as f64
+        let rank = (q.clamp(0.0, 1.0) * self.count as f64).max(1.0);
+        let mut below = 0u64;
+        for &(le, cum) in &self.buckets {
+            if cum as f64 >= rank {
+                let lo = bucket_lo(bucket_index(le)) as f64;
+                let frac = (rank - below as f64) / (cum - below) as f64;
+                return lo + (le as f64 - lo) * frac;
+            }
+            below = cum;
+        }
+        bucket_lo(BUCKETS - 1) as f64
+    }
+
+    /// The observations recorded between `earlier` and `self`, two
+    /// snapshots of one histogram: each bucket's cumulative count, the
+    /// count and the sum, less `earlier`'s. Buckets nothing landed in
+    /// between the two are left out, as [`Histogram::cumulative`] leaves
+    /// out empty ones.
+    pub fn since(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
+        let mut old = earlier.buckets.iter().peekable();
+        let (mut before, mut last) = (0u64, 0u64);
+        let mut buckets = Vec::new();
+        for &(le, cum) in &self.buckets {
+            while let Some(&(_, c)) = old.next_if(|&&(old_le, _)| old_le <= le) {
+                before = c;
+            }
+            let d = cum.saturating_sub(before);
+            if d > last {
+                buckets.push((le, d));
+                last = d;
+            }
+        }
+        HistogramSnapshot {
+            buckets,
+            count: self.count.saturating_sub(earlier.count),
+            sum: self.sum.saturating_sub(earlier.sum),
+        }
     }
 }
 
@@ -291,29 +300,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_of_two_shards_matches_combined_stream() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        let combined = Histogram::new();
-        for v in 0..5_000u64 {
-            a.record(v * 3 + 1);
-            combined.record(v * 3 + 1);
-        }
-        for v in 0..5_000u64 {
-            b.record(v * 7 + 2);
-            combined.record(v * 7 + 2);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), combined.count());
-        assert_eq!(a.sum(), combined.sum());
-        assert_eq!(a.min(), combined.min());
-        assert_eq!(a.max(), combined.max());
-        for q in [0.5, 0.9, 0.95, 0.99] {
-            assert_eq!(a.quantile(q), combined.quantile(q), "q{q}");
-        }
-    }
-
-    #[test]
     fn empty_histogram_reports_zeros() {
         let h = Histogram::new();
         assert_eq!(h.count(), 0);
@@ -347,28 +333,28 @@ mod tests {
     }
 
     #[test]
+    fn since_is_the_histogram_of_what_came_between() {
+        let h = Histogram::new();
+        let later_only = Histogram::new();
+        for v in (0..3_000u64).map(|v| v * 7 + 1) {
+            h.record(v);
+        }
+        let earlier = h.cumulative();
+        for v in (0..2_000u64).map(|v| v * 13 + 5) {
+            h.record(v);
+            later_only.record(v);
+        }
+        assert_eq!(h.cumulative().since(&earlier), later_only.cumulative());
+        assert_eq!(earlier.since(&earlier), HistogramSnapshot::default());
+        assert_eq!(earlier.since(&HistogramSnapshot::default()), earlier);
+    }
+
+    #[test]
     fn cumulative_snapshot_of_empty_histogram() {
         let h = Histogram::new();
         let snap = h.cumulative();
         assert!(snap.buckets.is_empty());
         assert_eq!(snap.count, 0);
         assert_eq!(snap.sum, 0);
-    }
-
-    #[test]
-    fn reset_zeroes_everything() {
-        let h = Histogram::new();
-        for v in 0..100u64 {
-            h.record(v);
-        }
-        h.reset();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.sum(), 0);
-        assert_eq!(h.min(), 0);
-        assert_eq!(h.max(), 0);
-        assert!(h.cumulative().buckets.is_empty());
-        h.record(5);
-        assert_eq!(h.count(), 1);
-        assert_eq!(h.min(), 5);
     }
 }

@@ -4,9 +4,10 @@
 //! Everything the production-scale roadmap needs to *measure* lives
 //! here: hierarchical [spans](span::SpanGuard) with thread-aware
 //! nesting, [counters/gauges/histograms](metrics::MetricRegistry) with
-//! log-linear p50/p95/p99 buckets, and two exporters — a JSON stats
-//! snapshot and a Chrome `trace_event` file loadable in
-//! `about:tracing` / <https://ui.perfetto.dev>.
+//! log-linear p50/p95/p99 buckets, and two exporters — the Prometheus
+//! text exposition (with its parser, for `top` and `stats`) and a Chrome
+//! `trace_event` file loadable in `about:tracing` /
+//! <https://ui.perfetto.dev>.
 //!
 //! # Subscriber model
 //!
@@ -41,8 +42,8 @@ mod metrics;
 mod span;
 
 pub use export::{
-    chrome_trace, escape_json, escape_prom_help, escape_prom_label, parse_stats_json,
-    prometheus_name, prometheus_text, render_stats, stats_json,
+    chrome_trace, escape_json, escape_prom_help, escape_prom_label, parse_prometheus,
+    prometheus_name, prometheus_text, render_stats, write_prom_histogram, Scrape,
 };
 pub use hist::{Histogram, HistogramSnapshot};
 pub use metrics::{Counter, Gauge, HistStats, MetricRegistry, MetricsSnapshot};
@@ -133,12 +134,6 @@ impl Obs {
         let spans = self.trace.spans.lock().unwrap_or_else(|e| e.into_inner());
         let threads = self.trace.threads.lock().unwrap_or_else(|e| e.into_inner());
         chrome_trace(&spans, &threads, self.trace.dropped.load(Ordering::Relaxed))
-    }
-
-    /// Renders the current metric state as the stats JSON document
-    /// (see [`stats_json`]).
-    pub fn stats_json(&self) -> String {
-        stats_json(&self.metrics.snapshot())
     }
 
     /// Number of finished spans currently buffered.
@@ -313,48 +308,6 @@ impl TraceContext {
     }
 }
 
-/// Drop guard that records its elapsed time, in microseconds, into a
-/// named global histogram — the idiom for request-style latencies where
-/// the same scope must feed several histograms (overall + per-endpoint)
-/// or the name is only known at exit.
-///
-/// ```
-/// let sw = puppies_obs::Stopwatch::start();
-/// // ... handle the request ...
-/// sw.record_us("psp.net.upload_us");
-/// ```
-///
-/// Unlike [`span`](fn@span), nothing is emitted to the trace; when no
-/// subscriber is installed the record is a no-op but the elapsed time is
-/// still available via [`Stopwatch::elapsed_us`].
-#[derive(Debug, Clone, Copy)]
-pub struct Stopwatch {
-    started: std::time::Instant,
-}
-
-impl Stopwatch {
-    #[must_use]
-    pub fn start() -> Stopwatch {
-        Stopwatch {
-            started: std::time::Instant::now(),
-        }
-    }
-
-    /// Microseconds since [`Stopwatch::start`], saturating at `u64::MAX`.
-    #[must_use]
-    pub fn elapsed_us(&self) -> u64 {
-        u64::try_from(self.started.elapsed().as_micros()).unwrap_or(u64::MAX)
-    }
-
-    /// Records the elapsed time into histogram `name` and returns it, so
-    /// one stopwatch can feed several histograms with one measurement.
-    pub fn record_us(&self, name: &str) -> u64 {
-        let us = self.elapsed_us();
-        record(name, us);
-        us
-    }
-}
-
 /// Opens a span on the global subscriber. True no-op (one relaxed load)
 /// when no subscriber is installed.
 ///
@@ -428,36 +381,6 @@ mod tests {
         let obs = session.finish().unwrap();
         assert_eq!(obs.span_count(), 0);
         assert!(obs.metrics().snapshot().counters.is_empty());
-    }
-
-    #[test]
-    fn stopwatch_records_elapsed_into_histograms() {
-        let _l = INSTALL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        // Without a subscriber: no panic, elapsed still measurable.
-        let sw = Stopwatch::start();
-        let _ = sw.record_us("sw.disabled_us");
-
-        let session = Obs::install();
-        let sw = Stopwatch::start();
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        let overall = sw.record_us("sw.total_us");
-        let endpoint = sw.record_us("sw.endpoint_us");
-        assert!(overall >= 2_000, "slept 2ms but measured {overall}us");
-        assert!(endpoint >= overall, "later record must not rewind time");
-        let obs = session.finish().unwrap();
-        let snap = obs.metrics().snapshot();
-        for name in ["sw.total_us", "sw.endpoint_us"] {
-            let (_, stats) = snap
-                .histograms
-                .iter()
-                .find(|(n, _)| n == name)
-                .unwrap_or_else(|| panic!("{name} missing from snapshot"));
-            assert_eq!(stats.count, 1);
-        }
-        assert!(
-            !snap.histograms.iter().any(|(n, _)| n == "sw.disabled_us"),
-            "record before install must not leak into the session"
-        );
     }
 
     #[test]

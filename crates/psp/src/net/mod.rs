@@ -54,4 +54,4 @@ pub mod slo;
 
 pub use client::Client;
 pub use server::{serve, Recovery, ServeConfig, Server};
-pub use slo::{Sample, SloRegistry, SloSnapshot};
+pub use slo::{Sample, SloRegistry};

@@ -20,11 +20,11 @@
 //! `/readyz` returns 503 until recovery publishes the store — orchestrators
 //! can distinguish "booting" from "dead" during long replays. `/metrics`
 //! serves the process-wide [`puppies_obs`] registry in Prometheus text
-//! format plus per-endpoint rolling-window SLO families ([`super::slo`]).
+//! format plus the per-endpoint SLO families ([`super::slo`]).
 //! Requests carrying an `x-puppies-trace` header are adopted as children
 //! of the caller's span, so one Chrome trace stitches client, server, and
 //! backends. Each request is timed once into one [`Sample`], which feeds
-//! both the SLO window and a structured access log (JSON lines,
+//! both the SLO series and a structured access log (JSON lines,
 //! `access.log` in the store dir) that records every request.
 
 use super::http::{self, ReadOutcome, Request, Response};
@@ -405,7 +405,7 @@ fn handle_connection(shared: &Shared, stream: TcpStream) -> io::Result<()> {
         let trace = req
             .header("x-puppies-trace")
             .and_then(puppies_obs::TraceContext::parse);
-        let sw = puppies_obs::Stopwatch::start();
+        let started = Instant::now();
         let mut served = None;
         let (endpoint, resp) = {
             let _span = match &trace {
@@ -418,7 +418,7 @@ fn handle_connection(shared: &Shared, stream: TcpStream) -> io::Result<()> {
         };
         let sample = Sample {
             ok: resp.status < 500,
-            latency_us: sw.record_us(endpoint_metric(endpoint)),
+            latency_us: u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX),
             served,
         };
         shared.slo.record(endpoint, sample);
@@ -435,23 +435,8 @@ fn handle_connection(shared: &Shared, stream: TcpStream) -> io::Result<()> {
     }
 }
 
-/// Per-endpoint latency histogram name for an endpoint [`route`] names.
-fn endpoint_metric(key: &'static str) -> &'static str {
-    match key {
-        "upload" => "psp.net.upload_us",
-        "download" => "psp.net.download_us",
-        "params" => "psp.net.params_us",
-        "transformed" => "psp.net.transformed_us",
-        "transform" => "psp.net.transform_us",
-        "search" => "psp.net.search_us",
-        "grants" => "psp.net.grants_us",
-        "receivers" => "psp.net.receivers_us",
-        _ => "psp.net.other_us",
-    }
-}
-
 /// Appends one finished request to the structured access log. `sample`
-/// is the record the SLO window got; its `served` is the path a
+/// is the record the SLO series got; its `served` is the path a
 /// transform-door response took, as its handler reported.
 fn log_access(
     shared: &Shared,
@@ -529,7 +514,7 @@ fn cache_header(served: ServedPath) -> &'static str {
 }
 
 /// Dispatches one request and names the endpoint that answered it, the
-/// key of the latency histograms and the SLO trackers (see
+/// key of the SLO trackers (see
 /// [`super::slo::ENDPOINTS`]). The transform door reports the path it
 /// served through `served`; every other route leaves it `None`.
 fn route(

@@ -337,12 +337,38 @@ fn metrics_scrape_is_prometheus_text_and_counters_are_monotone() {
         "psp_net_req_us",
         "psp_net_ready",
         "psp_net_reloads_total",
+        "psp_slo_window_",
+        "psp_slo_error_budget_burn_total",
+        "psp_net_upload_us",
+        "psp_net_transformed_us",
+        "psp_net_other_us",
     ] {
         assert!(!first.contains(gone), "{gone} is still served");
     }
-    assert!(first.contains("psp_slo_requests_total{endpoint=\"transformed\"}"));
-    assert!(first.contains("psp_slo_window_coeff_serve_rate{endpoint=\"transformed\"} 1"));
-    assert!(first.contains("psp_slo_window_cache_hit_rate{endpoint=\"transformed\"} 0.5"));
+    // One miss served from coefficients, then one cache hit.
+    let scrape = puppies_obs::parse_prometheus(&first).unwrap();
+    let transformed = |path: &str| {
+        scrape
+            .counters
+            .get(&format!(
+                "psp_slo_served_total{{endpoint=\"transformed\",path=\"{path}\"}}"
+            ))
+            .copied()
+    };
+    assert_eq!(transformed("coeff-domain"), Some(1), "{first}");
+    assert_eq!(transformed("cached"), Some(1), "{first}");
+    assert_eq!(transformed("pixel-fallback"), None, "{first}");
+    // Every endpoint with traffic has its latency counted once per request.
+    let mut endpoints = 0;
+    for (key, &requests) in &scrape.counters {
+        let Some(labels) = key.strip_prefix("psp_slo_requests_total") else {
+            continue;
+        };
+        let latency = &scrape.histograms[&format!("psp_slo_latency_us{labels}")];
+        assert_eq!(latency.count, requests, "{key}");
+        endpoints += 1;
+    }
+    assert!(endpoints >= 2, "{first}");
     // Every endpoint's requests, summed.
     let total = |text: &str, name: &str| -> f64 {
         text.lines()
