@@ -13,7 +13,7 @@
 //! puppies recover <in.jpg> <out.ppm> --params <in.pup> (--key <key-file> | --grant <grant-file>)
 //! puppies inspect --params <in.pup>
 //! puppies stats <stats-file>
-//! puppies serve --dir <store-dir> [--addr host:port] [--no-fsync]
+//! puppies serve --dir <store-dir> [--addr host:port]
 //! puppies net smoke|flood|verify|ready|dup --addr <host:port> [...]
 //! puppies search <probe.jpg> --addr <host:port> [--params <in.pup>]
 //! puppies top --addr <host:port> [--samples N] [--interval-ms M] [--plain]

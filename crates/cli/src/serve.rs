@@ -2,7 +2,7 @@
 //! side of the PSP, plus the network tooling CI's `service` job drives:
 //!
 //! ```text
-//! puppies serve --dir <store-dir> [--addr 127.0.0.1:0] [--no-fsync]
+//! puppies serve --dir <store-dir> [--addr 127.0.0.1:0]
 //! puppies net smoke  --addr <host:port>
 //! puppies net flood  --addr <host:port> --manifest <file> [--count N] [--bytes N]
 //! puppies net verify --addr <host:port> --manifest <file>
@@ -25,7 +25,7 @@
 //! `x-served-path: sig-cached` and byte-identical to the original's.
 //! `search` probes the server's near-duplicate index with a local image.
 
-use crate::{flag_value, has_flag, CliResult};
+use crate::{flag_value, CliResult};
 use puppies_core::{protect, OwnerKey, ProtectOptions};
 use puppies_image::{Rect, Rgb, RgbImage};
 use puppies_obs::fnv64;
@@ -37,11 +37,7 @@ use std::io::Write;
 pub fn cmd_serve(args: &[String]) -> CliResult {
     let dir = flag_value(args, "--dir").ok_or("missing --dir <store-dir>")?;
     let addr = flag_value(args, "--addr").unwrap_or("127.0.0.1:0");
-    let config = ServeConfig {
-        fsync: !has_flag(args, "--no-fsync"),
-        ..ServeConfig::new(addr, dir)
-    };
-    serve(&config).map_err(|e| e.to_string())
+    serve(&ServeConfig::new(addr, dir)).map_err(|e| e.to_string())
 }
 
 pub fn cmd_net(args: &[String]) -> CliResult {

@@ -275,3 +275,34 @@ fn sighup_and_sigterm_drain_promptly() {
         let _ = std::fs::remove_dir_all(store.parent().unwrap());
     }
 }
+
+#[test]
+fn top_reads_an_idle_server_as_idle() {
+    let dir = tmp_dir("top_idle");
+    let mut server = start_server(&dir);
+    let top = bin()
+        .args([
+            "top",
+            "--addr",
+            &server.addr,
+            "--samples",
+            "3",
+            "--interval-ms",
+            "200",
+            "--plain",
+        ])
+        .output()
+        .expect("run top");
+    let _ = server.child.kill();
+    let _ = server.child.wait();
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = String::from_utf8_lossy(&top.stdout);
+    assert!(top.status.success(), "{out}");
+    // Every frame after the first has an interval to rate; top's own
+    // scrapes are the only requests, and they are not traffic.
+    let headers: Vec<&str> = out.lines().filter(|l| l.starts_with("ready:")).collect();
+    assert_eq!(headers.len(), 3, "{out}");
+    for header in &headers[1..] {
+        assert!(header.contains("requests:0 (0.0/s)"), "{out}");
+    }
+}

@@ -109,7 +109,7 @@ impl PublicParams {
             None => w.u8(0),
             Some(t) => {
                 w.u8(1);
-                let body = encode_transformation(t);
+                let body = t.to_bytes();
                 w.u16(body.len() as u16);
                 w.bytes(&body);
             }
@@ -173,7 +173,10 @@ impl PublicParams {
             1 => {
                 let len = r.u16()? as usize;
                 let body = r.slice(len)?;
-                Some(decode_transformation(body)?)
+                Some(
+                    Transformation::from_bytes(body)
+                        .map_err(|e| PuppiesError::BadParams(e.to_string()))?,
+                )
             }
             other => {
                 return Err(PuppiesError::BadParams(format!(
@@ -248,9 +251,6 @@ impl Writer {
     fn u64(&mut self, v: u64) {
         self.out.extend_from_slice(&v.to_le_bytes());
     }
-    fn f32(&mut self, v: f32) {
-        self.out.extend_from_slice(&v.to_le_bytes());
-    }
     fn bytes(&mut self, v: &[u8]) {
         self.out.extend_from_slice(v);
     }
@@ -282,113 +282,6 @@ impl<'a> Reader<'a> {
     fn u64(&mut self) -> Result<u64> {
         Ok(u64::from_le_bytes(self.slice(8)?.try_into().unwrap()))
     }
-    fn f32(&mut self) -> Result<f32> {
-        Ok(f32::from_le_bytes(self.slice(4)?.try_into().unwrap()))
-    }
-}
-
-fn encode_transformation(t: &Transformation) -> Vec<u8> {
-    let mut w = Writer::default();
-    match t {
-        Transformation::Scale {
-            width,
-            height,
-            filter,
-        } => {
-            w.u8(0);
-            w.u32(*width);
-            w.u32(*height);
-            w.u8(match filter {
-                puppies_transform::ScaleFilter::Nearest => 0,
-                puppies_transform::ScaleFilter::Bilinear => 1,
-                puppies_transform::ScaleFilter::Box => 2,
-            });
-        }
-        Transformation::Crop(r) => {
-            w.u8(1);
-            w.u32(r.x);
-            w.u32(r.y);
-            w.u32(r.w);
-            w.u32(r.h);
-        }
-        Transformation::Rotate90 => w.u8(2),
-        Transformation::Rotate180 => w.u8(3),
-        Transformation::Rotate270 => w.u8(4),
-        Transformation::FlipHorizontal => w.u8(5),
-        Transformation::FlipVertical => w.u8(6),
-        Transformation::Recompress { quality } => {
-            w.u8(7);
-            w.u8(*quality);
-        }
-        Transformation::Filter(op) => {
-            w.u8(8);
-            match op {
-                puppies_transform::FilterOp::Gaussian { sigma } => {
-                    w.u8(0);
-                    w.f32(*sigma);
-                }
-                puppies_transform::FilterOp::Sharpen => w.u8(1),
-                puppies_transform::FilterOp::Box { side } => {
-                    w.u8(2);
-                    w.u32(*side);
-                }
-                _ => unreachable!("non_exhaustive FilterOp variant"),
-            }
-        }
-        Transformation::Overlay { rect, color, alpha } => {
-            w.u8(9);
-            w.u32(rect.x);
-            w.u32(rect.y);
-            w.u32(rect.w);
-            w.u32(rect.h);
-            w.u8(color.r);
-            w.u8(color.g);
-            w.u8(color.b);
-            w.f32(*alpha);
-        }
-        _ => unreachable!("non_exhaustive Transformation variant"),
-    }
-    w.out
-}
-
-fn decode_transformation(body: &[u8]) -> Result<Transformation> {
-    let mut r = Reader { data: body, pos: 0 };
-    let t = match r.u8()? {
-        0 => Transformation::Scale {
-            width: r.u32()?,
-            height: r.u32()?,
-            filter: match r.u8()? {
-                0 => puppies_transform::ScaleFilter::Nearest,
-                1 => puppies_transform::ScaleFilter::Bilinear,
-                2 => puppies_transform::ScaleFilter::Box,
-                other => return Err(PuppiesError::BadParams(format!("bad filter tag {other}"))),
-            },
-        },
-        1 => Transformation::Crop(Rect::new(r.u32()?, r.u32()?, r.u32()?, r.u32()?)),
-        2 => Transformation::Rotate90,
-        3 => Transformation::Rotate180,
-        4 => Transformation::Rotate270,
-        5 => Transformation::FlipHorizontal,
-        6 => Transformation::FlipVertical,
-        7 => Transformation::Recompress { quality: r.u8()? },
-        8 => Transformation::Filter(match r.u8()? {
-            0 => puppies_transform::FilterOp::Gaussian { sigma: r.f32()? },
-            1 => puppies_transform::FilterOp::Sharpen,
-            2 => puppies_transform::FilterOp::Box { side: r.u32()? },
-            other => return Err(PuppiesError::BadParams(format!("bad filter op {other}"))),
-        }),
-        9 => Transformation::Overlay {
-            rect: Rect::new(r.u32()?, r.u32()?, r.u32()?, r.u32()?),
-            color: puppies_image::Rgb::new(r.u8()?, r.u8()?, r.u8()?),
-            alpha: r.f32()?,
-        },
-        other => {
-            return Err(PuppiesError::BadParams(format!(
-                "bad transformation tag {other}"
-            )))
-        }
-    };
-    Ok(t)
 }
 
 #[cfg(test)]
@@ -542,5 +435,29 @@ mod tests {
             p.rois[1].range_matrix(),
             crate::matrix::RangeMatrix::flat(16, 6)
         );
+    }
+
+    #[test]
+    fn transformed_params_bytes_are_pinned() {
+        // Captured from the encoder that wrote transformations before
+        // `Transformation::to_bytes` became the one codec, so stored `.pup`
+        // files and WAL blobs keep their bytes.
+        let hex = |p: &PublicParams| -> String {
+            p.to_bytes().iter().map(|b| format!("{b:02x}")).collect()
+        };
+        let mut p = sample_params();
+        p.rois.truncate(1);
+        p.rois[0].zind = ZeroIndex::new();
+        assert_eq!(hex(&p), "53505550efbeadde0000000060000000400000004b01000000080000001000000020000000180000000300200008000800000000010000004007000000010a0000640000003200000002");
+        p.transformation = Some(Transformation::Overlay {
+            rect: Rect::new(1, 2, 3, 4),
+            color: puppies_image::Rgb::new(9, 8, 7),
+            alpha: 0.25,
+        });
+        assert_eq!(hex(&p), "53505550efbeadde0000000060000000400000004b0100000008000000100000002000000018000000030020000800080000000001000000400700000001180009010000000200000003000000040000000908070000803e");
+        p.transformation = Some(Transformation::Filter(
+            puppies_transform::FilterOp::Gaussian { sigma: 1.5 },
+        ));
+        assert_eq!(hex(&p), "53505550efbeadde0000000060000000400000004b0100000008000000100000002000000018000000030020000800080000000001000000400700000001060008000000c03f");
     }
 }

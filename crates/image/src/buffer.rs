@@ -33,6 +33,25 @@ impl RgbImage {
         img
     }
 
+    /// Wraps an existing row-major pixel vector as an image, avoiding the
+    /// fill and copy of going through [`RgbImage::new`].
+    ///
+    /// # Panics
+    /// Panics if either dimension is zero or `data` has the wrong length.
+    pub fn from_raw(width: u32, height: u32, data: Vec<Rgb>) -> Self {
+        assert!(width > 0 && height > 0, "image dimensions must be nonzero");
+        assert_eq!(
+            data.len(),
+            (width as usize) * (height as usize),
+            "pixel vector length must be width*height"
+        );
+        RgbImage {
+            width,
+            height,
+            data,
+        }
+    }
+
     /// Builds an image from a closure invoked per pixel.
     pub fn from_fn(width: u32, height: u32, mut f: impl FnMut(u32, u32) -> Rgb) -> Self {
         let mut img = RgbImage::new(width, height);

@@ -9,7 +9,7 @@
 //! - geometry primitives ([`Rect`], [`Point`]) with the rectangle
 //!   decomposition used by ROI handling
 //! - drawing primitives and a built-in 5×7 bitmap font ([`draw`], [`font`])
-//! - resampling, rotation and flipping ([`resample`])
+//! - resampling and channel splitting ([`resample`])
 //! - convolution and common kernels ([`convolve`])
 //! - integral images ([`integral`])
 //! - quality metrics such as PSNR ([`metrics`])

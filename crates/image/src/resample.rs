@@ -1,10 +1,11 @@
-//! Resampling, rotation and flipping.
+//! Resampling and channel splitting.
 //!
-//! These are the pixel-domain transformations a PSP applies to uploaded
-//! images (§II-B of the paper: scaling, cropping, rotation, ...). They are
-//! deliberately *perturbation-agnostic*: the same code runs on original and
-//! PuPPIeS-perturbed images, which is exactly the property the paper relies
-//! on.
+//! Scaling is the pixel-domain transformation a PSP applies most (§II-B of
+//! the paper); crops, rotations and flips move samples without resampling
+//! and live with the `Transformation` type in `puppies-transform`. All of
+//! them are deliberately *perturbation-agnostic*: the same code runs on
+//! original and PuPPIeS-perturbed images, which is exactly the property the
+//! paper relies on.
 
 use crate::buffer::{GrayImage, Plane, RgbImage};
 use crate::color::Rgb;
@@ -140,75 +141,6 @@ fn overlap(a0: f64, a1: f64, b0: f64, b1: f64) -> f64 {
     (a1.min(b1) - a0.max(b0)).max(0.0)
 }
 
-/// 90° clockwise rotation.
-pub fn rotate90(src: &RgbImage) -> RgbImage {
-    RgbImage::from_fn(src.height(), src.width(), |x, y| {
-        src.get(y, src.height() - 1 - x)
-    })
-}
-
-/// 180° rotation.
-pub fn rotate180(src: &RgbImage) -> RgbImage {
-    RgbImage::from_fn(src.width(), src.height(), |x, y| {
-        src.get(src.width() - 1 - x, src.height() - 1 - y)
-    })
-}
-
-/// 270° clockwise (= 90° counter-clockwise) rotation.
-pub fn rotate270(src: &RgbImage) -> RgbImage {
-    RgbImage::from_fn(src.height(), src.width(), |x, y| {
-        src.get(src.width() - 1 - y, x)
-    })
-}
-
-/// Horizontal mirror.
-pub fn flip_horizontal(src: &RgbImage) -> RgbImage {
-    RgbImage::from_fn(src.width(), src.height(), |x, y| {
-        src.get(src.width() - 1 - x, y)
-    })
-}
-
-/// Vertical mirror.
-pub fn flip_vertical(src: &RgbImage) -> RgbImage {
-    RgbImage::from_fn(src.width(), src.height(), |x, y| {
-        src.get(x, src.height() - 1 - y)
-    })
-}
-
-/// Rotates by an arbitrary angle (radians, counter-clockwise) around the
-/// image center with bilinear sampling; pixels mapped from outside the
-/// source take `fill`. The output has the same dimensions as the input.
-pub fn rotate_arbitrary(src: &RgbImage, angle: f64, fill: Rgb) -> RgbImage {
-    let (w, h) = (src.width() as f64, src.height() as f64);
-    let (cx, cy) = (w / 2.0, h / 2.0);
-    let (sin, cos) = angle.sin_cos();
-    RgbImage::from_fn(src.width(), src.height(), |x, y| {
-        // Inverse-map the destination pixel into the source.
-        let dx = x as f64 + 0.5 - cx;
-        let dy = y as f64 + 0.5 - cy;
-        let sx = cos * dx + sin * dy + cx - 0.5;
-        let sy = -sin * dx + cos * dy + cy - 0.5;
-        if sx < -0.5 || sy < -0.5 || sx > w - 0.5 || sy > h - 0.5 {
-            return fill;
-        }
-        let x0 = sx.floor() as i64;
-        let y0 = sy.floor() as i64;
-        let tx = (sx - x0 as f64) as f32;
-        let ty = (sy - y0 as f64) as f32;
-        let lerp = |a: u8, b: u8, t: f32| a as f32 + (b as f32 - a as f32) * t;
-        let sample = |ch: fn(Rgb) -> u8| {
-            let p00 = ch(src.get_clamped(x0, y0));
-            let p10 = ch(src.get_clamped(x0 + 1, y0));
-            let p01 = ch(src.get_clamped(x0, y0 + 1));
-            let p11 = ch(src.get_clamped(x0 + 1, y0 + 1));
-            let top = lerp(p00, p10, tx);
-            let bot = lerp(p01, p11, tx);
-            (top + (bot - top) * ty).round().clamp(0.0, 255.0) as u8
-        };
-        Rgb::new(sample(|c| c.r), sample(|c| c.g), sample(|c| c.b))
-    })
-}
-
 /// Splits an RGB image into three float planes (R, G, B order).
 pub fn split_channels(src: &RgbImage) -> [Plane; 3] {
     [0, 1, 2].map(|c| channel(src, c))
@@ -285,44 +217,6 @@ mod tests {
         let img = gradient(64, 64).to_gray();
         let down = scale_gray(&img, 8, 8, Filter::Box);
         assert!((img.mean() - down.mean()).abs() < 1.5);
-    }
-
-    #[test]
-    fn rotations_compose_to_identity() {
-        let img = gradient(9, 14);
-        assert_eq!(rotate180(&rotate180(&img)), img);
-        assert_eq!(rotate270(&rotate90(&img)), img);
-        assert_eq!(rotate90(&rotate90(&img)), rotate180(&img));
-    }
-
-    #[test]
-    fn rotate90_moves_topleft_to_topright() {
-        let mut img = RgbImage::new(4, 4);
-        img.set(0, 0, Rgb::WHITE);
-        let r = rotate90(&img);
-        assert_eq!(r.get(3, 0), Rgb::WHITE);
-    }
-
-    #[test]
-    fn flips_are_involutions() {
-        let img = gradient(11, 6);
-        assert_eq!(flip_horizontal(&flip_horizontal(&img)), img);
-        assert_eq!(flip_vertical(&flip_vertical(&img)), img);
-    }
-
-    #[test]
-    fn rotate_arbitrary_zero_angle_is_identity() {
-        let img = gradient(12, 12);
-        let r = rotate_arbitrary(&img, 0.0, Rgb::BLACK);
-        assert_eq!(r, img);
-    }
-
-    #[test]
-    fn rotate_arbitrary_fills_corners() {
-        let img = RgbImage::filled(20, 20, Rgb::WHITE);
-        let r = rotate_arbitrary(&img, std::f64::consts::FRAC_PI_4, Rgb::BLACK);
-        assert_eq!(r.get(0, 0), Rgb::BLACK, "corner must be fill color");
-        assert_eq!(r.get(10, 10), Rgb::WHITE, "center preserved");
     }
 
     #[test]

@@ -83,17 +83,6 @@ proptest! {
     }
 
     #[test]
-    fn flips_and_rotations_are_bijective(img in arb_image()) {
-        prop_assert_eq!(resample::rotate270(&resample::rotate90(&img)), img.clone());
-        prop_assert_eq!(resample::rotate180(&resample::rotate180(&img)), img.clone());
-        prop_assert_eq!(
-            resample::flip_horizontal(&resample::flip_horizontal(&img)),
-            img.clone()
-        );
-        prop_assert_eq!(resample::flip_vertical(&resample::flip_vertical(&img)), img);
-    }
-
-    #[test]
     fn identity_scale_is_lossless(img in arb_image()) {
         for f in [Filter::Nearest, Filter::Bilinear, Filter::Box] {
             prop_assert_eq!(

@@ -311,8 +311,10 @@ fn unescape_prom_help(s: &str) -> String {
 }
 
 /// Renders a parsed `--stats` file as the table `puppies stats` prints.
-/// Histograms are shown in milliseconds (recorded values are ns); `max`
-/// is the highest occupied bucket's bound.
+/// Histograms are shown in milliseconds. A histogram's name carries its
+/// unit: a `_us` suffix marks microseconds (request latencies), and every
+/// other histogram holds nanoseconds (span durations). `max` is the
+/// highest occupied bucket's bound.
 pub fn render_stats(scrape: &Scrape) -> String {
     let mut out = String::new();
     if !scrape.histograms.is_empty() {
@@ -321,7 +323,9 @@ pub fn render_stats(scrape: &Scrape) -> String {
             "histogram (ms)", "count", "p50", "p95", "p99", "max"
         ));
         for (name, h) in &scrape.histograms {
-            let ms = |q: f64| h.quantile(q) / 1e6;
+            let in_us = name.split('{').next().is_some_and(|n| n.ends_with("_us"));
+            let per_ms = if in_us { 1e3 } else { 1e6 };
+            let ms = |q: f64| h.quantile(q) / per_ms;
             let _ = writeln!(
                 out,
                 "{:<26} {:>8} {:>10.3} {:>10.3} {:>10.3} {:>10.3}",
@@ -568,5 +572,35 @@ mod tests {
         for needle in ["p50", "p99", "max", "core.protect", "c "] {
             assert!(text.contains(needle), "{needle} missing from {text}");
         }
+    }
+
+    #[test]
+    fn stats_show_us_and_ns_histograms_in_ms() {
+        let reg = MetricRegistry::default();
+        for _ in 0..4 {
+            reg.histogram("bench.net.transformed_us")
+                .unwrap()
+                .record(500);
+            reg.histogram("core.protect").unwrap().record(2_000_000);
+        }
+        // A labelled µs family, as the PSP's `/metrics` serves it.
+        let mut text = prometheus_text(&reg);
+        text.push_str("# HELP psp_slo_latency_us Request latency.\n");
+        text.push_str("# TYPE psp_slo_latency_us histogram\n");
+        let us = reg
+            .histogram("bench.net.transformed_us")
+            .unwrap()
+            .cumulative();
+        write_prom_histogram(&mut text, "psp_slo_latency_us", "endpoint=\"upload\"", &us);
+        let scrape = parse_prometheus(&text).unwrap();
+        let stats = render_stats(&scrape);
+        let p50 = |name: &str| -> f64 {
+            let row = stats.lines().find(|l| l.starts_with(name)).unwrap();
+            row.split_whitespace().nth(2).unwrap().parse().unwrap()
+        };
+        for name in ["bench.net.transformed_us", "psp_slo_latency_us{"] {
+            assert!((p50(name) - 0.5).abs() < 0.05, "{name}: {stats}");
+        }
+        assert!((p50("core.protect") - 2.0).abs() < 0.2, "{stats}");
     }
 }

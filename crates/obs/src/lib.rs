@@ -83,11 +83,15 @@ impl Default for Obs {
 impl Obs {
     /// A fresh, unattached subscriber.
     pub fn new() -> Obs {
+        Obs::with_trace_capacity(DEFAULT_TRACE_CAPACITY)
+    }
+
+    fn with_trace_capacity(capacity: usize) -> Obs {
         Obs {
             start: Instant::now(),
             generation: GENERATION.fetch_add(1, Ordering::Relaxed),
             metrics: MetricRegistry::default(),
-            trace: span::TraceBuffer::new(DEFAULT_TRACE_CAPACITY),
+            trace: span::TraceBuffer::new(capacity),
             next_span_id: AtomicU64::new(1),
         }
     }
@@ -96,7 +100,19 @@ impl Obs {
     /// replacing any previous subscriber. The returned [`ObsSession`]
     /// yields the subscriber back via [`ObsSession::finish`].
     pub fn install() -> ObsSession {
-        let obs = Arc::new(Obs::new());
+        Obs::new().into_global()
+    }
+
+    /// [`Obs::install`] for a process that serves metrics and never
+    /// exports a trace: span durations still feed their histograms, but
+    /// no span record is buffered, so a long-running server neither grows
+    /// a trace nobody reads nor takes the trace lock at every span end.
+    pub fn install_metrics_only() -> ObsSession {
+        Obs::with_trace_capacity(0).into_global()
+    }
+
+    fn into_global(self) -> ObsSession {
+        let obs = Arc::new(self);
         *GLOBAL.write().unwrap_or_else(|e| e.into_inner()) = Some(obs.clone());
         ENABLED.store(true, Ordering::SeqCst);
         ObsSession { obs }
@@ -491,6 +507,23 @@ mod tests {
         assert_eq!(inside.trace_id, outside.trace_id);
         drop(g);
         session.finish();
+    }
+
+    #[test]
+    fn metrics_only_subscriber_times_spans_but_keeps_no_records() {
+        let _l = INSTALL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let session = Obs::install_metrics_only();
+        for _ in 0..3 {
+            let _g = span!("served.request");
+        }
+        let obs = session.finish().unwrap();
+        let snap = obs.metrics().snapshot();
+        assert_eq!(snap.histograms[0].0, "served.request");
+        assert_eq!(snap.histograms[0].1.count, 3);
+        assert_eq!(obs.span_count(), 0);
+        let trace = obs.chrome_trace();
+        assert!(!trace.contains("served.request"), "{trace}");
+        assert!(!trace.contains("dropped_spans"), "{trace}");
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! [`crate::Obs::span_with_parent`], so a trace shows each `pool.job`
 //! nested under the span that ran the batch even though they ran on
 //! different threads. Finished spans land in a bounded in-memory buffer
-//! (the Chrome-trace exporter drains it) and their durations feed a
-//! histogram named after the span, which is where `puppies stats`
-//! quantiles come from.
+//! (the Chrome-trace exporter drains it; a metrics-only subscriber has
+//! none) and their durations feed a histogram named after the span,
+//! which is where `puppies stats` quantiles come from.
 
 use crate::Obs;
 use std::borrow::Cow;
@@ -184,6 +184,10 @@ impl Drop for SpanGuard {
         });
         if let Some(h) = span.obs.metrics.histogram(&span.name) {
             h.record(dur_ns);
+        }
+        if span.obs.trace.capacity == 0 {
+            // A metrics-only subscriber: nothing to buffer, no lock taken.
+            return;
         }
         let tid = thread_trace_id(&span.obs);
         span.obs.trace.push(SpanRecord {

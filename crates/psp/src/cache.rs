@@ -4,8 +4,8 @@
 //!
 //! - [`TransformCache`] — a byte-budgeted LRU of finished transform
 //!   results, keyed by the source photo's [`ContentId`] (the SHA-256 of
-//!   its bitstream and of its parameter blob) plus the
-//!   [`puppies_transform::Transformation::canonical_bytes`] encoding. A
+//!   its bitstream and of its parameter blob) plus the transformation's
+//!   [`puppies_transform::Transformation::to_bytes`] encoding. A
 //!   hit can *never* serve stale bytes: rewriting a photo changes its
 //!   content identity, which changes every key derived from it, and the
 //!   orphaned entries simply age out of the LRU. Content addressing *is*
@@ -41,7 +41,8 @@ use std::sync::{Arc, Mutex, PoisonError};
 pub type ServedPair = (Arc<[u8]>, Arc<[u8]>);
 
 /// A transform-cache key: the source photo's content identity and the
-/// canonical encoding of the transformation applied to it.
+/// encoding of the transformation applied to it
+/// ([`puppies_transform::Transformation::to_bytes`]).
 pub type TransformKey = (ContentId, Vec<u8>);
 
 /// A point-in-time snapshot of a [`TransformCache`]'s counters.

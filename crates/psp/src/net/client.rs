@@ -247,7 +247,7 @@ impl Client {
             "POST",
             &format!("/photos/{}/transformed", id.0),
             None,
-            &t.canonical_bytes(),
+            &t.to_bytes(),
             200,
         )?;
         let (bytes, params) = proto::decode_pair(&body)
@@ -279,7 +279,7 @@ impl Client {
             "POST",
             &format!("/photos/{}/transform", id.0),
             Some(owner_token),
-            &t.canonical_bytes(),
+            &t.to_bytes(),
             204,
         )
         .map(|_| ())

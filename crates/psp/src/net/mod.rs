@@ -18,8 +18,8 @@
 //! | `POST /photos`                 | —               | framed bytes+params → `id:`/`token:` lines |
 //! | `GET  /photos/<id>`            | —               | → raw bitstream |
 //! | `GET  /photos/<id>/params`     | —               | → raw params |
-//! | `POST /photos/<id>/transformed`| —               | canonical transform → framed bytes+params, `x-cache: hit\|miss` |
-//! | `POST /photos/<id>/transform`  | owner bearer    | canonical transform → 204 (durable, in place) |
+//! | `POST /photos/<id>/transformed`| —               | transformation → framed bytes+params, `x-cache: hit\|miss` |
+//! | `POST /photos/<id>/transform`  | owner bearer    | transformation → 204 (durable, in place) |
 //! | `POST /search`                 | —               | framed probe+params → `sig:` line, then `<id> <distance>` lines |
 //! | `POST /receivers`              | —               | 16-byte DH public → `token:` line |
 //! | `POST /grants`                 | —               | receiver ‖ sender ‖ framed ciphertext → 204 (durable) |
@@ -27,7 +27,10 @@
 //! | `POST /admin/shutdown`         | admin bearer    | → 202, graceful drain |
 //!
 //! A listed path asked with another method answers 405; any other path
-//! answers 404.
+//! answers 404. A transformation body is
+//! [`puppies_transform::Transformation::to_bytes`], the same bytes the
+//! served params record and the transform cache keys on; the server
+//! refuses any body that encoding does not decode exactly with a 400.
 //!
 //! Grant bodies are end-to-end encrypted by the sender's
 //! [`crate::SecureChannel`]; the PSP is a mailbox and never sees key

@@ -1,13 +1,9 @@
-//! Binary body framing and the `Transformation` wire decode.
+//! Binary body framing.
 //!
 //! Every multi-part body is a sequence of `[u32 LE length][payload]`
 //! frames; fixed-width fields (photo ids, DH publics) are raw
-//! little-endian. Transformations travel as their frozen
-//! [`Transformation::canonical_bytes`] encoding — already injective and
-//! stable by contract — so this module only has to supply the decoder.
-
-use puppies_image::{Rect, Rgb};
-use puppies_transform::{FilterOp, ScaleFilter, Transformation};
+//! little-endian. A transformation travels as its one encoding,
+//! [`puppies_transform::Transformation::to_bytes`].
 
 /// Hard cap on any framed payload accepted off the wire (4 MiB). The
 /// WAL's record cap ([`crate::wal::MAX_RECORD_LEN`]) is this plus a blob
@@ -51,84 +47,6 @@ pub fn decode_pair(data: &[u8]) -> Option<(&[u8], &[u8])> {
     (pos == data.len()).then_some((bytes, params))
 }
 
-fn le_u32(data: &[u8], pos: &mut usize) -> Option<u32> {
-    let v = u32::from_le_bytes(data.get(*pos..*pos + 4)?.try_into().unwrap());
-    *pos += 4;
-    Some(v)
-}
-
-fn rect(data: &[u8], pos: &mut usize) -> Option<Rect> {
-    let x = le_u32(data, pos)?;
-    let y = le_u32(data, pos)?;
-    let w = le_u32(data, pos)?;
-    let h = le_u32(data, pos)?;
-    Some(Rect::new(x, y, w, h))
-}
-
-/// Decodes a [`Transformation::canonical_bytes`] encoding. Returns `None`
-/// on unknown tags, truncation, or trailing bytes — the decoder is exact:
-/// `decode(t.canonical_bytes()) == Some(t)` and nothing else parses.
-pub fn decode_transformation(data: &[u8]) -> Option<Transformation> {
-    let mut pos = 1;
-    let t = match *data.first()? {
-        0x01 => {
-            let width = le_u32(data, &mut pos)?;
-            let height = le_u32(data, &mut pos)?;
-            let filter = match *data.get(pos)? {
-                0 => ScaleFilter::Nearest,
-                1 => ScaleFilter::Bilinear,
-                2 => ScaleFilter::Box,
-                _ => return None,
-            };
-            pos += 1;
-            Transformation::Scale {
-                width,
-                height,
-                filter,
-            }
-        }
-        0x02 => Transformation::Crop(rect(data, &mut pos)?),
-        0x03 => Transformation::Rotate90,
-        0x04 => Transformation::Rotate180,
-        0x05 => Transformation::Rotate270,
-        0x06 => Transformation::FlipHorizontal,
-        0x07 => Transformation::FlipVertical,
-        0x08 => {
-            let quality = *data.get(pos)?;
-            pos += 1;
-            Transformation::Recompress { quality }
-        }
-        0x09 => {
-            let kind = *data.get(pos)?;
-            pos += 1;
-            let op = match kind {
-                0 => FilterOp::Gaussian {
-                    sigma: f32::from_bits(le_u32(data, &mut pos)?),
-                },
-                1 => FilterOp::Sharpen,
-                2 => FilterOp::Box {
-                    side: le_u32(data, &mut pos)?,
-                },
-                _ => return None,
-            };
-            Transformation::Filter(op)
-        }
-        0x0a => {
-            let r = rect(data, &mut pos)?;
-            let [cr, cg, cb]: [u8; 3] = data.get(pos..pos + 3)?.try_into().unwrap();
-            pos += 3;
-            let alpha = f32::from_bits(le_u32(data, &mut pos)?);
-            Transformation::Overlay {
-                rect: r,
-                color: Rgb::new(cr, cg, cb),
-                alpha,
-            }
-        }
-        _ => return None,
-    };
-    (pos == data.len()).then_some(t)
-}
-
 /// Lowercase hex of arbitrary bytes (token wire form).
 pub fn hex(bytes: &[u8]) -> String {
     let mut s = String::with_capacity(bytes.len() * 2);
@@ -166,55 +84,6 @@ mod tests {
         noisy.push(0);
         assert_eq!(decode_pair(&noisy), None);
         assert_eq!(decode_pair(&enc[..enc.len() - 1]), None);
-    }
-
-    #[test]
-    fn transformation_decode_inverts_canonical_bytes() {
-        let all = [
-            Transformation::Scale {
-                width: 640,
-                height: 480,
-                filter: ScaleFilter::Box,
-            },
-            Transformation::Crop(Rect::new(8, 16, 100, 50)),
-            Transformation::Rotate90,
-            Transformation::Rotate180,
-            Transformation::Rotate270,
-            Transformation::FlipHorizontal,
-            Transformation::FlipVertical,
-            Transformation::Recompress { quality: 75 },
-            Transformation::Filter(FilterOp::Gaussian { sigma: 1.5 }),
-            Transformation::Filter(FilterOp::Sharpen),
-            Transformation::Filter(FilterOp::Box { side: 5 }),
-            Transformation::Overlay {
-                rect: Rect::new(0, 0, 10, 10),
-                color: Rgb::new(255, 0, 128),
-                alpha: 0.5,
-            },
-        ];
-        for t in all {
-            assert_eq!(decode_transformation(&t.canonical_bytes()), Some(t));
-        }
-    }
-
-    #[test]
-    fn transformation_decode_rejects_junk() {
-        assert_eq!(decode_transformation(&[]), None);
-        assert_eq!(decode_transformation(&[0x00]), None);
-        assert_eq!(decode_transformation(&[0xff, 1, 2]), None);
-        // Truncated scale.
-        assert_eq!(decode_transformation(&[0x01, 0, 0]), None);
-        // Rotate with trailing bytes.
-        assert_eq!(decode_transformation(&[0x03, 0]), None);
-        // Bad scale filter discriminant.
-        let mut bad = Transformation::Scale {
-            width: 1,
-            height: 1,
-            filter: ScaleFilter::Nearest,
-        }
-        .canonical_bytes();
-        *bad.last_mut().unwrap() = 9;
-        assert_eq!(decode_transformation(&bad), None);
     }
 
     #[test]

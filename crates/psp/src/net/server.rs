@@ -34,6 +34,7 @@ use crate::sha256::{ct_eq, sha256_concat};
 use crate::store::{PhotoId, PspConfig, ServedPath};
 use crate::store_disk::{DiskStore, RecoveryStats};
 use crate::{PspError, Result};
+use puppies_transform::Transformation;
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
@@ -421,7 +422,9 @@ fn handle_connection(shared: &Shared, stream: TcpStream) -> io::Result<()> {
             latency_us: u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX),
             served,
         };
-        shared.slo.record(endpoint, sample);
+        if endpoint != SCRAPE {
+            shared.slo.record(endpoint, sample);
+        }
         log_access(shared, endpoint, &req, &resp, sample, trace.as_ref());
         let shutdown_after = resp.status == 202 && req.path == "/admin/shutdown";
         http::write_response(&mut writer, &resp, keep_alive && !shutdown_after)?;
@@ -514,9 +517,9 @@ fn cache_header(served: ServedPath) -> &'static str {
 }
 
 /// Dispatches one request and names the endpoint that answered it, the
-/// key of the SLO trackers (see
-/// [`super::slo::ENDPOINTS`]). The transform door reports the path it
-/// served through `served`; every other route leaves it `None`.
+/// key of the SLO trackers (see [`super::slo::ENDPOINTS`]), or
+/// [`SCRAPE`], which they leave out. The transform door reports the path
+/// it served through `served`; every other route leaves it `None`.
 fn route(
     shared: &Shared,
     req: &Request,
@@ -528,7 +531,7 @@ fn route(
         // recovered; everything below the ready guard needs the store.
         ("GET", ["health" | "healthz"]) => ("other", Response::text("ok\n")),
         ("GET", ["readyz"]) => ("other", readyz(shared)),
-        ("GET", ["metrics"]) => ("other", metrics(shared)),
+        ("GET", ["metrics"]) => (SCRAPE, metrics(shared)),
         _ if !shared.ready() => (
             "other",
             Response::status(503, "starting: store recovery in progress"),
@@ -574,6 +577,11 @@ fn route(
         _ => ("other", Response::status(404, "no such endpoint")),
     }
 }
+
+/// The access-log endpoint of a `GET /metrics`. Scrapes are the monitor's
+/// own traffic, so the SLO series leave them out: counted, every poll
+/// would show up as load on the server it watches.
+const SCRAPE: &str = "metrics";
 
 /// Readiness: 200 only when the store is recovered and its IO is healthy.
 /// The 503 body lists every failing condition, one per line.
@@ -680,7 +688,7 @@ fn download_transformed(
     id: PhotoId,
     served: &mut Option<ServedPath>,
 ) -> Response {
-    let Some(t) = proto::decode_transformation(&req.body) else {
+    let Ok(t) = Transformation::from_bytes(&req.body) else {
         return Response::status(400, "bad transformation encoding");
     };
     respond(
@@ -700,7 +708,7 @@ fn transform(shared: &Shared, req: &Request, id: PhotoId) -> Response {
         Some(_) => return Response::status(403, "bad owner token"),
         None => return Response::status(401, "owner token required"),
     }
-    let Some(t) = proto::decode_transformation(&req.body) else {
+    let Ok(t) = Transformation::from_bytes(&req.body) else {
         return Response::status(400, "bad transformation encoding");
     };
     respond(shared.store().transform(id, &t), |()| {
@@ -765,11 +773,11 @@ fn drain_grants(shared: &Shared, req: &Request) -> Response {
 
 /// Convenience: bind and run in one call (the CLI entry point).
 ///
-/// Installs a [`puppies_obs`] subscriber when none is active (so
-/// `/metrics` always has something to serve), announces the bound address
-/// immediately, and replays the WAL on a side thread while the listener
-/// already answers `/healthz` — the `ready` line prints when recovery
-/// lands.
+/// Installs a metrics-only [`puppies_obs`] subscriber when none is
+/// active (so `/metrics` always has something to serve), announces the
+/// bound address immediately, and replays the WAL on a side thread while
+/// the listener already answers `/healthz` — the `ready` line prints when
+/// recovery lands.
 ///
 /// # Errors
 /// As [`Server::bind`] and [`Server::run`]; a recovery failure surfaces
@@ -777,7 +785,8 @@ fn drain_grants(shared: &Shared, req: &Request) -> Response {
 pub fn serve(config: &ServeConfig) -> Result<()> {
     if !puppies_obs::enabled() {
         // Deliberately leaked: metrics stay live for the process lifetime.
-        std::mem::forget(puppies_obs::Obs::install());
+        // No route exports a trace, so no span records are kept.
+        std::mem::forget(puppies_obs::Obs::install_metrics_only());
     }
     let (server, recovery) = Server::bind_unready(config)?;
     let addr = server

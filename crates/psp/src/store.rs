@@ -27,7 +27,7 @@
 //!   ([`crate::store_disk`]) hands down the digests it computes for the
 //!   WAL, so there each blob is hashed once.
 //! - **Transform-result cache** — finished transforms are cached under
-//!   (content identity, canonical transformation encoding), see
+//!   (content identity, transformation encoding), see
 //!   [`crate::cache`], so repeat transform traffic never touches the
 //!   codec.
 //! - **Decode memo** — transform misses on the same hot photo share one
@@ -455,29 +455,26 @@ impl PspServer {
     pub fn upload(&self, bytes: Vec<u8>, params: Vec<u8>) -> Result<PhotoId> {
         let _span = puppies_obs::span("psp.upload", "psp");
         let content = ContentId::of(&bytes, &params);
-        self.add(bytes, params.into(), content)
+        let id = self.claim_id()?;
+        self.upload_at(id, bytes, params.into(), content);
+        Ok(id)
     }
 
-    /// [`PspServer::upload`] for a caller that already holds the content
-    /// identity: [`crate::store_disk`] hashes every blob for its WAL
-    /// record and passes the digests down, so no blob is hashed twice.
-    pub(crate) fn upload_hashed(
+    /// Stores a new photo under an id from [`PspServer::claim_id`], with
+    /// the content identity its caller computed: [`crate::store_disk`]
+    /// hashes every blob for its WAL record and logs the upload before it
+    /// stores it, so no blob is hashed twice and a failed log write leaves
+    /// the server untouched.
+    pub(crate) fn upload_at(
         &self,
+        id: PhotoId,
         bytes: Vec<u8>,
         params: Arc<[u8]>,
         content: ContentId,
-    ) -> Result<PhotoId> {
-        let _span = puppies_obs::span("psp.upload", "psp");
-        self.add(bytes, params, content)
-    }
-
-    /// Stores a photo under a fresh id.
-    fn add(&self, bytes: Vec<u8>, params: Arc<[u8]>, content: ContentId) -> Result<PhotoId> {
-        let id = self.allocate_id()?;
+    ) {
         self.store_at(id, bytes, params, content);
         puppies_obs::counted!("psp.uploads");
         self.publish_gauges();
-        Ok(id)
     }
 
     /// Reinstates or overwrites photo `id` with content whose identity
@@ -523,7 +520,7 @@ impl PspServer {
     }
 
     /// Claims the next photo id, saturating at `u64::MAX`.
-    fn allocate_id(&self) -> Result<PhotoId> {
+    pub(crate) fn claim_id(&self) -> Result<PhotoId> {
         let mut cur = self.next_id.load(Ordering::Relaxed);
         loop {
             if cur == u64::MAX {
@@ -674,16 +671,16 @@ impl PspServer {
         t: &Transformation,
     ) -> Result<(ServedPair, ServedPath)> {
         let content = stored.content;
-        let t_canonical = t.canonical_bytes();
+        let t_bytes = t.to_bytes();
         // Second-level key: a recompressed near-duplicate shares its family
         // root's cached results. Results are only ever *inserted* under a
         // photo's own exact key, so the family probe can only surface bytes
         // the root itself produced — the root always serves its own bytes.
         let family_key = match stored.identity.get() {
-            Some(Some((_, family))) if *family != content => Some((*family, t_canonical.clone())),
+            Some(Some((_, family))) if *family != content => Some((*family, t_bytes.clone())),
             _ => None,
         };
-        let key = (content, t_canonical);
+        let key = (content, t_bytes);
         match self.cache.get_two_level(&key, family_key.as_ref()) {
             Some((pair, true)) => {
                 puppies_obs::counted!("psp.sig.hit");
@@ -888,6 +885,51 @@ mod tests {
             .upload(protected.bytes, protected.params.to_bytes())
             .unwrap();
         (id, key)
+    }
+
+    #[test]
+    fn params_note_cache_key_and_request_body_are_one_encoding() {
+        use crate::net::http::{self, ReadOutcome, Response};
+        use crate::net::Client;
+        use std::io::BufReader;
+        use std::net::TcpListener;
+        let server = PspServer::new();
+        let (id, _) = upload_test_photo(&server);
+        let t = Transformation::Crop(Rect::new(8, 8, 32, 40));
+        let encoding = t.to_bytes();
+        // The note the served params end with: present, its length, then
+        // the transformation.
+        let (_, params) = server.download_transformed(id, &t).unwrap();
+        let note = params.len() - encoding.len();
+        assert_eq!(params[note - 3..note], [1, encoding.len() as u8, 0]);
+        assert_eq!(params[note..], encoding[..]);
+        // The key the result was cached under.
+        let (_, content) = server.stored(id).unwrap();
+        assert!(server.cache.get(&(content, encoding.clone())).is_some());
+        // The bodies the client sends to both transform doors.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut writer = stream.try_clone().unwrap();
+            let mut reader = BufReader::new(stream);
+            let mut bodies = Vec::new();
+            for reply in [
+                Response::ok(crate::net::proto::encode_pair(&[], &[])),
+                Response::status(204, "transformed"),
+            ] {
+                let Ok(ReadOutcome::Request(req)) = http::read_request(&mut reader, 1 << 16) else {
+                    panic!("no request");
+                };
+                http::write_response(&mut writer, &reply, true).unwrap();
+                bodies.push(req.body);
+            }
+            bodies
+        });
+        let mut client = Client::connect(addr).unwrap();
+        client.download_transformed(id, &t).unwrap();
+        client.transform(id, "owner", &t).unwrap();
+        assert_eq!(peer.join().unwrap(), [encoding.clone(), encoding]);
     }
 
     #[test]

@@ -18,16 +18,19 @@
 //!
 //! # Durability protocol
 //!
-//! 1. apply the change to the in-memory [`PspServer`];
-//! 2. append `[Blob(bytes)] [Blob(params)] Upload|Transform` — blobs the
+//! 1. append `[Blob(bytes)] [Blob(params)] Upload|Transform` — blobs the
 //!    log already holds left out — with one `write_all`, then one
 //!    `sync_data`;
+//! 2. apply the change to the in-memory [`PspServer`];
 //! 3. acknowledge the client.
 //!
-//! A crash before (2) completes loses only unacknowledged work: it tears
-//! at most that final batch, which replay truncates. The store directory
-//! is fsynced once, when `wal.log` is created, so the log's own name is
-//! durable too. Recovery ([`DiskStore::open`]) streams the log in order,
+//! A transform runs (2) before (1), because the server computes what it
+//! logs, and puts the old photo back if (1) fails; an upload is stored
+//! only once it is logged. Either way a failed write leaves the server
+//! serving what the log holds. A crash before (1) completes loses only
+//! unacknowledged work: it tears at most that final batch, which replay
+//! truncates. The store directory is fsynced once, when `wal.log` is
+//! created, so the log's own name is durable too. Recovery ([`DiskStore::open`]) streams the log in order,
 //! re-checks every blob's SHA-256, and rebuilds the server — each photo
 //! reinstated under the SHA-256 pair its record names, which is its
 //! content identity in memory too — and the grant mailbox verbatim; it fails
@@ -85,8 +88,6 @@ pub struct DiskStore {
     /// a blob in here is never framed again.
     logged: Mutex<HashSet<[u8; 32]>>,
     recovery: RecoveryStats,
-    /// Whether WAL commits sync (the setting from [`DiskStore::open`]).
-    fsync: bool,
     /// Durability-path failures (WAL append/sync) since open. Nonzero
     /// means acknowledged-durability can no longer be promised, so
     /// `/readyz` reports the store degraded.
@@ -213,7 +214,6 @@ impl DiskStore {
             grants: Mutex::new(grants),
             logged: Mutex::new(blobs.into_keys().collect()),
             recovery,
-            fsync,
             io_failures: AtomicU64::new(0),
         })
     }
@@ -229,11 +229,6 @@ impl DiskStore {
     /// readiness — acknowledged writes may no longer be durable.
     pub fn io_healthy(&self) -> bool {
         self.io_failures() == 0
-    }
-
-    /// Whether per-append fsync is on (the durable configuration).
-    pub fn fsync_enabled(&self) -> bool {
-        self.fsync
     }
 
     /// Counts durability-path failures as they propagate.
@@ -266,14 +261,18 @@ impl DiskStore {
     pub fn upload(&self, bytes: Vec<u8>, params: Vec<u8>) -> Result<PhotoId> {
         fit_one_frame([&bytes, &params])?;
         let content = ContentId::of(&bytes, &params);
+        let id = self.server.claim_id()?;
         let mut batch = self.blob_batch(content, [&bytes, &params]);
-        let id = self.server.upload_hashed(bytes, params.into(), content)?;
         batch.record(&WalRecord::Upload {
             id: id.0,
             bytes_sha: content.bytes_sha,
             params_sha: content.params_sha,
         });
+        // Logged before it is stored: a failed commit leaves nothing to
+        // download, search or account for, and its id simply goes unused.
         self.commit(&batch, content)?;
+        let _span = puppies_obs::span("psp.upload", "psp");
+        self.server.upload_at(id, bytes, params.into(), content);
         Ok(id)
     }
 
@@ -504,6 +503,47 @@ mod tests {
         // Ids keep allocating past the recovered range.
         let c = store.upload(vec![7], vec![]).unwrap();
         assert!(c > b);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_failed_upload_commit_leaves_no_trace() {
+        use puppies_core::{protect, OwnerKey, ProtectOptions};
+        use puppies_image::{Rect, Rgb, RgbImage};
+        let photo = |seed: u8| {
+            let img = RgbImage::from_fn(64, 64, |x, y| Rgb::new(x as u8 * 3, y as u8, seed));
+            let key = OwnerKey::from_seed([seed; 32]);
+            let roi = [Rect::new(8, 8, 16, 16)];
+            let p = protect(&img, &roi, &key, &ProtectOptions::default()).unwrap();
+            (p.bytes, p.params.to_bytes())
+        };
+        let dir = tmp("enospc");
+        let store = open(&dir);
+        let (bytes, params) = photo(1);
+        let first = store.upload(bytes.clone(), params.clone()).unwrap();
+        let server = store.server();
+        let sig = server.search_signature(&bytes, &params).unwrap();
+        let before = (
+            server.len(),
+            server.storage_footprint_total(),
+            server.search_similar(sig, 64, 16),
+        );
+        // Every write to /dev/full fails with ENOSPC.
+        *store.wal.lock().unwrap() = Wal::open(Path::new("/dev/full"), true).unwrap();
+        let (near, near_params) = photo(2);
+        assert!(store.upload(near, near_params).is_err());
+        assert!(store.upload(bytes, params).is_err());
+        let after = (
+            server.len(),
+            server.storage_footprint_total(),
+            server.search_similar(sig, 64, 16),
+        );
+        assert_eq!(after, before);
+        for id in [first.0 + 1, first.0 + 2] {
+            assert!(server.download(PhotoId(id)).is_err(), "photo {id}");
+        }
+        assert_eq!(store.io_failures(), 2);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -7,10 +7,17 @@
 //! implements each transformation twice:
 //!
 //! - **pixel domain** ([`Transformation::apply_to_rgb`]): decode → transform
-//!   → re-encode, what a PSP built on libjpeg + an imaging library does;
+//!   → re-encode, what a PSP built on libjpeg + an imaging library does.
+//!   The receiver runs the same geometry on its float shadow planes
+//!   ([`Transformation::apply_to_plane`]): crops, rotations and flips have
+//!   one implementation, generic over the sample type;
 //! - **coefficient domain** ([`Transformation::apply_to_coeff`]): the
 //!   lossless jpegtran-style path for block-aligned crops, 90°·k rotations,
 //!   flips and recompression.
+//!
+//! A transformation has one byte encoding, [`Transformation::to_bytes`]:
+//! the PSP records it in the public parameters, keys its transform cache
+//! by it and receives it as the body of a transform request.
 //!
 //! Both paths are *perturbation-agnostic*: they never special-case
 //! PuPPIeS-perturbed inputs, which is precisely the compatibility property
@@ -53,6 +60,9 @@ pub enum TransformError {
     NotCoeffDomain(String),
     /// A parameter is invalid (zero scale target, bad alpha, ...).
     InvalidParameter(String),
+    /// Bytes that [`Transformation::from_bytes`] refuses: an unknown tag,
+    /// a truncated field or trailing bytes.
+    BadEncoding(String),
 }
 
 impl fmt::Display for TransformError {
@@ -67,6 +77,7 @@ impl fmt::Display for TransformError {
                 write!(f, "not applicable in coefficient domain: {m}")
             }
             TransformError::InvalidParameter(m) => write!(f, "invalid parameter: {m}"),
+            TransformError::BadEncoding(m) => write!(f, "bad transformation encoding: {m}"),
         }
     }
 }
@@ -119,10 +130,10 @@ impl From<ScaleFilter> for Filter {
 
 /// One PSP-side transformation.
 ///
-/// The serialized form is what the PSP publishes as "transformation type"
-/// public metadata so receivers can mirror it on the shadow ROI (§III-C
-/// scenario 2; the paper assumes transformations are known to PuPPIeS,
-/// footnote 10).
+/// Its encoding ([`Transformation::to_bytes`]) is what the PSP publishes as
+/// "transformation type" public metadata so receivers can mirror it on the
+/// shadow ROI (§III-C scenario 2; the paper assumes transformations are
+/// known to PuPPIeS, footnote 10).
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum Transformation {
@@ -245,16 +256,15 @@ impl Transformation {
                 }
                 Ok(resample::scale_rgb(img, width, height, filter.into()))
             }
-            Transformation::Crop(r) => img.crop(r).map_err(|_| TransformError::OutOfBounds {
-                rect: r,
-                width: img.width(),
-                height: img.height(),
-            }),
-            Transformation::Rotate90 => Ok(resample::rotate90(img)),
-            Transformation::Rotate180 => Ok(resample::rotate180(img)),
-            Transformation::Rotate270 => Ok(resample::rotate270(img)),
-            Transformation::FlipHorizontal => Ok(resample::flip_horizontal(img)),
-            Transformation::FlipVertical => Ok(resample::flip_vertical(img)),
+            Transformation::Crop(_)
+            | Transformation::Rotate90
+            | Transformation::Rotate180
+            | Transformation::Rotate270
+            | Transformation::FlipHorizontal
+            | Transformation::FlipVertical => {
+                let (w, h, pixels) = self.move_samples(img.width(), img.height(), img.pixels())?;
+                Ok(RgbImage::from_raw(w, h, pixels))
+            }
             Transformation::Recompress { quality } => {
                 if quality == 0 || quality > 100 {
                     return Err(TransformError::InvalidParameter(format!(
@@ -297,7 +307,6 @@ impl Transformation {
     /// # Errors
     /// Fails for `Recompress`/`Overlay` and invalid geometry.
     pub fn apply_to_plane(&self, plane: &Plane) -> Result<Plane> {
-        let (pw, ph) = (plane.width(), plane.height());
         match *self {
             Transformation::Scale {
                 width,
@@ -309,28 +318,15 @@ impl Transformation {
                 }
                 Ok(resample::scale_plane(plane, width, height, filter.into()))
             }
-            Transformation::Crop(r) => {
-                if r.is_empty() || !Rect::new(0, 0, pw, ph).contains_rect(r) {
-                    return Err(TransformError::OutOfBounds {
-                        rect: r,
-                        width: pw,
-                        height: ph,
-                    });
-                }
-                Ok(Plane::from_fn(r.w, r.h, |x, y| plane.get(r.x + x, r.y + y)))
-            }
-            Transformation::Rotate90 => Ok(Plane::from_fn(ph, pw, |x, y| plane.get(y, ph - 1 - x))),
-            Transformation::Rotate180 => Ok(Plane::from_fn(pw, ph, |x, y| {
-                plane.get(pw - 1 - x, ph - 1 - y)
-            })),
-            Transformation::Rotate270 => {
-                Ok(Plane::from_fn(ph, pw, |x, y| plane.get(pw - 1 - y, x)))
-            }
-            Transformation::FlipHorizontal => {
-                Ok(Plane::from_fn(pw, ph, |x, y| plane.get(pw - 1 - x, y)))
-            }
-            Transformation::FlipVertical => {
-                Ok(Plane::from_fn(pw, ph, |x, y| plane.get(x, ph - 1 - y)))
+            Transformation::Crop(_)
+            | Transformation::Rotate90
+            | Transformation::Rotate180
+            | Transformation::Rotate270
+            | Transformation::FlipHorizontal
+            | Transformation::FlipVertical => {
+                let (w, h, samples) =
+                    self.move_samples(plane.width(), plane.height(), plane.samples())?;
+                Ok(Plane::from_raw(w, h, samples))
             }
             Transformation::Filter(op) => apply_filter_plane(plane, op),
             Transformation::Recompress { .. } => Err(TransformError::NotCoeffDomain(
@@ -358,17 +354,52 @@ impl Transformation {
         }
     }
 
-    /// Canonical, injective byte encoding of the transformation, for use as
-    /// a content-address component (e.g. the PSP's transform-result cache
-    /// chains this into the FNV of the source bitstream). Two
-    /// transformations produce the same bytes iff they compare equal:
-    /// every variant starts with a distinct tag, every field is serialized
-    /// in full (floats via their IEEE-754 bit pattern), and all integers
-    /// are little-endian.
-    ///
-    /// This is *not* a wire format — `PublicParams` has its own — so it can
-    /// stay frozen as a cache-key encoding even if the wire format evolves.
-    pub fn canonical_bytes(&self) -> Vec<u8> {
+    /// Crop, rotation and flip only move samples. This is their one pixel
+    /// implementation, generic over the sample type, so the PSP's RGB path
+    /// and the receiver's float shadow planes move every sample alike.
+    fn move_samples<T: Copy>(&self, w: u32, h: u32, src: &[T]) -> Result<(u32, u32, Vec<T>)> {
+        let (ow, oh) = self.output_size(w, h)?;
+        let mut out = Vec::with_capacity(ow as usize * oh as usize);
+        if let Transformation::Crop(r) = *self {
+            let cols = r.x as usize..r.right() as usize;
+            for row in src
+                .chunks_exact(w as usize)
+                .skip(r.y as usize)
+                .take(r.h as usize)
+            {
+                out.extend_from_slice(&row[cols.clone()]);
+            }
+            return Ok((ow, oh, out));
+        }
+        let Some(orient) = Orient::of(self) else {
+            return Err(TransformError::InvalidParameter(format!(
+                "{self:?} changes samples rather than moving them"
+            )));
+        };
+        // Output sample (x, y) is the source sample that the inverse
+        // orientation of the output grid moves to (x, y).
+        let back = orient.inverse();
+        for y in 0..oh {
+            for x in 0..ow {
+                let (sx, sy) = back.position(ow, oh, x, y);
+                out.push(src[sy as usize * w as usize + sx as usize]);
+            }
+        }
+        Ok((ow, oh, out))
+    }
+
+    /// The transformation's one byte encoding. It is the note the PSP
+    /// appends to a photo's public parameters (`puppies_core::PublicParams`),
+    /// the transform-cache key, and the body of the PSP's transform
+    /// requests. Injective: a tag byte per variant (0–9 in declaration
+    /// order), then every field in full, integers little-endian and floats
+    /// as their IEEE-754 bits.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        fn words(out: &mut Vec<u8>, words: &[u32]) {
+            for w in words {
+                out.extend_from_slice(&w.to_le_bytes());
+            }
+        }
         let mut out = Vec::with_capacity(24);
         match *self {
             Transformation::Scale {
@@ -376,9 +407,8 @@ impl Transformation {
                 height,
                 filter,
             } => {
-                out.push(0x01);
-                out.extend_from_slice(&width.to_le_bytes());
-                out.extend_from_slice(&height.to_le_bytes());
+                out.push(0);
+                words(&mut out, &[width, height]);
                 out.push(match filter {
                     ScaleFilter::Nearest => 0,
                     ScaleFilter::Bilinear => 1,
@@ -386,44 +416,86 @@ impl Transformation {
                 });
             }
             Transformation::Crop(r) => {
-                out.push(0x02);
-                for v in [r.x, r.y, r.w, r.h] {
-                    out.extend_from_slice(&v.to_le_bytes());
-                }
+                out.push(1);
+                words(&mut out, &[r.x, r.y, r.w, r.h]);
             }
-            Transformation::Rotate90 => out.push(0x03),
-            Transformation::Rotate180 => out.push(0x04),
-            Transformation::Rotate270 => out.push(0x05),
-            Transformation::FlipHorizontal => out.push(0x06),
-            Transformation::FlipVertical => out.push(0x07),
-            Transformation::Recompress { quality } => {
-                out.push(0x08);
-                out.push(quality);
-            }
+            Transformation::Rotate90 => out.push(2),
+            Transformation::Rotate180 => out.push(3),
+            Transformation::Rotate270 => out.push(4),
+            Transformation::FlipHorizontal => out.push(5),
+            Transformation::FlipVertical => out.push(6),
+            Transformation::Recompress { quality } => out.extend_from_slice(&[7, quality]),
             Transformation::Filter(op) => {
-                out.push(0x09);
+                out.push(8);
                 match op {
                     FilterOp::Gaussian { sigma } => {
                         out.push(0);
-                        out.extend_from_slice(&sigma.to_bits().to_le_bytes());
+                        words(&mut out, &[sigma.to_bits()]);
                     }
                     FilterOp::Sharpen => out.push(1),
                     FilterOp::Box { side } => {
                         out.push(2);
-                        out.extend_from_slice(&side.to_le_bytes());
+                        words(&mut out, &[side]);
                     }
                 }
             }
             Transformation::Overlay { rect, color, alpha } => {
-                out.push(0x0a);
-                for v in [rect.x, rect.y, rect.w, rect.h] {
-                    out.extend_from_slice(&v.to_le_bytes());
-                }
+                out.push(9);
+                words(&mut out, &[rect.x, rect.y, rect.w, rect.h]);
                 out.extend_from_slice(&[color.r, color.g, color.b]);
-                out.extend_from_slice(&alpha.to_bits().to_le_bytes());
+                words(&mut out, &[alpha.to_bits()]);
             }
         }
         out
+    }
+
+    /// Decodes [`Transformation::to_bytes`] exactly: `from_bytes(&t.to_bytes())`
+    /// gives `t` back, and any other input is refused.
+    ///
+    /// # Errors
+    /// [`TransformError::BadEncoding`] on an unknown tag, a truncated field
+    /// or trailing bytes.
+    pub fn from_bytes(data: &[u8]) -> Result<Transformation> {
+        let mut r = Fields(data);
+        let t = match r.u8()? {
+            0 => Transformation::Scale {
+                width: r.u32()?,
+                height: r.u32()?,
+                filter: match r.u8()? {
+                    0 => ScaleFilter::Nearest,
+                    1 => ScaleFilter::Bilinear,
+                    2 => ScaleFilter::Box,
+                    other => {
+                        return Err(TransformError::BadEncoding(format!(
+                            "scale filter tag {other}"
+                        )))
+                    }
+                },
+            },
+            1 => Transformation::Crop(r.rect()?),
+            2 => Transformation::Rotate90,
+            3 => Transformation::Rotate180,
+            4 => Transformation::Rotate270,
+            5 => Transformation::FlipHorizontal,
+            6 => Transformation::FlipVertical,
+            7 => Transformation::Recompress { quality: r.u8()? },
+            8 => Transformation::Filter(match r.u8()? {
+                0 => FilterOp::Gaussian { sigma: r.f32()? },
+                1 => FilterOp::Sharpen,
+                2 => FilterOp::Box { side: r.u32()? },
+                other => return Err(TransformError::BadEncoding(format!("filter tag {other}"))),
+            }),
+            9 => Transformation::Overlay {
+                rect: r.rect()?,
+                color: Rgb::new(r.u8()?, r.u8()?, r.u8()?),
+                alpha: r.f32()?,
+            },
+            other => return Err(TransformError::BadEncoding(format!("tag {other}"))),
+        };
+        match r.0.len() {
+            0 => Ok(t),
+            n => Err(TransformError::BadEncoding(format!("{n} trailing byte(s)"))),
+        }
     }
 
     /// Applies the transformation directly on quantized coefficients — the
@@ -487,6 +559,37 @@ impl Transformation {
     }
 }
 
+/// The unread rest of a [`Transformation::to_bytes`] encoding.
+struct Fields<'a>(&'a [u8]);
+
+impl Fields<'_> {
+    fn take<const N: usize>(&mut self) -> Result<[u8; N]> {
+        if self.0.len() < N {
+            return Err(TransformError::BadEncoding("truncated".into()));
+        }
+        let (head, rest) = self.0.split_at(N);
+        self.0 = rest;
+        Ok(head.try_into().expect("N bytes"))
+    }
+    fn u8(&mut self) -> Result<u8> {
+        self.take::<1>().map(|[b]| b)
+    }
+    fn u32(&mut self) -> Result<u32> {
+        self.take().map(u32::from_le_bytes)
+    }
+    fn f32(&mut self) -> Result<f32> {
+        self.u32().map(f32::from_bits)
+    }
+    fn rect(&mut self) -> Result<Rect> {
+        Ok(Rect::new(
+            self.u32()?,
+            self.u32()?,
+            self.u32()?,
+            self.u32()?,
+        ))
+    }
+}
+
 fn map_components(
     img: &CoeffImage,
     new_w: u32,
@@ -529,7 +632,7 @@ fn transpose_quant(q: &puppies_jpeg::QuantTable) -> puppies_jpeg::QuantTable {
     puppies_jpeg::QuantTable::new(t)
 }
 
-/// The five lossless orientation changes of a block grid.
+/// The five orientation changes of a sample or block grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Orient {
     Rot90,
@@ -537,6 +640,38 @@ enum Orient {
     Rot270,
     FlipH,
     FlipV,
+}
+
+impl Orient {
+    fn of(t: &Transformation) -> Option<Orient> {
+        match t {
+            Transformation::Rotate90 => Some(Orient::Rot90),
+            Transformation::Rotate180 => Some(Orient::Rot180),
+            Transformation::Rotate270 => Some(Orient::Rot270),
+            Transformation::FlipHorizontal => Some(Orient::FlipH),
+            Transformation::FlipVertical => Some(Orient::FlipV),
+            _ => None,
+        }
+    }
+
+    fn inverse(self) -> Orient {
+        match self {
+            Orient::Rot90 => Orient::Rot270,
+            Orient::Rot270 => Orient::Rot90,
+            other => other,
+        }
+    }
+
+    /// Where cell `(x, y)` of a `w`×`h` grid lands.
+    fn position(self, w: u32, h: u32, x: u32, y: u32) -> (u32, u32) {
+        match self {
+            Orient::Rot90 => (h - 1 - y, x),
+            Orient::Rot180 => (w - 1 - x, h - 1 - y),
+            Orient::Rot270 => (y, w - 1 - x),
+            Orient::FlipH => (w - 1 - x, y),
+            Orient::FlipV => (x, h - 1 - y),
+        }
+    }
 }
 
 /// How a rotation or flip acts on a coefficient image: each block moves
@@ -560,14 +695,7 @@ impl BlockOrientation {
     /// The block orientation of a rotation or flip; `None` for every other
     /// transformation.
     pub fn of(t: &Transformation) -> Option<BlockOrientation> {
-        let orient = match t {
-            Transformation::Rotate90 => Orient::Rot90,
-            Transformation::Rotate180 => Orient::Rot180,
-            Transformation::Rotate270 => Orient::Rot270,
-            Transformation::FlipHorizontal => Orient::FlipH,
-            Transformation::FlipVertical => Orient::FlipV,
-            _ => return None,
-        };
+        let orient = Orient::of(t)?;
         let mut o = BlockOrientation {
             orient,
             src: [0; 64],
@@ -595,15 +723,10 @@ impl BlockOrientation {
         matches!(self.orient, Orient::Rot90 | Orient::Rot270)
     }
 
-    /// Where block `(bx, by)` of a `bw`×`bh` grid lands.
+    /// Where block `(bx, by)` of a `bw`×`bh` grid lands — the same map
+    /// the pixel path applies to samples.
     pub fn position(&self, bw: u32, bh: u32, bx: u32, by: u32) -> (u32, u32) {
-        match self.orient {
-            Orient::Rot90 => (bh - 1 - by, bx),
-            Orient::Rot180 => (bw - 1 - bx, bh - 1 - by),
-            Orient::Rot270 => (by, bw - 1 - bx),
-            Orient::FlipH => (bw - 1 - bx, by),
-            Orient::FlipV => (bx, bh - 1 - by),
-        }
+        self.orient.position(bw, bh, bx, by)
     }
 
     /// Reorients the coefficients of one block.
@@ -680,18 +803,6 @@ fn apply_filter_plane(plane: &Plane, op: FilterOp) -> Result<Plane> {
     }
 }
 
-/// Applies a pipeline of transformations in order (pixel domain).
-///
-/// # Errors
-/// Fails on the first transformation that fails.
-pub fn apply_pipeline_rgb(img: &RgbImage, pipeline: &[Transformation]) -> Result<RgbImage> {
-    let mut cur = img.clone();
-    for t in pipeline {
-        cur = t.apply_to_rgb(&cur)?;
-    }
-    Ok(cur)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -753,17 +864,9 @@ mod tests {
     fn coeff_domain_rotations_match_pixel_rotations() {
         let img = textured(64, 48);
         let coeff = CoeffImage::from_rgb(&img, 85);
-        type Case = (Transformation, fn(&RgbImage) -> RgbImage);
-        let cases: [Case; 5] = [
-            (Transformation::Rotate90, resample::rotate90),
-            (Transformation::Rotate180, resample::rotate180),
-            (Transformation::Rotate270, resample::rotate270),
-            (Transformation::FlipHorizontal, resample::flip_horizontal),
-            (Transformation::FlipVertical, resample::flip_vertical),
-        ];
-        for (t, px) in cases {
+        for t in ORIENTATIONS {
             let via_coeff = t.apply_to_coeff(&coeff).unwrap().to_rgb();
-            let via_pixels = px(&coeff.to_rgb());
+            let via_pixels = t.apply_to_rgb(&coeff.to_rgb()).unwrap();
             // Both end at the same IDCT-and-round; only ulp-level float
             // ordering may differ.
             assert!(
@@ -883,20 +986,19 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_composes() {
+    fn geometry_and_scale_compose() {
         let img = textured(64, 64);
-        let out = apply_pipeline_rgb(
-            &img,
-            &[
-                Transformation::Crop(Rect::new(0, 0, 32, 32)),
-                Transformation::Rotate90,
-                Transformation::Scale {
-                    width: 16,
-                    height: 16,
-                    filter: ScaleFilter::Box,
-                },
-            ],
-        )
+        let out = [
+            Transformation::Crop(Rect::new(0, 0, 32, 32)),
+            Transformation::Rotate90,
+            Transformation::Scale {
+                width: 16,
+                height: 16,
+                filter: ScaleFilter::Box,
+            },
+        ]
+        .iter()
+        .try_fold(img, |cur, t| t.apply_to_rgb(&cur))
         .unwrap();
         assert_eq!((out.width(), out.height()), (16, 16));
     }
@@ -908,9 +1010,68 @@ mod tests {
         assert!(Transformation::scale_by(1, 1, 1, 10).is_err());
     }
 
+    const ORIENTATIONS: [Transformation; 5] = [
+        Transformation::Rotate90,
+        Transformation::Rotate180,
+        Transformation::Rotate270,
+        Transformation::FlipHorizontal,
+        Transformation::FlipVertical,
+    ];
+
     #[test]
-    fn canonical_bytes_is_injective_and_stable() {
-        let variants = [
+    fn rotations_compose_to_identity() {
+        use Transformation::*;
+        let img = textured(9, 14);
+        let apply = |t: Transformation, img: &RgbImage| t.apply_to_rgb(img).unwrap();
+        assert_eq!(apply(Rotate180, &apply(Rotate180, &img)), img);
+        assert_eq!(apply(Rotate270, &apply(Rotate90, &img)), img);
+        assert_eq!(
+            apply(Rotate90, &apply(Rotate90, &img)),
+            apply(Rotate180, &img)
+        );
+        assert_eq!(apply(FlipHorizontal, &apply(FlipHorizontal, &img)), img);
+        assert_eq!(apply(FlipVertical, &apply(FlipVertical, &img)), img);
+        assert_eq!(
+            apply(FlipVertical, &apply(FlipHorizontal, &img)),
+            apply(Rotate180, &img)
+        );
+    }
+
+    #[test]
+    fn rotate90_moves_topleft_to_topright() {
+        let mut img = RgbImage::new(4, 3);
+        img.set(0, 0, Rgb::WHITE);
+        let r = Transformation::Rotate90.apply_to_rgb(&img).unwrap();
+        assert_eq!((r.width(), r.height()), (3, 4));
+        assert_eq!(r.get(2, 0), Rgb::WHITE);
+        let r = Transformation::Rotate270.apply_to_rgb(&img).unwrap();
+        assert_eq!(r.get(0, 3), Rgb::WHITE);
+    }
+
+    #[test]
+    fn rgb_channels_move_like_planes() {
+        let img = textured(13, 7);
+        let geometry = [
+            Transformation::Crop(Rect::new(2, 1, 9, 5)),
+            Transformation::Crop(Rect::new(0, 0, 13, 7)),
+        ]
+        .into_iter()
+        .chain(ORIENTATIONS);
+        for t in geometry {
+            let moved = resample::split_channels(&t.apply_to_rgb(&img).unwrap());
+            for (c, plane) in resample::split_channels(&img).iter().enumerate() {
+                assert_eq!(
+                    t.apply_to_plane(plane).unwrap(),
+                    moved[c],
+                    "{t:?} channel {c}"
+                );
+            }
+        }
+    }
+
+    /// One of each variant, and each field varied once.
+    fn every_variant() -> Vec<Transformation> {
+        vec![
             Transformation::Scale {
                 width: 32,
                 height: 24,
@@ -924,7 +1085,7 @@ mod tests {
             Transformation::Scale {
                 width: 24,
                 height: 32,
-                filter: ScaleFilter::Bilinear,
+                filter: ScaleFilter::Box,
             },
             Transformation::Crop(Rect::new(8, 8, 16, 24)),
             Transformation::Crop(Rect::new(8, 8, 24, 16)),
@@ -947,11 +1108,19 @@ mod tests {
             },
             Transformation::Overlay {
                 rect: Rect::new(0, 0, 8, 8),
-                color: Rgb::WHITE,
+                color: Rgb::new(255, 0, 128),
                 alpha: 0.25,
             },
-        ];
-        let encodings: Vec<Vec<u8>> = variants.iter().map(|t| t.canonical_bytes()).collect();
+        ]
+    }
+
+    #[test]
+    fn bytes_roundtrip_every_variant_and_are_injective() {
+        let variants = every_variant();
+        let encodings: Vec<Vec<u8>> = variants.iter().map(Transformation::to_bytes).collect();
+        for (t, bytes) in variants.iter().zip(&encodings) {
+            assert_eq!(&Transformation::from_bytes(bytes).unwrap(), t);
+        }
         for (i, a) in encodings.iter().enumerate() {
             for (j, b) in encodings.iter().enumerate() {
                 if i != j {
@@ -959,9 +1128,70 @@ mod tests {
                 }
             }
         }
-        // Stable across calls and across clones.
-        for t in &variants {
-            assert_eq!(t.canonical_bytes(), t.clone().canonical_bytes());
+    }
+
+    #[test]
+    fn bytes_are_pinned() {
+        // The layout public parameters have always stored, so `.pup`
+        // files, WAL stores and golden vectors keep their bytes.
+        let cases: [(Transformation, &[u8]); 6] = [
+            (
+                Transformation::Scale {
+                    width: 640,
+                    height: 480,
+                    filter: ScaleFilter::Box,
+                },
+                &[0, 0x80, 2, 0, 0, 0xe0, 1, 0, 0, 2],
+            ),
+            (
+                Transformation::Crop(Rect::new(8, 16, 1, 258)),
+                &[1, 8, 0, 0, 0, 16, 0, 0, 0, 1, 0, 0, 0, 2, 1, 0, 0],
+            ),
+            (Transformation::FlipVertical, &[6]),
+            (Transformation::Recompress { quality: 75 }, &[7, 75]),
+            (
+                Transformation::Filter(FilterOp::Gaussian { sigma: 1.5 }),
+                &[8, 0, 0, 0, 0xc0, 0x3f],
+            ),
+            (
+                Transformation::Overlay {
+                    rect: Rect::new(1, 2, 3, 4),
+                    color: Rgb::new(9, 8, 7),
+                    alpha: 0.25,
+                },
+                &[
+                    9, 1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0, 4, 0, 0, 0, 9, 8, 7, 0, 0, 0x80, 0x3e,
+                ],
+            ),
+        ];
+        for (t, bytes) in cases {
+            assert_eq!(t.to_bytes(), bytes, "{t:?}");
+        }
+    }
+
+    #[test]
+    fn from_bytes_refuses_junk_truncation_and_trailing_bytes() {
+        let refused = |bytes: &[u8]| {
+            matches!(
+                Transformation::from_bytes(bytes),
+                Err(TransformError::BadEncoding(_))
+            )
+        };
+        assert!(refused(&[]));
+        for tag in 10..=255u8 {
+            assert!(refused(&[tag]), "tag {tag}");
+        }
+        // Unknown scale filter and filter op discriminants.
+        assert!(refused(&[0, 1, 0, 0, 0, 1, 0, 0, 0, 3]));
+        assert!(refused(&[8, 3]));
+        for t in every_variant() {
+            let bytes = t.to_bytes();
+            for cut in 0..bytes.len() {
+                assert!(refused(&bytes[..cut]), "{t:?} cut at {cut}");
+            }
+            let mut longer = bytes.clone();
+            longer.push(0);
+            assert!(refused(&longer), "{t:?} with a trailing byte");
         }
     }
 

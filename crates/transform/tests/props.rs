@@ -1,13 +1,27 @@
 //! Property-based invariants of the transformation layer: the lossless
-//! coefficient-domain paths must agree with the pixel-domain reference
-//! implementations on arbitrary content.
+//! coefficient-domain paths must agree with the pixel-domain paths on
+//! arbitrary content, and the pixel geometry must be a bijection.
 
 use proptest::prelude::*;
 use puppies_image::metrics::max_abs_diff_rgb;
-use puppies_image::resample;
 use puppies_image::{Rect, Rgb, RgbImage};
 use puppies_jpeg::CoeffImage;
 use puppies_transform::Transformation;
+
+fn arb_image() -> impl Strategy<Value = RgbImage> {
+    (2u32..48, 2u32..48, any::<u32>()).prop_map(|(w, h, seed)| {
+        RgbImage::from_fn(w, h, |x, y| {
+            let v = x
+                .wrapping_mul(seed | 1)
+                .wrapping_add(y.wrapping_mul(seed.rotate_left(7) | 1));
+            Rgb::new(
+                (v % 256) as u8,
+                ((v >> 8) % 256) as u8,
+                ((v >> 16) % 256) as u8,
+            )
+        })
+    })
+}
 
 fn arb_aligned_image() -> impl Strategy<Value = RgbImage> {
     // Dimensions multiples of 8 so every coefficient-domain op applies.
@@ -33,17 +47,15 @@ proptest! {
     fn coeff_rotations_match_pixel_rotations(img in arb_aligned_image(), q in 30u8..=95) {
         let coeff = CoeffImage::from_rgb(&img, q);
         let decoded = coeff.to_rgb();
-        type Case = (Transformation, fn(&RgbImage) -> RgbImage);
-        let cases: [Case; 5] = [
-            (Transformation::Rotate90, resample::rotate90),
-            (Transformation::Rotate180, resample::rotate180),
-            (Transformation::Rotate270, resample::rotate270),
-            (Transformation::FlipHorizontal, resample::flip_horizontal),
-            (Transformation::FlipVertical, resample::flip_vertical),
-        ];
-        for (t, px) in cases {
+        for t in [
+            Transformation::Rotate90,
+            Transformation::Rotate180,
+            Transformation::Rotate270,
+            Transformation::FlipHorizontal,
+            Transformation::FlipVertical,
+        ] {
             let via_coeff = t.apply_to_coeff(&coeff).unwrap().to_rgb();
-            let via_pixels = px(&decoded);
+            let via_pixels = t.apply_to_rgb(&decoded).unwrap();
             // The f32 AAN IDCT of a transposed/flipped block is not the
             // exact transpose/flip of the block's IDCT, so each YCbCr
             // channel can land one quantization code apart on tie values;
@@ -53,6 +65,20 @@ proptest! {
                 max_abs_diff_rgb(&via_coeff, &via_pixels) <= 3,
                 "{:?} disagrees", t
             );
+        }
+    }
+
+    #[test]
+    fn pixel_rotations_and_flips_are_bijective(img in arb_image()) {
+        let pairs = [
+            (Transformation::Rotate90, Transformation::Rotate270),
+            (Transformation::Rotate180, Transformation::Rotate180),
+            (Transformation::FlipHorizontal, Transformation::FlipHorizontal),
+            (Transformation::FlipVertical, Transformation::FlipVertical),
+        ];
+        for (t, inv) in pairs {
+            let back = inv.apply_to_rgb(&t.apply_to_rgb(&img).unwrap()).unwrap();
+            prop_assert_eq!(&back, &img, "{:?} then {:?}", t, inv);
         }
     }
 
