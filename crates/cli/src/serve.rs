@@ -15,9 +15,11 @@
 //! `smoke` runs the full upload → grant → transform → download flow over
 //! the wire and byte-compares every response against an in-process
 //! [`PspServer`] fed the same inputs. `flood` uploads continuously,
-//! appending `<id> <fnv64 hex>` to the manifest *after* each server ack
-//! (so the manifest is exactly the set of acknowledged uploads — the
-//! durability contract under `kill -9`). `verify` re-downloads every
+//! appending `<id> <fnv64 hex>` to the manifest *after* each server ack;
+//! every 16th upload is a photo it also transforms in place, whose line
+//! waits for the transform's ack and hashes the transformed bytes (so the
+//! manifest is exactly the set of acknowledged writes — the durability
+//! contract under `kill -9`). `verify` re-downloads every
 //! manifest entry and checks content hashes; a torn final manifest line
 //! (the flood itself was killed mid-write) is tolerated and reported.
 //! `dup` proves the perceptual-identity fast path end to end: a
@@ -216,7 +218,11 @@ fn net_smoke(args: &[String]) -> CliResult {
 /// Uploads `--count` payloads (default: until killed), appending
 /// `<id> <fnv64 hex>` to `--manifest` after each acknowledged upload,
 /// flushed per line — the manifest is the durability oracle `verify`
-/// replays after a crash.
+/// replays after a crash. Every 16th upload is a [`fixture`] photo,
+/// transformed in place (`Rotate180`) under its owner token: its line is
+/// written only once the transform is acknowledged, and carries the hash
+/// of the transformed bytes. A photo killed between its two acks may come
+/// back either way, so it gets no line.
 fn net_flood(args: &[String]) -> CliResult {
     let addr = addr_arg(args)?;
     let manifest = flag_value(args, "--manifest").ok_or("missing --manifest <file>")?;
@@ -234,26 +240,43 @@ fn net_flood(args: &[String]) -> CliResult {
         .append(true)
         .open(manifest)
         .map_err(|e| format!("opening {manifest}: {e}"))?;
-    let mut acked = 0u64;
+    let (mut acked, mut transformed) = (0u64, 0u64);
     for i in 0..count {
-        // Distinct content per upload so content-addressing is exercised.
-        let mut payload = vec![0u8; payload_len];
-        let mut h = fnv64(&i.to_le_bytes());
-        for chunk in payload.chunks_mut(8) {
-            h = fnv64(&h.to_le_bytes());
-            let src = h.to_le_bytes();
-            chunk.copy_from_slice(&src[..chunk.len()]);
-        }
-        let params = i.to_le_bytes().to_vec();
+        let photo = i % 16 == 15;
+        let (payload, params) = if photo {
+            fixture((i / 16) as u8)
+        } else {
+            // Distinct content per upload so content-addressing is
+            // exercised.
+            let mut payload = vec![0u8; payload_len];
+            let mut h = fnv64(&i.to_le_bytes());
+            for chunk in payload.chunks_mut(8) {
+                h = fnv64(&h.to_le_bytes());
+                let src = h.to_le_bytes();
+                chunk.copy_from_slice(&src[..chunk.len()]);
+            }
+            (payload, i.to_le_bytes().to_vec())
+        };
         let receipt = client
             .upload(&payload, &params)
             .map_err(|e| e.to_string())?;
-        writeln!(out, "{} {:016x}", receipt.id.0, fnv64(&payload))
+        let hash = if photo {
+            client
+                .transform(receipt.id, &receipt.owner_token, &Transformation::Rotate180)
+                .map_err(|e| e.to_string())?;
+            transformed += 1;
+            fnv64(&client.download(receipt.id).map_err(|e| e.to_string())?)
+        } else {
+            fnv64(&payload)
+        };
+        writeln!(out, "{} {hash:016x}", receipt.id.0)
             .and_then(|()| out.flush())
             .map_err(|e| format!("writing {manifest}: {e}"))?;
         acked += 1;
     }
-    println!("flood: {acked} acknowledged upload(s) recorded in {manifest}");
+    println!(
+        "flood: {acked} acknowledged upload(s), {transformed} transformed in place, recorded in {manifest}"
+    );
     Ok(())
 }
 

@@ -1,7 +1,9 @@
 //! The CI service-job scenario as an integration test: boot
 //! `puppies-cli serve`, run the network smoke, flood acknowledged
-//! uploads, SIGKILL the server mid-write, restart, and prove every
-//! acknowledged upload recovers byte-identical.
+//! uploads and in-place transforms, SIGKILL the server mid-write,
+//! restart, and prove every acknowledged write recovers byte-identical.
+//! Every child process is killed and reaped when its handle drops, so a
+//! failing test leaves none running.
 
 #![cfg(unix)]
 
@@ -21,8 +23,18 @@ fn tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// A child process that is killed (SIGKILL) and reaped when dropped.
+struct Spawned(Child);
+
+impl Drop for Spawned {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
 struct Serving {
-    child: Child,
+    child: Spawned,
     addr: String,
 }
 
@@ -49,7 +61,10 @@ fn start_server(store: &Path) -> Serving {
         .nth(3)
         .unwrap_or_else(|| panic!("unexpected serve banner: {line:?}"))
         .to_string();
-    Serving { child, addr }
+    Serving {
+        child: Spawned(child),
+        addr,
+    }
 }
 
 fn run_ok(args: &[&str]) -> String {
@@ -89,7 +104,7 @@ fn smoke_kill9_and_recovery() {
     ]);
 
     // Keep writing in the background, then SIGKILL the server mid-write.
-    let mut flood = bin()
+    let flood = bin()
         .args([
             "net",
             "flood",
@@ -103,6 +118,7 @@ fn smoke_kill9_and_recovery() {
         .stdout(Stdio::null())
         .stderr(Stdio::null())
         .spawn()
+        .map(Spawned)
         .expect("spawn flood");
     // Let some acks land.
     let deadline = std::time::Instant::now() + Duration::from_secs(20);
@@ -115,10 +131,9 @@ fn smoke_kill9_and_recovery() {
         }
         std::thread::sleep(Duration::from_millis(20));
     }
-    server.child.kill().expect("kill -9 server"); // SIGKILL
-    server.child.wait().expect("reap server");
-    let _ = flood.kill();
-    let _ = flood.wait();
+    server.child.0.kill().expect("kill -9 server"); // SIGKILL
+    server.child.0.wait().expect("reap server");
+    drop(flood);
 
     let acked = std::fs::read_to_string(&manifest)
         .map(|t| t.lines().count())
@@ -131,7 +146,7 @@ fn smoke_kill9_and_recovery() {
 
     // Restart on the same store: every acknowledged upload must come back
     // byte-identical.
-    let mut server = start_server(&store);
+    let server = start_server(&store);
     let verify = run_ok(&[
         "net",
         "verify",
@@ -145,8 +160,7 @@ fn smoke_kill9_and_recovery() {
         "unexpected verify output: {verify}"
     );
 
-    server.child.kill().expect("stop server");
-    server.child.wait().expect("reap server");
+    drop(server);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -221,20 +235,21 @@ fn mid_log_corruption_is_loud_in_dump_and_serve() {
         .stdout(Stdio::null())
         .stderr(Stdio::piped())
         .spawn()
+        .map(Spawned)
         .expect("spawn serve");
     let deadline = std::time::Instant::now() + Duration::from_secs(20);
     let status = loop {
-        if let Some(status) = child.try_wait().expect("poll serve") {
+        if let Some(status) = child.0.try_wait().expect("poll serve") {
             break status;
         }
-        if std::time::Instant::now() > deadline {
-            let _ = child.kill();
-            panic!("serve kept running on a corrupt store");
-        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "serve kept running on a corrupt store"
+        );
         std::thread::sleep(Duration::from_millis(20));
     };
     let mut stderr = String::new();
-    std::io::Read::read_to_string(&mut child.stderr.take().unwrap(), &mut stderr).unwrap();
+    std::io::Read::read_to_string(&mut child.0.stderr.take().unwrap(), &mut stderr).unwrap();
     assert!(!status.success());
     assert!(stderr.contains("wal corrupt"), "stderr: {stderr}");
     let _ = std::fs::remove_dir_all(store.parent().unwrap());
@@ -259,10 +274,10 @@ fn sighup_and_sigterm_drain_promptly() {
         client.upload(&[7; 200], &[1]).expect("upload");
 
         // The blocked accept loop wakes, drains and exits cleanly.
-        signal(&server.child, name);
+        signal(&server.child.0, name);
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         let status = loop {
-            if let Some(status) = server.child.try_wait().expect("poll serve") {
+            if let Some(status) = server.child.0.try_wait().expect("poll serve") {
                 break status;
             }
             assert!(
@@ -279,7 +294,7 @@ fn sighup_and_sigterm_drain_promptly() {
 #[test]
 fn top_reads_an_idle_server_as_idle() {
     let dir = tmp_dir("top_idle");
-    let mut server = start_server(&dir);
+    let server = start_server(&dir);
     let top = bin()
         .args([
             "top",
@@ -293,8 +308,7 @@ fn top_reads_an_idle_server_as_idle() {
         ])
         .output()
         .expect("run top");
-    let _ = server.child.kill();
-    let _ = server.child.wait();
+    drop(server);
     let _ = std::fs::remove_dir_all(&dir);
     let out = String::from_utf8_lossy(&top.stdout);
     assert!(top.status.success(), "{out}");

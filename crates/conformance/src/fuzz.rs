@@ -1,6 +1,6 @@
 //! Seeded fuzz campaigns: deterministic, minimizing, corpus-writing.
 //!
-//! Five campaigns, all driven by one `ChaCha20Rng` stream so a failing run
+//! Six campaigns, all driven by one `ChaCha20Rng` stream so a failing run
 //! is reproducible from its seed alone:
 //!
 //! * **bitstream** — valid JPEGs mutated by byte flips and truncation;
@@ -20,10 +20,16 @@
 //!   (`HuffDecoder::decode`) and the canonical bitwise walk
 //!   (`HuffDecoder::decode_bitwise`) must agree symbol-for-symbol — same
 //!   symbols, same bit positions, same accept/reject — on valid entropy
-//!   streams and on streams corrupted by byte flips and truncation.
+//!   streams and on streams corrupted by byte flips and truncation;
+//! * **http** — mutated and random request heads and bodies, read through
+//!   buffers of random capacity: `http::read_request` must yield a request
+//!   whose body fits `max_body`, a clean close, or a refusal with one of
+//!   the documented statuses (400, 413, 414, 431, 501, 505); a body cut
+//!   short may fail with `UnexpectedEof`. Nothing may panic.
 //!
-//! Panicking inputs are minimized (drop mutations greedily, then shrink
-//! the truncation) and written to the corpus directory (`tests/corpus/` at
+//! Failing inputs are minimized (bitstreams: drop mutations greedily,
+//! then shrink the truncation; HTTP inputs: drop byte runs greedily) and
+//! written to the corpus directory (`tests/corpus/` at
 //! the repo root) as `<campaign>_<seed>_<case>.bin` plus a `.txt` sidecar
 //! describing the reproduction.
 
@@ -544,6 +550,146 @@ pub fn entropy_campaign(cfg: &FuzzConfig, rng: &mut ChaCha20Rng, report: &mut Re
     }
 }
 
+/// HTTP cases per run. Each is a single parse of at most about 120 KB,
+/// so the campaign costs milliseconds at any fuzz scale and is not scaled.
+const HTTP_CASES: usize = 256;
+
+/// The body cap the HTTP campaign reads under: small, so `413` is reached.
+const HTTP_MAX_BODY: usize = 64;
+
+/// Well-formed and crafted requests the HTTP campaign mutates, besides
+/// the two whose bodies sit either side of `HTTP_MAX_BODY`.
+const HTTP_SEEDS: &[&[u8]] = &[
+    b"GET /health HTTP/1.1\r\nhost: psp\r\n\r\n",
+    b"POST /photos HTTP/1.1\r\nhost: psp\r\ncontent-length: 5\r\n\r\nhello",
+    b"POST /photos/7/transform HTTP/1.1\r\nauthorization: Bearer tok\r\ncontent-length: 3\r\nconnection: close\r\n\r\nabc",
+    b"GET /photos/3/transformed?x=1 HTTP/1.0\nx-puppies-trace: 1-2a\n\n",
+    b"POST /photos HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n",
+    b"POST /photos HTTP/1.1\r\ncontent-length: 2\r\nContent-Length: 5\r\n\r\nhello",
+    b"PUT /grants HTTP/2.0\r\n\r\n",
+];
+
+/// How one HTTP input fared: `Ok` with the outcome's label, or `Err`
+/// with why it broke the reader's contract.
+fn http_verdict(bytes: &[u8], capacity: usize) -> Result<&'static str, String> {
+    use puppies_psp::net::http::{read_request, ReadOutcome};
+    let mut reader = std::io::BufReader::with_capacity(capacity, bytes);
+    match catches_panic(|| read_request(&mut reader, HTTP_MAX_BODY)) {
+        Err(payload) => Err(format!("read_request panicked: {payload}")),
+        Ok(Ok(ReadOutcome::Request(req))) if req.body.len() > HTTP_MAX_BODY => Err(format!(
+            "a {}-byte body passed the {HTTP_MAX_BODY}-byte cap",
+            req.body.len()
+        )),
+        Ok(Ok(ReadOutcome::Request(_))) => Ok("parsed"),
+        Ok(Ok(ReadOutcome::Closed)) => Ok("closed"),
+        Ok(Ok(ReadOutcome::Malformed(400 | 413 | 414 | 431 | 501 | 505, _))) => Ok("refused"),
+        Ok(Ok(ReadOutcome::Malformed(status, reason))) => {
+            Err(format!("undocumented status {status} {reason}"))
+        }
+        Ok(Err(e)) if e.kind() == std::io::ErrorKind::UnexpectedEof => Ok("cut short"),
+        Ok(Err(e)) => Err(format!("unexpected read error: {e}")),
+    }
+}
+
+/// Greedy byte-run minimization: drops runs of halving length while the
+/// input still breaks the reader's contract.
+fn minimize_http(mut bytes: Vec<u8>, capacity: usize) -> Vec<u8> {
+    let mut run = bytes.len().max(1);
+    while run > 0 {
+        let mut at = 0;
+        while at < bytes.len() {
+            let mut candidate = bytes.clone();
+            candidate.drain(at..(at + run).min(bytes.len()));
+            if http_verdict(&candidate, capacity).is_err() {
+                bytes = candidate;
+            } else {
+                at += run;
+            }
+        }
+        run /= 2;
+    }
+    bytes
+}
+
+/// Campaign 6: the HTTP request reader on mutated and random input.
+pub fn http_campaign(cfg: &FuzzConfig, rng: &mut ChaCha20Rng, report: &mut Report) {
+    let mut failures = 0usize;
+    let mut tally = std::collections::BTreeMap::new();
+    for case_no in 0..HTTP_CASES {
+        let mut bytes: Vec<u8> = if rng.gen_range(0..8u32) == 0 {
+            // Random bytes, usually a head's worth, sometimes past the cap.
+            let len = if rng.gen_range(0..4u32) == 0 {
+                rng.gen_range(0..40_000usize)
+            } else {
+                rng.gen_range(0..256usize)
+            };
+            (0..len).map(|_| rng.gen_range(0..=255u64) as u8).collect()
+        } else {
+            match rng.gen_range(0..HTTP_SEEDS.len() + 2) {
+                i if i < HTTP_SEEDS.len() => HTTP_SEEDS[i].to_vec(),
+                i => {
+                    let n = HTTP_MAX_BODY + i - HTTP_SEEDS.len();
+                    let head = format!("POST /photos HTTP/1.1\r\ncontent-length: {n}\r\n\r\n");
+                    [head.into_bytes(), vec![b'x'; n]].concat()
+                }
+            }
+        };
+        for _ in 0..rng.gen_range(0..=4usize) {
+            let at = rng.gen_range(0..=bytes.len());
+            match rng.gen_range(0..5u32) {
+                0 if at < bytes.len() => bytes[at] ^= rng.gen_range(1..=255u64) as u8,
+                1 => {
+                    let pick = [b'\r', b'\n', b':', b' ', b'?', 0xFF];
+                    bytes.insert(at, pick[rng.gen_range(0..pick.len())]);
+                }
+                2 => {
+                    let header = [
+                        &b"content-length: 9\r\n"[..],
+                        b"content-length: 99999999999999999999\r\n",
+                        b"transfer-encoding: chunked\r\n",
+                        b"connection: close\r\n",
+                    ];
+                    let h = header[rng.gen_range(0..header.len())];
+                    bytes.splice(at..at, h.iter().copied());
+                }
+                3 => {
+                    // A long run of one byte: over-long lines and bodies.
+                    let fill = [b'a', b'\n', b'9'][rng.gen_range(0..3)];
+                    let n = rng.gen_range(1..20_000usize);
+                    bytes.splice(at..at, std::iter::repeat(fill).take(n));
+                }
+                _ => bytes.truncate(at),
+            }
+        }
+        let capacity = rng.gen_range(1..=1024usize);
+        match http_verdict(&bytes, capacity) {
+            Ok(label) => *tally.entry(label).or_insert(0usize) += 1,
+            Err(why) => {
+                failures += 1;
+                let min = minimize_http(bytes.clone(), capacity);
+                let description = format!(
+                    "{why}\nseed {:#x} case {case_no}, buffer capacity {capacity}\nminimized from {} to {} bytes\nreproduce: http::read_request(&mut BufReader::with_capacity({capacity}, <.bin bytes>), {HTTP_MAX_BODY})\n",
+                    cfg.seed,
+                    bytes.len(),
+                    min.len()
+                );
+                write_corpus_case(cfg, report, "http", case_no, &min, &description);
+                report.fail(format!("fuzz/http/case{case_no}"), description);
+            }
+        }
+    }
+    if failures == 0 {
+        let outcomes: Vec<String> = tally.iter().map(|(l, n)| format!("{n} {l}")).collect();
+        report.pass(
+            "fuzz/http",
+            Some(format!(
+                "{HTTP_CASES} request inputs, 0 contract breaks: {}",
+                outcomes.join(", ")
+            )),
+        );
+    }
+}
+
 /// Runs every campaign with the given config.
 pub fn run_fuzz(cfg: &FuzzConfig) -> Report {
     let mut report = Report::new();
@@ -553,6 +699,7 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> Report {
     params_campaign(cfg, &mut rng, &mut report);
     worker_campaign(cfg, &mut rng, &mut report);
     entropy_campaign(cfg, &mut rng, &mut report);
+    http_campaign(cfg, &mut rng, &mut report);
     report
 }
 

@@ -14,8 +14,8 @@
 //!   pixel-domain transformation paths, lossless entropy round-trips, and
 //!   recompression fixed-point convergence;
 //! * [`fuzz`] — seeded campaigns over malformed bitstreams, degenerate
-//!   ROIs, mutated params, and worker-pool widths, with minimized failing
-//!   inputs written to a corpus directory;
+//!   ROIs, mutated params, worker-pool widths and HTTP requests, with
+//!   minimized failing inputs written to a corpus directory;
 //! * [`serving`] — the PSP cache-coherence oracle: cached transform
 //!   results must be byte-identical to freshly computed ones, across
 //!   content addressing, eviction pressure, and the in-place path;
@@ -61,7 +61,8 @@ pub struct HarnessConfig {
     pub corpus_dir: Option<PathBuf>,
     /// Master fuzz seed.
     pub fuzz_seed: u64,
-    /// Scale factor for fuzz case counts (1 = the default campaign).
+    /// Scale factor for fuzz case counts (1 = the default campaign; the
+    /// HTTP campaign's fixed count is not scaled).
     pub fuzz_scale: usize,
     /// Suites to skip, by name (`golden`, `oracle`, `differential`,
     /// `fuzz`, `serving`, `identity`, `netcheck`, `cluster`).

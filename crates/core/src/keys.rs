@@ -171,15 +171,6 @@ impl KeyGrant {
         })
     }
 
-    /// Merges another grant into this one (receiving keys from several
-    /// senders or several shares).
-    pub fn merge(&mut self, other: KeyGrant) {
-        self.matrices.extend(other.matrices);
-        if self.owner.is_none() {
-            self.owner = other.owner;
-        }
-    }
-
     /// Number of explicit matrices held (the local storage Fig. 11
     /// measures; 11 bits per entry, 64 entries per matrix).
     pub fn explicit_matrix_count(&self) -> usize {
@@ -285,15 +276,6 @@ mod tests {
         let g = KeyGrant::empty();
         assert!(!g.covers(0, 0));
         assert!(g.matrix(id(0, MatrixKind::Dc, 0)).is_none());
-    }
-
-    #[test]
-    fn merge_combines_grants() {
-        let k = OwnerKey::from_seed([9u8; 32]);
-        let mut a = k.grant_rois(42, &[0]);
-        let b = k.grant_rois(42, &[1]);
-        a.merge(b);
-        assert!(a.covers(42, 0) && a.covers(42, 1));
     }
 
     #[test]

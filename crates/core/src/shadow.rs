@@ -318,15 +318,6 @@ pub fn recover_pixel_domain(
     Ok(RgbImage::from_ycbcr_planes(&planes))
 }
 
-/// Grayscale shadow visualization of the first component (Fig. 9-style
-/// demonstrations).
-///
-/// # Errors
-/// Fails if keys are missing.
-pub fn shadow_luma_preview(params: &PublicParams, grant: &KeyGrant) -> Result<Plane> {
-    Ok(shadow_planes(params, grant, 1)?.remove(0))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

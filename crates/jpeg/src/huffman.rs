@@ -950,14 +950,9 @@ pub fn tally_block(freqs: &mut SymbolFreqs, zz: &[i32; 64], prev_dc: i32) -> i32
     tally_block_perm(freqs, zz, prev_dc, &IDENTITY)
 }
 
-/// [`tally_block`] for a row-major (natural) order block; the counterpart
-/// of [`encode_block_natural`].
-pub fn tally_block_natural(freqs: &mut SymbolFreqs, block: &[i32; 64], prev_dc: i32) -> i32 {
-    tally_block_natural_mask(freqs, block, prev_dc).0
-}
-
-/// [`tally_block_natural`] that also returns the block's zigzag nonzero
-/// mask, so the emission pass can reuse it via
+/// [`tally_block`] for a row-major (natural) order block, the counterpart
+/// of [`encode_block_natural`]. Returns the new DC predictor and the
+/// block's zigzag nonzero mask, so the emission pass can reuse it via
 /// [`encode_block_natural_masked`] instead of rescanning the block.
 pub fn tally_block_natural_mask(
     freqs: &mut SymbolFreqs,

@@ -30,17 +30,6 @@ impl Sender {
         recommend_rois(img, &RecommendParams::default()).regions
     }
 
-    /// Personalized variant: filters the recommendation through the
-    /// owner's learned preference model (§IV-A's logging extension).
-    pub fn recommend_rois_personalized(
-        &self,
-        img: &RgbImage,
-        model: &puppies_vision::PreferenceModel,
-    ) -> Vec<Rect> {
-        let rec = recommend_rois(img, &RecommendParams::default());
-        model.personalize(&rec, 0.5).regions
-    }
-
     /// Protects `rois` of `img` and uploads to the server; returns the
     /// photo id and the image id the keys are scoped to.
     ///
@@ -65,11 +54,6 @@ impl Sender {
     /// (to be transported over a secure channel).
     pub fn grant(&self, image_id: u64, rois: &[u16]) -> KeyGrant {
         self.key.grant_rois(image_id, rois)
-    }
-
-    /// The owner's all-region grant (for the owner's own devices).
-    pub fn owner_grant(&self) -> KeyGrant {
-        self.key.grant_all()
     }
 }
 
@@ -97,11 +81,6 @@ impl Receiver {
     /// Creates a receiver holding a grant.
     pub fn with_grant(grant: KeyGrant) -> Receiver {
         Receiver { grant }
-    }
-
-    /// Adds more keys (e.g. received over the channel).
-    pub fn add_grant(&mut self, grant: KeyGrant) {
-        self.grant.merge(grant);
     }
 
     /// Downloads and recovers a photo: exact scenario-1 recovery when the

@@ -193,11 +193,6 @@ impl ShardedPspCluster {
         })
     }
 
-    /// Number of backends (n).
-    pub fn backend_count(&self) -> usize {
-        self.config.n
-    }
-
     /// Reconstruction threshold (k).
     pub fn threshold(&self) -> usize {
         self.config.k

@@ -1,12 +1,12 @@
-//! Minimal HTTP/1.1 over a `TcpStream`: just enough protocol for the PSP
-//! service and its blocking client — request-line + headers,
-//! `Content-Length` framing both ways, keep-alive. Deliberately not a
-//! general server: no chunked encoding (a `Transfer-Encoding` request is
+//! Minimal HTTP/1.1: just enough protocol for the PSP service and its
+//! blocking client — request-line + headers, `Content-Length` framing
+//! both ways, keep-alive. The readers take any `BufRead` and the writers
+//! any `Write`, so a socket, a byte slice or a fuzz input all parse the
+//! same way. Deliberately not a general server: no chunked encoding (a `Transfer-Encoding` request is
 //! answered 501, conflicting `Content-Length`s 400), no `Expect: continue`,
 //! no TLS.
 
-use std::io::{self, BufRead, BufReader, IoSlice, Read, Write};
-use std::net::TcpStream;
+use std::io::{self, BufRead, IoSlice, Write};
 
 /// Upper bound on the request head (request line + headers) in bytes.
 const MAX_HEAD: usize = 16 * 1024;
@@ -117,9 +117,9 @@ pub enum ReadOutcome {
 /// was a graceful-shutdown poll or a real failure.
 ///
 /// # Errors
-/// Propagates socket errors, including read timeouts (`WouldBlock` /
-/// `TimedOut`).
-pub fn read_request(reader: &mut BufReader<TcpStream>, max_body: usize) -> io::Result<ReadOutcome> {
+/// Propagates read errors, including socket read timeouts (`WouldBlock`
+/// / `TimedOut`) and `UnexpectedEof` for a body cut short.
+pub fn read_request(reader: &mut impl BufRead, max_body: usize) -> io::Result<ReadOutcome> {
     let line = match read_line_capped(reader, MAX_HEAD)? {
         Line::Eof => return Ok(ReadOutcome::Closed),
         Line::TooLong => return Ok(ReadOutcome::Malformed(414, "URI Too Long")),
@@ -269,8 +269,12 @@ fn reason(status: u16) -> &'static str {
 /// Serializes a response. `keep_alive` selects the `Connection` header.
 ///
 /// # Errors
-/// Propagates socket errors.
-pub fn write_response(stream: &mut TcpStream, resp: &Response, keep_alive: bool) -> io::Result<()> {
+/// Propagates write errors.
+pub fn write_response(
+    stream: &mut impl Write,
+    resp: &Response,
+    keep_alive: bool,
+) -> io::Result<()> {
     let mut head = format!(
         "HTTP/1.1 {} {}\r\ncontent-length: {}\r\nconnection: {}\r\n",
         resp.status,
@@ -293,9 +297,9 @@ pub fn write_response(stream: &mut TcpStream, resp: &Response, keep_alive: bool)
 /// CR/LF-free; this is a programming contract, not validated.
 ///
 /// # Errors
-/// Propagates socket errors.
+/// Propagates write errors.
 pub fn write_request(
-    stream: &mut TcpStream,
+    stream: &mut impl Write,
     method: &str,
     path: &str,
     bearer: Option<&str>,
@@ -346,8 +350,8 @@ pub type RawResponse = (u16, Vec<(String, String)>, Vec<u8>);
 /// Returns `(status, headers, body)`.
 ///
 /// # Errors
-/// Fails on socket errors or a response that is not minimal HTTP/1.1.
-pub fn read_response(reader: &mut BufReader<TcpStream>) -> io::Result<RawResponse> {
+/// Fails on read errors or a response that is not minimal HTTP/1.1.
+pub fn read_response(reader: &mut impl BufRead) -> io::Result<RawResponse> {
     let bad = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_string());
     let line = match read_line_capped(reader, MAX_HEAD)? {
         Line::Eof => {
@@ -393,7 +397,8 @@ pub fn read_response(reader: &mut BufReader<TcpStream>) -> io::Result<RawRespons
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::TcpListener;
+    use std::io::{BufReader, Read};
+    use std::net::{TcpListener, TcpStream};
     use std::thread;
 
     fn pipe() -> (TcpStream, TcpStream) {
@@ -404,11 +409,16 @@ mod tests {
         (join.join().unwrap(), server)
     }
 
+    /// What `read_request` makes of `raw`, read from memory.
+    fn read_raw(raw: &[u8], max_body: usize) -> ReadOutcome {
+        read_request(&mut &raw[..], max_body).unwrap()
+    }
+
     #[test]
     fn request_roundtrip_with_body_and_bearer() {
-        let (mut client, server) = pipe();
+        let mut wire = Vec::new();
         write_request(
-            &mut client,
+            &mut wire,
             "POST",
             "/photos/7/transform",
             Some("tok"),
@@ -416,8 +426,7 @@ mod tests {
             b"abc",
         )
         .unwrap();
-        let mut reader = BufReader::new(server);
-        match read_request(&mut reader, 1024).unwrap() {
+        match read_raw(&wire, 1024) {
             ReadOutcome::Request(req) => {
                 assert_eq!(req.method, "POST");
                 assert_eq!(req.path, "/photos/7/transform");
@@ -432,11 +441,10 @@ mod tests {
 
     #[test]
     fn response_roundtrip() {
-        let (client, mut server) = pipe();
+        let mut wire = Vec::new();
         let resp = Response::ok(vec![1, 2, 3]).with_header("x-cache", "hit");
-        write_response(&mut server, &resp, true).unwrap();
-        let mut reader = BufReader::new(client);
-        let (status, headers, body) = read_response(&mut reader).unwrap();
+        write_response(&mut wire, &resp, true).unwrap();
+        let (status, headers, body) = read_response(&mut &wire[..]).unwrap();
         assert_eq!(status, 200);
         assert_eq!(body, vec![1, 2, 3]);
         assert!(headers.iter().any(|(k, v)| k == "x-cache" && v == "hit"));
@@ -528,10 +536,9 @@ mod tests {
 
     #[test]
     fn oversized_body_is_rejected_as_413() {
-        let (mut client, server) = pipe();
-        write_request(&mut client, "POST", "/photos", None, &[], &[0u8; 64]).unwrap();
-        let mut reader = BufReader::new(server);
-        match read_request(&mut reader, 16).unwrap() {
+        let mut wire = Vec::new();
+        write_request(&mut wire, "POST", "/photos", None, &[], &[0u8; 64]).unwrap();
+        match read_raw(&wire, 16) {
             ReadOutcome::Malformed(413, _) => {}
             other => panic!("unexpected: {other:?}"),
         }
@@ -539,50 +546,39 @@ mod tests {
 
     #[test]
     fn newline_free_stream_is_bounded_not_buffered() {
-        let (mut client, server) = pipe();
         // A head with no newline must be rejected once it exceeds
-        // MAX_HEAD, not buffered without bound while the peer streams.
-        let junk = vec![b'A'; MAX_HEAD + 1024];
-        client.write_all(&junk).unwrap();
-        client.flush().unwrap();
-        let mut reader = BufReader::new(server);
+        // MAX_HEAD, not buffered without bound while the peer streams:
+        // the reader consumes no more than the cap plus one buffer.
+        let junk = vec![b'A'; 4 * MAX_HEAD];
+        let mut reader = BufReader::with_capacity(1024, &junk[..]);
         match read_request(&mut reader, 1024).unwrap() {
             ReadOutcome::Malformed(414, _) => {}
             other => panic!("unexpected: {other:?}"),
         }
+        let mut rest = Vec::new();
+        reader.read_to_end(&mut rest).unwrap();
+        assert!(
+            rest.len() >= 3 * MAX_HEAD - 1024,
+            "{} bytes left",
+            rest.len()
+        );
     }
 
     #[test]
     fn oversized_header_line_is_rejected_as_431() {
-        let (mut client, server) = pipe();
         let mut req = b"GET /health HTTP/1.1\r\nx-junk: ".to_vec();
         req.resize(req.len() + MAX_HEAD, b'j');
-        let writer = thread::spawn(move || {
-            let _ = client.write_all(&req);
-            client
-        });
-        let mut reader = BufReader::new(server);
-        match read_request(&mut reader, 1024).unwrap() {
+        match read_raw(&req, 1024) {
             ReadOutcome::Malformed(431, _) => {}
             other => panic!("unexpected: {other:?}"),
         }
-        drop(writer.join().unwrap());
-    }
-
-    /// Writes a raw request head and returns what `read_request` makes
-    /// of it.
-    fn read_raw(raw: &'static [u8]) -> ReadOutcome {
-        let (mut client, server) = pipe();
-        client.write_all(raw).unwrap();
-        let mut reader = BufReader::new(server);
-        read_request(&mut reader, 1024).unwrap()
     }
 
     #[test]
     fn transfer_encoding_is_rejected_as_501() {
         let chunked =
             b"POST /photos HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n";
-        match read_raw(chunked) {
+        match read_raw(chunked, 1024) {
             ReadOutcome::Malformed(501, _) => {}
             other => panic!("unexpected: {other:?}"),
         }
@@ -592,27 +588,28 @@ mod tests {
     fn conflicting_content_lengths_are_rejected_as_400() {
         let conflicting =
             b"POST /photos HTTP/1.1\r\ncontent-length: 2\r\nContent-Length: 5\r\n\r\nhello";
-        match read_raw(conflicting) {
+        match read_raw(conflicting, 1024) {
             ReadOutcome::Malformed(400, _) => {}
             other => panic!("unexpected: {other:?}"),
         }
         // The same length repeated is one framing, not two.
         let repeated =
             b"POST /photos HTTP/1.1\r\ncontent-length: 5\r\ncontent-length: 5\r\n\r\nhello";
-        match read_raw(repeated) {
+        match read_raw(repeated, 1024) {
             ReadOutcome::Request(req) => assert_eq!(req.body, b"hello"),
             other => panic!("unexpected: {other:?}"),
         }
     }
 
     #[test]
+    fn a_body_cut_short_is_an_unexpected_eof() {
+        let short = b"POST /photos HTTP/1.1\r\ncontent-length: 9\r\n\r\nhello";
+        let err = read_request(&mut &short[..], 1024).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
     fn clean_close_between_requests_is_detected() {
-        let (client, server) = pipe();
-        drop(client);
-        let mut reader = BufReader::new(server);
-        assert!(matches!(
-            read_request(&mut reader, 16).unwrap(),
-            ReadOutcome::Closed
-        ));
+        assert!(matches!(read_raw(b"", 16), ReadOutcome::Closed));
     }
 }

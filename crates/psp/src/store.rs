@@ -257,6 +257,8 @@ pub struct PspServer {
     sig_memo: Mutex<HashMap<ContentId, SigSlot>>,
     /// Exact-duplicate byte sharing across stored photos.
     interner: ByteInterner,
+    /// Held by an in-place transform from its lookup to its put.
+    transforming: Mutex<()>,
 }
 
 impl Default for PspServer {
@@ -283,6 +285,7 @@ impl PspServer {
             index: Mutex::new(SigIndex::new()),
             sig_memo: Mutex::new(HashMap::new()),
             interner: ByteInterner::default(),
+            transforming: Mutex::new(()),
         }
     }
 
@@ -453,57 +456,48 @@ impl PspServer {
     /// — the allocator saturates instead of wrapping, so a stored photo can
     /// never be silently overwritten by a recycled id.
     pub fn upload(&self, bytes: Vec<u8>, params: Vec<u8>) -> Result<PhotoId> {
-        let _span = puppies_obs::span("psp.upload", "psp");
         let content = ContentId::of(&bytes, &params);
-        let id = self.claim_id()?;
-        self.upload_at(id, bytes, params.into(), content);
-        Ok(id)
+        self.upload_logged(bytes, params.into(), content, |_, _| Ok(()))
     }
 
-    /// Stores a new photo under an id from [`PspServer::claim_id`], with
-    /// the content identity its caller computed: [`crate::store_disk`]
-    /// hashes every blob for its WAL record and logs the upload before it
-    /// stores it, so no blob is hashed twice and a failed log write leaves
-    /// the server untouched.
-    pub(crate) fn upload_at(
+    /// The one upload sequence: claims an id, runs the log step `log`
+    /// with it and the blobs, and only once that succeeds puts the photo.
+    /// The in-memory server's log step does nothing; [`crate::store_disk`]
+    /// commits the WAL batch there, with the content identity it hashed
+    /// for the record, so no blob is hashed twice and a failed commit
+    /// leaves nothing to download, search or account for (its id goes
+    /// unused).
+    pub(crate) fn upload_logged(
         &self,
-        id: PhotoId,
         bytes: Vec<u8>,
         params: Arc<[u8]>,
         content: ContentId,
-    ) {
-        self.store_at(id, bytes, params, content);
+        log: impl FnOnce(PhotoId, [&[u8]; 2]) -> Result<()>,
+    ) -> Result<PhotoId> {
+        let id = self.claim_id()?;
+        log(id, [&bytes, &params])?;
+        let _span = puppies_obs::span("psp.upload", "psp");
+        self.put(id, bytes, params, content);
         puppies_obs::counted!("psp.uploads");
         self.publish_gauges();
+        Ok(id)
     }
 
-    /// Reinstates or overwrites photo `id` with content whose identity
-    /// the caller holds: WAL replay, where a `Transform` record overwrites
-    /// the `Upload` before it, and rolling back a transform that could
-    /// not be logged. Advances the id allocator past `id`, so later
-    /// uploads never collide with it; ids at `u64::MAX` leave it
-    /// saturated (exhausted), never wrapped.
-    pub(crate) fn put_at(
-        &self,
-        id: PhotoId,
-        bytes: Arc<[u8]>,
-        params: Arc<[u8]>,
-        content: ContentId,
-    ) {
-        self.next_id
-            .fetch_max(id.0.saturating_add(1), Ordering::Relaxed);
-        self.store_at(id, bytes, params, content);
-    }
-
-    /// Interns the blobs, puts them at `id` (retiring what was there) and
-    /// indexes the photo.
-    fn store_at(
+    /// Puts `(bytes, params)` at `id`, retiring what was there, and
+    /// indexes the photo: the one placement behind uploads, in-place
+    /// transforms and WAL replay (where a `Transform` record overwrites
+    /// the `Upload` before it). Advances the id allocator past `id`, so
+    /// later uploads never collide with a replayed photo; ids at
+    /// `u64::MAX` leave it saturated (exhausted), never wrapped.
+    pub(crate) fn put(
         &self,
         id: PhotoId,
         bytes: impl Into<Arc<[u8]>>,
         params: Arc<[u8]>,
         content: ContentId,
     ) {
+        self.next_id
+            .fetch_max(id.0.saturating_add(1), Ordering::Relaxed);
         let stored = self.intern(bytes, params, content);
         match self
             .shard(id)
@@ -511,6 +505,9 @@ impl PspServer {
             .unwrap_or_else(PoisonError::into_inner)
             .insert(id, stored.clone())
         {
+            // Transform results keyed by the old content stay addressable
+            // — they are still byte-correct answers for that content — and
+            // simply age out.
             Some(old) => self.retire_photo(id, &old),
             None => {
                 self.photo_count.fetch_add(1, Ordering::Relaxed);
@@ -520,7 +517,7 @@ impl PspServer {
     }
 
     /// Claims the next photo id, saturating at `u64::MAX`.
-    pub(crate) fn claim_id(&self) -> Result<PhotoId> {
+    fn claim_id(&self) -> Result<PhotoId> {
         let mut cur = self.next_id.load(Ordering::Relaxed);
         loop {
             if cur == u64::MAX {
@@ -536,13 +533,6 @@ impl PspServer {
                 Err(seen) => cur = seen,
             }
         }
-    }
-
-    /// The stored `(bytes, params)` of a photo and their content identity,
-    /// for the persistence layer: the download doors' zero-copy read.
-    pub(crate) fn stored(&self, id: PhotoId) -> Result<(ServedPair, ContentId)> {
-        self.lookup(id)
-            .map(|p| ((p.bytes.clone(), p.params.clone()), p.content))
     }
 
     /// Downloads the image bytes (any user may call this — the threat
@@ -613,53 +603,41 @@ impl PspServer {
     /// Fails for unknown photos, undecodable streams, or invalid
     /// transformations.
     pub fn transform(&self, id: PhotoId, t: &Transformation) -> Result<()> {
-        let _span = puppies_obs::span("psp.transform", "psp");
-        let out = self.transform_inner(id, t);
-        puppies_obs::counted!("psp.transforms");
-        self.publish_gauges();
-        out
+        self.transform_logged(id, t, |_, _| Ok(()))
     }
 
-    fn transform_inner(&self, id: PhotoId, t: &Transformation) -> Result<()> {
-        let stored = self.lookup(id)?;
-        let ((new_bytes, new_params), _) = self.serve_transform(&stored, t)?;
-        let content = ContentId::of(&new_bytes, &new_params);
-        let replacement = self.intern(new_bytes, new_params, content);
-        let swapped = {
-            let mut photos = self
-                .shard(id)
-                .write()
-                .unwrap_or_else(PoisonError::into_inner);
-            match photos.get(&id) {
-                // The entry we computed from is still current: swap it.
-                Some(cur) if Arc::ptr_eq(cur, &stored) => {
-                    photos.insert(id, replacement.clone());
-                    Ok(())
-                }
-                // Someone else transformed (or re-uploaded) this photo
-                // between our read and this write. Applying our result
-                // would silently drop theirs, so refuse like any other
-                // chain attempt.
-                Some(_) => Err(PspError::Transform(
-                    puppies_transform::TransformError::InvalidParameter(
-                        "photo changed concurrently; transform chain not supported".into(),
-                    ),
-                )),
-                None => Err(PspError::UnknownPhoto(id)),
-            }
-        };
-        // Whichever pair is out of the map gives its bytes back. (Transform
-        // *results* keyed by the old content stay addressable — they are
-        // still byte-correct answers for that content — and simply age
-        // out.)
-        match swapped {
-            Ok(()) => {
-                self.retire_photo(id, &stored);
-                self.index_photo(id, &replacement);
-            }
-            Err(_) => self.retire_photo(id, &replacement),
-        }
-        swapped
+    /// The one in-place transform sequence: computes the result with
+    /// [`PspServer::serve_transform`], runs the log step `log` with its
+    /// blobs and content identity, and only once that succeeds puts it.
+    /// In-place transforms serialize on one lock held from the lookup to
+    /// the put, and nothing else rewrites a stored id, so what is logged
+    /// is always what is applied, and a photo is never served a result
+    /// its log does not hold. The `psp.transform` span times the
+    /// computation, not the log step.
+    pub(crate) fn transform_logged(
+        &self,
+        id: PhotoId,
+        t: &Transformation,
+        log: impl FnOnce([&[u8]; 2], ContentId) -> Result<()>,
+    ) -> Result<()> {
+        let _serial = self
+            .transforming
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        let span = puppies_obs::span("psp.transform", "psp");
+        let computed = self
+            .lookup(id)
+            .and_then(|stored| self.serve_transform(&stored, t));
+        drop(span);
+        puppies_obs::counted!("psp.transforms");
+        let out = computed.and_then(|((bytes, params), _)| {
+            let content = ContentId::of(&bytes, &params);
+            log([&bytes, &params], content)?;
+            self.put(id, bytes, params, content);
+            Ok(())
+        });
+        self.publish_gauges();
+        out
     }
 
     /// The shared serving path: transform-cache lookup, then on a miss the
@@ -887,6 +865,13 @@ mod tests {
         (id, key)
     }
 
+    fn content_of(server: &PspServer, id: PhotoId) -> ContentId {
+        ContentId::of(
+            &server.download(id).unwrap(),
+            &server.download_params(id).unwrap(),
+        )
+    }
+
     #[test]
     fn params_note_cache_key_and_request_body_are_one_encoding() {
         use crate::net::http::{self, ReadOutcome, Response};
@@ -904,7 +889,7 @@ mod tests {
         assert_eq!(params[note - 3..note], [1, encoding.len() as u8, 0]);
         assert_eq!(params[note..], encoding[..]);
         // The key the result was cached under.
-        let (_, content) = server.stored(id).unwrap();
+        let content = content_of(&server, id);
         assert!(server.cache.get(&(content, encoding.clone())).is_some());
         // The bodies the client sends to both transform doors.
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -970,6 +955,34 @@ mod tests {
         assert_ne!(before, after);
         let params = PublicParams::from_bytes(&server.download_params(id).unwrap()).unwrap();
         assert_eq!(params.transformation, Some(Transformation::Rotate180));
+    }
+
+    #[test]
+    fn a_refused_log_step_applies_nothing() {
+        let server = PspServer::new();
+        let (id, _) = upload_test_photo(&server);
+        let state = || {
+            (
+                server.len(),
+                server.download(id).unwrap(),
+                server.download_params(id).unwrap(),
+                server.storage_footprint_total(),
+                server.sig_index_len(),
+                server.signature_of(id).unwrap(),
+            )
+        };
+        let before = state();
+        let refuse = || Err(PspError::Channel("refused".into()));
+        let t = Transformation::Rotate180;
+        assert!(server.transform_logged(id, &t, |_, _| refuse()).is_err());
+        let (bytes, params) = (vec![1, 2, 3], vec![4]);
+        let content = ContentId::of(&bytes, &params);
+        assert!(server
+            .upload_logged(bytes, params.into(), content, |_, _| refuse())
+            .is_err());
+        assert_eq!(state(), before);
+        // Nothing was half-applied: the photo still takes its transform.
+        server.transform(id, &t).unwrap();
     }
 
     #[test]
@@ -1198,7 +1211,7 @@ mod tests {
         let server = PspServer::new();
         let restore = |id: u64, bytes: Vec<u8>, params: Vec<u8>| {
             let content = ContentId::of(&bytes, &params);
-            server.put_at(PhotoId(id), bytes.into(), params.into(), content);
+            server.put(PhotoId(id), bytes, params.into(), content);
         };
         restore(3, vec![1, 2, 3], vec![9]);
         restore(7, vec![4, 5], vec![]);
@@ -1410,10 +1423,7 @@ mod tests {
         // still holds the bytes; neither may outlive its last photo.
         server.transform(a, &Transformation::Rotate90).unwrap();
         server.transform(b, &Transformation::FlipVertical).unwrap();
-        let stored: Vec<ContentId> = [a, b]
-            .iter()
-            .map(|&id| server.stored(id).unwrap().1)
-            .collect();
+        let stored: Vec<ContentId> = [a, b].iter().map(|&id| content_of(&server, id)).collect();
         let memo = server.sig_memo.lock().unwrap();
         assert_eq!(memo.len(), 2, "one slot per stored identity");
         for content in &old {

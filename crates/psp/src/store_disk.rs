@@ -18,23 +18,30 @@
 //!
 //! # Durability protocol
 //!
-//! 1. append `[Blob(bytes)] [Blob(params)] Upload|Transform` — blobs the
-//!    log already holds left out — with one `write_all`, then one
-//!    `sync_data`;
-//! 2. apply the change to the in-memory [`PspServer`];
+//! Every durable mutation (upload, in-place transform, receiver
+//! registration, grant deposit, grant drain) runs in one order, with no
+//! exception:
+//!
+//! 1. append its batch with one `write_all`, then one `sync_data`; for a
+//!    photo the batch is `[Blob(bytes)] [Blob(params)] Upload|Transform`,
+//!    blobs the log already holds left out;
+//! 2. apply the change in memory (the [`PspServer`] or the grant state);
 //! 3. acknowledge the client.
 //!
-//! A transform runs (2) before (1), because the server computes what it
-//! logs, and puts the old photo back if (1) fails; an upload is stored
-//! only once it is logged. Either way a failed write leaves the server
-//! serving what the log holds. A crash before (1) completes loses only
-//! unacknowledged work: it tears at most that final batch, which replay
-//! truncates. The store directory is fsynced once, when `wal.log` is
-//! created, so the log's own name is durable too. Recovery ([`DiskStore::open`]) streams the log in order,
+//! A transform's result is computed before (1), under a lock held through
+//! (2), so what is logged is what is applied; a result over the blob cap
+//! is refused before (1). Nothing is served before its record is durable,
+//! so a failed write leaves the server serving what the log holds: no
+//! photo for a failed upload (its claimed id goes unused), the old photo
+//! for a failed transform, a full mailbox for a failed drain. A crash
+//! before (1) completes loses only unacknowledged work: it tears at most
+//! that final batch, which replay truncates. The store directory is
+//! fsynced once, when `wal.log` is created, so the log's own name is
+//! durable too. Recovery ([`DiskStore::open`]) streams the log in order,
 //! re-checks every blob's SHA-256, and rebuilds the server — each photo
 //! reinstated under the SHA-256 pair its record names, which is its
-//! content identity in memory too — and the grant mailbox verbatim; it fails
-//! loudly on a bad frame with intact frames after it. Serving reads
+//! content identity in memory too — and the grant mailbox verbatim; it
+//! fails loudly on a bad frame with intact frames after it. Serving reads
 //! (`download`, `download_transformed`, …) never touch the disk — they hit
 //! the in-memory sharded store and transform cache, so persistence costs
 //! writes only.
@@ -172,7 +179,7 @@ impl DiskStore {
                         bytes_sha,
                         params_sha,
                     };
-                    server.put_at(PhotoId(id), bytes, params, content);
+                    server.put(PhotoId(id), bytes, params, content);
                 }
                 WalRecord::Receiver { dh_public, token } => {
                     grants.tokens.insert(token, dh_public);
@@ -253,63 +260,50 @@ impl DiskStore {
     }
 
     /// Durable upload: the blobs and the `Upload` record are written and
-    /// synced as one batch before the id is returned, so an acknowledged
-    /// upload survives `kill -9`.
+    /// synced as one batch before the photo is stored and its id
+    /// returned, so an acknowledged upload survives `kill -9`, and a
+    /// failed commit leaves nothing to download, search or account for.
     ///
     /// # Errors
     /// Fails on id exhaustion or filesystem errors.
     pub fn upload(&self, bytes: Vec<u8>, params: Vec<u8>) -> Result<PhotoId> {
         fit_one_frame([&bytes, &params])?;
         let content = ContentId::of(&bytes, &params);
-        let id = self.server.claim_id()?;
-        let mut batch = self.blob_batch(content, [&bytes, &params]);
-        batch.record(&WalRecord::Upload {
-            id: id.0,
-            bytes_sha: content.bytes_sha,
-            params_sha: content.params_sha,
-        });
-        // Logged before it is stored: a failed commit leaves nothing to
-        // download, search or account for, and its id simply goes unused.
-        self.commit(&batch, content)?;
-        let _span = puppies_obs::span("psp.upload", "psp");
-        self.server.upload_at(id, bytes, params.into(), content);
-        Ok(id)
+        self.server
+            .upload_logged(bytes, params.into(), content, |id, blobs| {
+                let record = WalRecord::Upload {
+                    id: id.0,
+                    bytes_sha: content.bytes_sha,
+                    params_sha: content.params_sha,
+                };
+                self.log_photo(blobs, content, &record)
+            })
     }
 
-    /// Durable in-place transform: runs [`PspServer::transform`], then
-    /// logs the rewritten blobs and the `Transform` record as one synced
-    /// batch before returning.
+    /// Durable in-place transform: the server computes the result, the
+    /// rewritten blobs and the `Transform` record are written and synced
+    /// as one batch, and only then is the result stored. A result over
+    /// the blob cap (an upscale) is refused before anything is applied.
     ///
     /// # Errors
     /// Fails like the in-memory transform (unknown photo, chain attempt,
-    /// codec errors) or on filesystem errors.
+    /// codec errors), on an over-cap result, or on filesystem errors.
     pub fn transform(&self, id: PhotoId, t: &Transformation) -> Result<()> {
-        let ((old_bytes, old_params), old_content) = self.server.stored(id)?;
-        self.server.transform(id, t)?;
-        // Chains are rejected and concurrent double transforms refused, so
-        // the pair now stored is exactly this transform's output, and the
-        // server has already hashed it.
-        let ((bytes, params), content) = self.server.stored(id)?;
-        let logged = fit_one_frame([&bytes, &params]).and_then(|()| {
-            let mut batch = self.blob_batch(content, [&bytes, &params]);
-            batch.record(&WalRecord::Transform {
+        self.server.transform_logged(id, t, |blobs, content| {
+            fit_one_frame(blobs)?;
+            let record = WalRecord::Transform {
                 id: id.0,
                 bytes_sha: content.bytes_sha,
                 params_sha: content.params_sha,
-            });
-            self.commit(&batch, content)
-        });
-        if logged.is_err() {
-            // Not durable (an upscale past the blob cap, or a failed
-            // write): serve what the log holds.
-            self.server.put_at(id, old_bytes, old_params, old_content);
-        }
-        logged
+            };
+            self.log_photo(blobs, content, &record)
+        })
     }
 
-    /// Starts a batch with a `Blob` frame for each blob the log does not
-    /// hold yet, with room left for the record that names them.
-    fn blob_batch(&self, content: ContentId, blobs: [&[u8]; 2]) -> Batch {
+    /// The log step of a photo mutation: frames each blob the log does
+    /// not hold yet, then `record`, and commits them as one synced batch;
+    /// once it is durable its blobs count as logged.
+    fn log_photo(&self, blobs: [&[u8]; 2], content: ContentId, record: &WalRecord) -> Result<()> {
         let shas = [content.bytes_sha, content.params_sha];
         let fresh = {
             let logged = self.logged.lock().unwrap_or_else(PoisonError::into_inner);
@@ -330,22 +324,18 @@ impl DiskStore {
                 puppies_obs::counted!("psp.sig.segment_shared");
             }
         }
-        batch
-    }
-
-    /// Commits a blob batch; once it is durable its blobs count as logged.
-    fn commit(&self, batch: &Batch, content: ContentId) -> Result<()> {
+        batch.record(record);
         let r = self
             .wal
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .commit(batch)
+            .commit(&batch)
             .map_err(|e| io_err(e, "appending wal"));
         if r.is_ok() {
             self.logged
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)
-                .extend([content.bytes_sha, content.params_sha]);
+                .extend(shas);
         }
         self.note_io(r)
     }
@@ -382,10 +372,10 @@ impl DiskStore {
     pub fn deposit_grant(&self, receiver: u128, sender: u128, ciphertext: Vec<u8>) -> Result<()> {
         fit_one_frame([&ciphertext, &[]])?;
         // The grants lock is held across the WAL append: if a deposit
-        // could slip its record in between a concurrent drain's mailbox
-        // removal and that drain's GrantDrain append, replay would order
-        // the deposit *before* the drain and silently drop acknowledged
-        // mail on recovery.
+        // could slip in between a concurrent drain's GrantDrain append
+        // and that drain's mailbox removal, the drain would hand it out
+        // while replay orders it *after* the drain, and recovery would
+        // deliver it again.
         let mut grants = self.grants.lock().unwrap_or_else(PoisonError::into_inner);
         self.append(&WalRecord::GrantDeposit {
             receiver,
@@ -408,19 +398,19 @@ impl DiskStore {
     /// # Errors
     /// Fails on filesystem errors.
     pub fn drain_grants(&self, receiver: u128) -> Result<Vec<(u128, Vec<u8>)>> {
-        // Remove-and-log under one critical section (see deposit_grant
+        // Log, then remove, under one critical section (see deposit_grant
         // for why the lock must span the append).
         let mut grants = self.grants.lock().unwrap_or_else(PoisonError::into_inner);
-        let pending = match grants.mailboxes.remove(&receiver) {
-            Some(mb) if !mb.deposits.is_empty() => mb.deposits,
-            _ => return Ok(Vec::new()),
-        };
-        if let Err(e) = self.append(&WalRecord::GrantDrain { receiver }) {
-            // Logging failed: put the mail back so nothing is lost.
-            grants.mailboxes.entry(receiver).or_default().deposits = pending;
-            return Err(e);
+        // A mailbox exists only while it holds a deposit.
+        if !grants.mailboxes.contains_key(&receiver) {
+            return Ok(Vec::new());
         }
-        Ok(pending)
+        self.append(&WalRecord::GrantDrain { receiver })?;
+        Ok(grants
+            .mailboxes
+            .remove(&receiver)
+            .map(|mb| mb.deposits)
+            .unwrap_or_default())
     }
 
     /// Pending deposits for a receiver without draining (diagnostics).
@@ -544,6 +534,64 @@ mod tests {
             assert!(server.download(PhotoId(id)).is_err(), "photo {id}");
         }
         assert_eq!(store.io_failures(), 2);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_transform_is_not_served_before_its_commit() {
+        use puppies_core::{protect, OwnerKey, ProtectOptions};
+        use puppies_image::{Rect, Rgb, RgbImage};
+        use std::time::{Duration, Instant};
+        let img = RgbImage::from_fn(64, 64, |x, y| Rgb::new(x as u8 * 3, y as u8, 40));
+        let key = OwnerKey::from_seed([3; 32]);
+        let p = protect(
+            &img,
+            &[Rect::new(8, 8, 16, 16)],
+            &key,
+            &ProtectOptions::default(),
+        )
+        .unwrap();
+        let dir = tmp("transform_commit");
+        let store = open(&dir);
+        let id = store.upload(p.bytes.clone(), p.params.to_bytes()).unwrap();
+        let original = store.server().download(id).unwrap();
+        let params = store.server().download_params(id).unwrap();
+        std::thread::scope(|s| {
+            // The commit cannot start while the test holds the log.
+            let mut wal = store.wal.lock().unwrap();
+            let transform = s.spawn(|| store.transform(id, &Transformation::Rotate180));
+            let until = Instant::now() + Duration::from_millis(500);
+            while Instant::now() < until {
+                let served = store.server().download(id).unwrap();
+                assert!(served == original, "served a transform before its commit");
+                std::thread::yield_now();
+            }
+            // Every write to /dev/full fails with ENOSPC.
+            *wal = Wal::open(Path::new("/dev/full"), true).unwrap();
+            drop(wal);
+            assert!(transform.join().unwrap().is_err());
+        });
+        assert_eq!(store.server().download(id).unwrap(), original);
+        assert_eq!(store.server().download_params(id).unwrap(), params);
+        assert_eq!(store.io_failures(), 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_failed_drain_append_leaves_the_mailbox_full() {
+        let dir = tmp("drain_enospc");
+        let store = open(&dir);
+        store.deposit_grant(9, 1, vec![1, 2]).unwrap();
+        store.deposit_grant(9, 2, vec![3]).unwrap();
+        *store.wal.lock().unwrap() = Wal::open(Path::new("/dev/full"), true).unwrap();
+        assert!(store.drain_grants(9).is_err());
+        assert_eq!(store.peek_grants(9), 2);
+        assert_eq!(store.io_failures(), 1);
+        // An empty mailbox drains to nothing without touching the log.
+        assert!(store.drain_grants(10).unwrap().is_empty());
+        assert_eq!(store.io_failures(), 1);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -20,8 +20,6 @@
 //!   Google Image Search (Fig. 2)
 //! - [`detect`] — the merged ROI detection + disjoint-split recommendation
 //!   pipeline (Fig. 12)
-//! - [`preference`] — the per-owner personalization model §IV-A sketches
-//!   (learned accept-rates per detector kind)
 //! - [`signature`] — 64-bit perceptual DCT signatures (pHash) for the
 //!   PSP's identification-without-decryption layer (ROADMAP Open item 4)
 
@@ -31,7 +29,6 @@ pub mod eigenfaces;
 pub mod face;
 pub mod objectness;
 pub mod pca;
-pub mod preference;
 pub mod retrieval;
 pub mod sift;
 pub mod signature;
@@ -41,6 +38,5 @@ pub use detect::{recommend_rois, Detection, DetectorKind, RoiRecommendation};
 pub use edges::{canny, edge_match_ratio, CannyParams};
 pub use eigenfaces::EigenfaceGallery;
 pub use face::{detect_faces, FaceDetectorParams};
-pub use preference::PreferenceModel;
 pub use retrieval::RetrievalIndex;
 pub use sift::{extract_sift, match_descriptors, SiftKeypoint, SiftParams};
