@@ -32,7 +32,7 @@
 //! pretty-prints).
 //!
 //! `bench` measures the codec hot path; `bench psp` runs the closed-loop
-//! PSP serving benchmark (sharded store + transform cache vs an embedded
+//! PSP serving benchmark (store + transform cache vs an embedded
 //! replica of the pre-cache server) — see [`bench_psp`]. `bench psp
 //! --cluster` benches the k-of-n Shamir-shared cluster instead — see
 //! [`bench_cluster`].

@@ -186,9 +186,10 @@ fn wal_dump_prints_blob_metadata_never_bytes() {
         dump.contains(&format!("Blob {{ sha256: {prefix}…, len: 5000 }}")),
         "{dump}"
     );
-    // Three blobs (the shared params blob is logged once), two uploads
-    // naming them by the same prefix.
-    assert!(dump.contains("5 record(s) (3 blob(s))"), "{dump}");
+    // Four blobs (each upload is content no stored photo holds, so each
+    // frames its bytes and its params, the shared params blob twice),
+    // two uploads naming them by the same prefix.
+    assert!(dump.contains("6 record(s) (4 blob(s))"), "{dump}");
     assert!(
         dump.contains(&format!("Upload {{ id: 0, bytes: {prefix}…, params: ")),
         "{dump}"

@@ -560,7 +560,7 @@ const HTTP_MAX_BODY: usize = 64;
 /// Well-formed and crafted requests the HTTP campaign mutates, besides
 /// the two whose bodies sit either side of `HTTP_MAX_BODY`.
 const HTTP_SEEDS: &[&[u8]] = &[
-    b"GET /health HTTP/1.1\r\nhost: psp\r\n\r\n",
+    b"GET /healthz HTTP/1.1\r\nhost: psp\r\n\r\n",
     b"POST /photos HTTP/1.1\r\nhost: psp\r\ncontent-length: 5\r\n\r\nhello",
     b"POST /photos/7/transform HTTP/1.1\r\nauthorization: Bearer tok\r\ncontent-length: 3\r\nconnection: close\r\n\r\nabc",
     b"GET /photos/3/transformed?x=1 HTTP/1.0\nx-puppies-trace: 1-2a\n\n",

@@ -21,9 +21,9 @@
 //! plant results that another photo's receivers are then served.
 //!
 //! Both are internally locked ([`std::sync::Mutex`], held only for map
-//! bookkeeping — never across codec work) and safe to share across server
-//! shards. A poisoned lock is entered anyway, so one panicking request does
-//! not disable a cache for every later one. Hit/miss/eviction counts feed `puppies-obs` counters
+//! bookkeeping — never across codec work). A poisoned lock is entered
+//! anyway, so one panicking request does not disable a cache for every
+//! later one. Hit/miss/eviction counts feed `puppies-obs` counters
 //! (`psp.cache.hit`, `psp.cache.miss`, `psp.cache.eviction`,
 //! `psp.memo.hit`, `psp.memo.miss`) and the `psp.cache.bytes` gauge.
 

@@ -140,12 +140,12 @@ impl Client {
         Ok((headers, resp))
     }
 
-    /// `GET /health`.
+    /// `GET /healthz`.
     ///
     /// # Errors
     /// Fails if the server is unreachable or unhealthy.
     pub fn health(&mut self) -> Result<()> {
-        self.expect("GET", "/health", None, &[], 200).map(|_| ())
+        self.expect("GET", "/healthz", None, &[], 200).map(|_| ())
     }
 
     /// `GET /readyz`: `Ok(true)` when the server reports ready (200),

@@ -566,7 +566,7 @@ mod tests {
 
     #[test]
     fn oversized_header_line_is_rejected_as_431() {
-        let mut req = b"GET /health HTTP/1.1\r\nx-junk: ".to_vec();
+        let mut req = b"GET /healthz HTTP/1.1\r\nx-junk: ".to_vec();
         req.resize(req.len() + MAX_HEAD, b'j');
         match read_raw(&req, 1024) {
             ReadOutcome::Malformed(431, _) => {}

@@ -12,7 +12,7 @@
 //!
 //! | Method & path                  | Auth            | Body → response |
 //! |--------------------------------|-----------------|-----------------|
-//! | `GET  /health`                 | —               | → `ok` (alias `/healthz`; liveness, always 200) |
+//! | `GET  /healthz`                | —               | → `ok` (liveness, always 200) |
 //! | `GET  /readyz`                 | —               | → `ready`, or 503 listing what is not ready |
 //! | `GET  /metrics`                | —               | → Prometheus text format 0.0.4 |
 //! | `POST /photos`                 | —               | framed bytes+params → `id:`/`token:` lines |

@@ -529,7 +529,7 @@ fn route(
     match (req.method.as_str(), segs.as_slice()) {
         // Liveness, readiness, and metrics answer before the store is
         // recovered; everything below the ready guard needs the store.
-        ("GET", ["health" | "healthz"]) => ("other", Response::text("ok\n")),
+        ("GET", ["healthz"]) => ("other", Response::text("ok\n")),
         ("GET", ["readyz"]) => ("other", readyz(shared)),
         ("GET", ["metrics"]) => (SCRAPE, metrics(shared)),
         _ if !shared.ready() => (
@@ -568,8 +568,7 @@ fn route(
         // A path that exists, asked with a method it does not serve.
         (
             _,
-            ["health" | "healthz" | "readyz" | "metrics" | "photos" | "search" | "receivers"
-            | "grants"]
+            ["healthz" | "readyz" | "metrics" | "photos" | "search" | "receivers" | "grants"]
             | ["photos", _]
             | ["photos", _, "params" | "transformed" | "transform"]
             | ["admin", "shutdown"],

@@ -4,9 +4,9 @@
 //! service genuinely needs a collision-resistant / one-way hash, not the
 //! FNV-1a that checksums WAL frames:
 //!
-//! - **content identity** ([`crate::store::ContentId`]): the WAL logs
-//!   each blob once under its SHA-256 and later records name it by that
-//!   hash, and the in-memory store keys its interner, memos, index and
+//! - **content identity** ([`crate::store::ContentId`]): the WAL frames
+//!   blobs under their SHA-256 and records name them by that hash, and
+//!   the in-memory store keys its content table, decode memo, index and
 //!   transform cache by the same pair, so a craftable collision would let
 //!   one uploader alias another's bytes or cached results;
 //! - **owner-token derivation** ([`crate::net`]): tokens are derived

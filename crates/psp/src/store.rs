@@ -8,24 +8,30 @@
 //! The store is built for the ROADMAP's "heavy traffic" PSP rather than a
 //! single-threaded simulation:
 //!
-//! - **Sharding** — photos live in 16 shards (keyed by the low bits of
-//!   [`PhotoId`]), each behind its own `RwLock`, so concurrent requests
-//!   for different photos never serialize on one map lock.
+//! - **One photo map** — photos live in one map behind one `RwLock`;
+//!   readers hold its read lock only to clone a photo's `Arc`, so the
+//!   codec never runs under it.
 //! - **Zero-copy payloads** — stored bytes and params are `Arc<[u8]>`;
 //!   [`PspServer::download`] clones a pointer under a brief read lock
 //!   instead of memcpying the bitstream.
 //! - **One content identity** — a photo's [`ContentId`] is the SHA-256
 //!   of its bitstream and of its params, the pair its WAL record names.
-//!   The byte interner, decode memo, signature memo, near-duplicate index
-//!   and transform cache all key by it (or by the bitstream digest alone
-//!   where the params do not matter) and compare it whole, so no upload
-//!   can make another photo's *exact-key* lookups hit its entries. The
-//!   signature-family layer is a different matter: a miss probes the
+//!   One content table, keyed by it, holds each identity a stored photo
+//!   holds and nothing else: the shared bitstream and params
+//!   allocations, one reference per photo, and the memoized signature.
+//!   Exact duplicates share both allocations and count once toward
+//!   [`PspServer::storage_footprint_total`], and the durable store
+//!   ([`crate::store_disk`]) frames a photo's blobs only when the table
+//!   does not hold its content. The decode memo, near-duplicate index and
+//!   transform cache key by the identity too (or by the bitstream digest
+//!   alone where the params do not matter) and compare it whole, so no
+//!   upload can make another photo's *exact-key* lookups hit its entries.
+//!   The signature-family layer is a different matter: a miss probes the
 //!   family root's entries, and a forged upload that becomes the root
 //!   can plant what later family members are served (ROADMAP item 3).
-//!   [`PspServer::upload`] hashes both blobs; the durable store
-//!   ([`crate::store_disk`]) hands down the digests it computes for the
-//!   WAL, so there each blob is hashed once.
+//!   [`PspServer::upload`] hashes both blobs; the durable store hands
+//!   down the digests it computes for the WAL, so there each blob is
+//!   hashed once.
 //! - **Transform-result cache** — finished transforms are cached under
 //!   (content identity, transformation encoding), see
 //!   [`crate::cache`], so repeat transform traffic never touches the
@@ -42,9 +48,10 @@ use puppies_image::Rect;
 use puppies_jpeg::codec::decode_dc;
 use puppies_jpeg::{CoeffImage, EncodeOptions};
 use puppies_transform::Transformation;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
 
 /// Identifies a stored photo.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -127,23 +134,9 @@ impl ServedPath {
     }
 }
 
-/// Store shards; photo `id` lives in shard `id % SHARDS`.
-const SHARDS: usize = 16;
-
-/// One store shard's photo map.
-type Shard = RwLock<HashMap<PhotoId, Arc<StoredPhoto>>>;
-
 /// A content identity's signature: `Some((signature, width, height))`
 /// for decodable content, `None` for content whose decode failed.
 type SigMemoEntry = Option<(u64, u32, u32)>;
-
-/// One signature-memo slot: how many stored photos hold this content
-/// identity, and its signature once the indexer has computed it.
-#[derive(Debug)]
-struct SigSlot {
-    refs: usize,
-    sig: Option<SigMemoEntry>,
-}
 
 /// The perceptual signature of `(bytes, params)`, computed from public
 /// data only: the DC-only walk (it accepts exactly the streams a full
@@ -158,47 +151,29 @@ fn compute_signature(bytes: &[u8], params: &[u8]) -> SigMemoEntry {
     Some((dc_signature(&grid, &rois), grid.width, grid.height))
 }
 
-type Interned = (Arc<[u8]>, usize);
-
-/// Refcounted exact-duplicate byte sharing for the in-memory store:
-/// uploads with identical bytes share one `Arc<[u8]>` allocation (the
-/// memory-side mirror of the WAL, which logs each distinct blob once),
-/// and the aggregate footprint counts each distinct allocation once.
-/// Keyed by the bitstream's SHA-256, trusted as the WAL's dedup trusts it.
-#[derive(Debug, Default)]
-struct ByteInterner {
-    /// Bitstream SHA-256 → the shared allocation and its reference count.
-    table: Mutex<HashMap<[u8; 32], Interned>>,
+/// What the store holds for one content identity.
+#[derive(Debug)]
+struct Content {
+    /// The allocations every stored photo with this identity shares.
+    bytes: Arc<[u8]>,
+    params: Arc<[u8]>,
+    /// Stored photos with this identity.
+    refs: usize,
+    /// The signature, once the indexer has computed it. It is a pure
+    /// function of `(bytes, params)`, so re-uploads of held content and
+    /// `/search` probes of it skip the JPEG decode.
+    sig: Option<SigMemoEntry>,
 }
 
-impl ByteInterner {
-    /// Returns the canonical shared `Arc` for the bitstream with SHA-256
-    /// `sha`, and whether this call added a fresh allocation (the caller
-    /// accounts footprint only then). A duplicate's `Vec` is dropped
-    /// without ever being copied into an `Arc`.
-    fn intern(&self, sha: [u8; 32], bytes: impl Into<Arc<[u8]>>) -> (Arc<[u8]>, bool) {
-        let mut table = self.table.lock().unwrap_or_else(PoisonError::into_inner);
-        let (shared, refs) = table.entry(sha).or_insert_with(|| (bytes.into(), 0));
-        *refs += 1;
-        (shared.clone(), *refs == 1)
-    }
-
-    /// Drops one reference to the bitstream with SHA-256 `sha`; returns
-    /// whether its allocation left the interner (the caller subtracts
-    /// footprint only then).
-    fn release(&self, sha: &[u8; 32]) -> bool {
-        let mut table = self.table.lock().unwrap_or_else(PoisonError::into_inner);
-        match table.get_mut(sha) {
-            Some((_, refs)) if *refs > 1 => {
-                *refs -= 1;
-                false
-            }
-            _ => {
-                table.remove(sha);
-                true
-            }
-        }
-    }
+/// The content table: every content identity a stored photo holds, and
+/// nothing else — [`PspServer::put`] takes a reference, the last
+/// [`PspServer::retire_photo`] removes the entry, and probes never
+/// insert.
+#[derive(Debug, Default)]
+struct Contents {
+    entries: HashMap<ContentId, Content>,
+    /// Bytes + params of every entry, each counted once.
+    bytes: u64,
 }
 
 /// Construction-time tuning for [`PspServer`].
@@ -235,28 +210,13 @@ impl PspConfig {
 /// run concurrently (the experiment sweeps exploit this).
 #[derive(Debug)]
 pub struct PspServer {
-    shards: [Shard; SHARDS],
+    photos: RwLock<HashMap<PhotoId, Arc<StoredPhoto>>>,
     next_id: AtomicU64,
-    /// Total stored bytes (image + params across all photos), maintained
-    /// incrementally so reading it never walks the maps.
-    footprint: AtomicU64,
-    /// Stored photo count, maintained incrementally for O(1) `len()`.
-    photo_count: AtomicU64,
     cache: TransformCache,
     memo: DecodeMemo,
     /// The near-duplicate signature index (see [`crate::sig`]).
     index: Mutex<SigIndex>,
-    /// Signature memo by content identity. Re-uploads of content the
-    /// server already holds (the dominant duplicate workload) and
-    /// `/search` probes of it skip the JPEG decode entirely — the
-    /// signature is a pure function of `(bytes, params)`, which is
-    /// exactly what the identity names. A slot lives exactly while some
-    /// stored photo has that identity: [`PspServer::intern`] takes a
-    /// reference, [`PspServer::retire_photo`] drops it, and probes never
-    /// insert.
-    sig_memo: Mutex<HashMap<ContentId, SigSlot>>,
-    /// Exact-duplicate byte sharing across stored photos.
-    interner: ByteInterner,
+    contents: Mutex<Contents>,
     /// Held by an in-place transform from its lookup to its put.
     transforming: Mutex<()>,
 }
@@ -276,25 +236,18 @@ impl PspServer {
     /// Creates an empty server with explicit cache tuning.
     pub fn with_config(config: PspConfig) -> Self {
         PspServer {
-            shards: std::array::from_fn(|_| RwLock::default()),
+            photos: RwLock::default(),
             next_id: AtomicU64::new(0),
-            footprint: AtomicU64::new(0),
-            photo_count: AtomicU64::new(0),
             cache: TransformCache::new(config.cache_budget_bytes),
             memo: DecodeMemo::new(config.decode_memo_entries),
             index: Mutex::new(SigIndex::new()),
-            sig_memo: Mutex::new(HashMap::new()),
-            interner: ByteInterner::default(),
+            contents: Mutex::default(),
             transforming: Mutex::new(()),
         }
     }
 
-    fn shard(&self, id: PhotoId) -> &Shard {
-        &self.shards[(id.0 % SHARDS as u64) as usize]
-    }
-
     fn lookup(&self, id: PhotoId) -> Result<Arc<StoredPhoto>> {
-        self.shard(id)
+        self.photos
             .read()
             .unwrap_or_else(PoisonError::into_inner)
             .get(&id)
@@ -306,10 +259,7 @@ impl PspServer {
     /// gauges, when a subscriber is installed.
     fn publish_gauges(&self) {
         if puppies_obs::enabled() {
-            puppies_obs::gauge_set(
-                "psp.storage_bytes",
-                self.footprint.load(Ordering::Relaxed) as i64,
-            );
+            puppies_obs::gauge_set("psp.storage_bytes", self.storage_footprint_total() as i64);
             puppies_obs::gauge_set("psp.photos", self.len() as i64);
             puppies_obs::gauge_set(
                 "psp.sig.index_entries",
@@ -347,14 +297,9 @@ impl PspServer {
                 if entry.is_some() {
                     puppies_obs::counted!("psp.sig.computed");
                 }
-                // The slot is gone only if this photo was already retired.
-                if let Some(slot) = self
-                    .sig_memo
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .get_mut(&content)
-                {
-                    slot.sig = Some(entry);
+                // The entry is gone only if this photo was already retired.
+                if let Some(held) = self.contents().entries.get_mut(&content) {
+                    held.sig = Some(entry);
                 }
                 entry
             }
@@ -389,36 +334,47 @@ impl PspServer {
         }
     }
 
-    /// Wraps a blob pair for storing, sharing the bitstream with any
-    /// stored exact duplicate, and adds what it newly occupies to the
-    /// footprint ([`PspServer::retire_photo`] takes it back off).
-    fn intern(
+    fn contents(&self) -> MutexGuard<'_, Contents> {
+        self.contents.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Wraps a blob pair for storing under one more reference to its
+    /// content identity: the first reference enters the blobs in the
+    /// content table, later ones share its allocations and drop their
+    /// own.
+    fn hold(
         &self,
         bytes: impl Into<Arc<[u8]>>,
         params: Arc<[u8]>,
         content: ContentId,
-    ) -> Arc<StoredPhoto> {
-        let (bytes, fresh) = self.interner.intern(content.bytes_sha, bytes);
-        let accounted = params.len() + if fresh { bytes.len() } else { 0 };
-        self.footprint
-            .fetch_add(accounted as u64, Ordering::Relaxed);
-        self.sig_memo
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .entry(content)
-            .or_insert(SigSlot { refs: 0, sig: None })
-            .refs += 1;
-        Arc::new(StoredPhoto {
-            bytes,
-            params,
+    ) -> StoredPhoto {
+        let mut contents = self.contents();
+        let Contents {
+            entries,
+            bytes: total,
+        } = &mut *contents;
+        let held = entries.entry(content).or_insert_with(|| {
+            let bytes = bytes.into();
+            *total += (bytes.len() + params.len()) as u64;
+            Content {
+                bytes,
+                params,
+                refs: 0,
+                sig: None,
+            }
+        });
+        held.refs += 1;
+        StoredPhoto {
+            bytes: held.bytes.clone(),
+            params: held.params.clone(),
             content,
             identity: OnceLock::new(),
-        })
+        }
     }
 
-    /// Removes a photo's index entry, signature-memo reference and byte
-    /// allocation; called with a `StoredPhoto` that has left (or never
-    /// entered) the map.
+    /// Removes a photo's index entry and drops its content reference;
+    /// the last reference takes the content out of the table and the
+    /// decode memo. Called with a `StoredPhoto` that has left the map.
     fn retire_photo(&self, id: PhotoId, old: &StoredPhoto) {
         if let Some(Some((sig, _))) = old.identity.get() {
             self.index
@@ -426,27 +382,24 @@ impl PspServer {
                 .unwrap_or_else(PoisonError::into_inner)
                 .remove(*sig, id);
         }
-        // Last photo with this content identity is gone — drop its
-        // signature, so churn workloads don't accumulate signatures of
-        // content the store no longer holds. (The bytes may live on under
-        // other params; the signature depends on both.)
-        let mut memo = self.sig_memo.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(slot) = memo.get_mut(&old.content) {
-            slot.refs -= 1;
-            if slot.refs == 0 {
-                memo.remove(&old.content);
-            }
-        }
-        drop(memo);
-        if self.interner.release(&old.content.bytes_sha) {
-            self.footprint
-                .fetch_sub(old.bytes.len() as u64, Ordering::Relaxed);
-            // Last copy of these bytes is gone — drop the decode memo's
-            // entry for them too.
+        let mut contents = self.contents();
+        let Contents { entries, bytes } = &mut *contents;
+        let Entry::Occupied(mut held) = entries.entry(old.content) else {
+            return;
+        };
+        held.get_mut().refs -= 1;
+        if held.get().refs == 0 {
+            held.remove();
+            *bytes -= old.size();
+            drop(contents);
             self.memo.invalidate(&old.content.bytes_sha);
         }
-        self.footprint
-            .fetch_sub(old.params.len() as u64, Ordering::Relaxed);
+    }
+
+    /// Whether a stored photo holds `content` — and so, for the durable
+    /// store, whether the log already holds its blobs.
+    pub(crate) fn holds(&self, content: &ContentId) -> bool {
+        self.contents().entries.contains_key(content)
     }
 
     /// Uploads a photo with its public-parameter blob; returns its id.
@@ -498,20 +451,17 @@ impl PspServer {
     ) {
         self.next_id
             .fetch_max(id.0.saturating_add(1), Ordering::Relaxed);
-        let stored = self.intern(bytes, params, content);
-        match self
-            .shard(id)
+        let stored = Arc::new(self.hold(bytes, params, content));
+        let old = self
+            .photos
             .write()
             .unwrap_or_else(PoisonError::into_inner)
-            .insert(id, stored.clone())
-        {
-            // Transform results keyed by the old content stay addressable
-            // — they are still byte-correct answers for that content — and
-            // simply age out.
-            Some(old) => self.retire_photo(id, &old),
-            None => {
-                self.photo_count.fetch_add(1, Ordering::Relaxed);
-            }
+            .insert(id, stored.clone());
+        // Transform results keyed by the old content stay addressable —
+        // they are still byte-correct answers for that content — and
+        // simply age out.
+        if let Some(old) = old {
+            self.retire_photo(id, &old);
         }
         self.index_photo(id, &stored);
     }
@@ -641,8 +591,8 @@ impl PspServer {
     }
 
     /// The shared serving path: transform-cache lookup, then on a miss the
-    /// decode(memo)→apply→re-encode pipeline plus cache fill. Never locks a
-    /// shard; works entirely from the snapshot `Arc`s.
+    /// decode(memo)→apply→re-encode pipeline plus cache fill. Never locks
+    /// the photo map; works entirely from the snapshot `Arc`s.
     fn serve_transform(
         &self,
         stored: &StoredPhoto,
@@ -722,9 +672,12 @@ impl PspServer {
         Ok(((new_bytes, new_params), served))
     }
 
-    /// Number of stored photos (O(1) — maintained incrementally).
+    /// Number of stored photos.
     pub fn len(&self) -> usize {
-        self.photo_count.load(Ordering::Relaxed) as usize
+        self.photos
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
     }
 
     /// Whether the store is empty.
@@ -741,11 +694,12 @@ impl PspServer {
         self.lookup(id).map(|p| p.size() as usize)
     }
 
-    /// Aggregate bytes stored across every photo (images + parameter
-    /// blobs). Maintained incrementally on upload/transform, so this is an
-    /// O(1) read — it backs the `psp.storage_bytes` gauge.
+    /// Bytes of the distinct content the store holds: each content
+    /// identity's image + parameter blob, counted once however many photos
+    /// share it. A running total of the content table, so this is an O(1)
+    /// read — it backs the `psp.storage_bytes` gauge.
     pub fn storage_footprint_total(&self) -> u64 {
-        self.footprint.load(Ordering::Relaxed)
+        self.contents().bytes
     }
 
     /// Transform-result cache counters (hits, misses, evictions, resident
@@ -797,13 +751,13 @@ impl PspServer {
     }
 
     /// The memoized signature of a stored content identity, if the
-    /// indexer has computed it. Holds the memo lock for the lookup only.
+    /// indexer has computed it. Holds the content table's lock for the
+    /// lookup only.
     fn memoized_signature(&self, content: &ContentId) -> Option<SigMemoEntry> {
-        self.sig_memo
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
+        self.contents()
+            .entries
             .get(content)
-            .and_then(|slot| slot.sig)
+            .and_then(|held| held.sig)
     }
 
     /// Sublinear near-duplicate search: every stored photo whose signature
@@ -986,27 +940,25 @@ mod tests {
     }
 
     #[test]
-    fn poisoned_shard_still_serves() {
+    fn poisoned_photo_map_still_serves() {
         let server = PspServer::new();
         let (id, _) = upload_test_photo(&server);
         std::thread::scope(|s| {
             let joined = s.spawn(|| {
-                let _guard = server.shard(id).write();
-                panic!("panic while holding a shard");
+                let _guard = server.photos.write();
+                panic!("panic while holding the photo map");
             });
             assert!(joined.join().is_err());
         });
-        assert!(server.shard(id).is_poisoned());
+        assert!(server.photos.is_poisoned());
         assert!(server.download(id).is_ok());
         server.transform(id, &Transformation::Rotate180).unwrap();
         let params = PublicParams::from_bytes(&server.download_params(id).unwrap()).unwrap();
         assert_eq!(params.transformation, Some(Transformation::Rotate180));
-        // A new photo whose id lands in the same shard is stored there too.
-        let same_shard = (1..=SHARDS)
-            .map(|_| upload_test_photo(&server).0)
-            .find(|&other| std::ptr::eq(server.shard(other), server.shard(id)))
-            .expect("one of SHARDS sequential ids shares the shard");
-        assert!(server.download(same_shard).is_ok());
+        // A new photo is stored in the poisoned map too.
+        let other = upload_test_photo(&server).0;
+        assert!(server.download(other).is_ok());
+        assert_eq!(server.len(), 2);
     }
 
     #[test]
@@ -1333,17 +1285,20 @@ mod tests {
         let (bytes, params) = protected_fixture(9);
         let a = server.upload(bytes.clone(), params.clone()).unwrap();
         let b = server.upload(bytes.clone(), params.clone()).unwrap();
-        let da = server.download(a).unwrap();
-        let db = server.download(b).unwrap();
-        assert!(
-            Arc::ptr_eq(&da, &db),
-            "exact duplicates share one allocation"
-        );
-        // Bytes counted once, params per photo; per-photo logical size is
+        for download in [PspServer::download, PspServer::download_params] {
+            assert!(
+                Arc::ptr_eq(
+                    &download(&server, a).unwrap(),
+                    &download(&server, b).unwrap()
+                ),
+                "exact duplicates share both allocations"
+            );
+        }
+        // Bytes and params counted once; per-photo logical size is
         // unchanged.
         assert_eq!(
             server.storage_footprint_total(),
-            (bytes.len() + 2 * params.len()) as u64
+            (bytes.len() + params.len()) as u64
         );
         assert_eq!(
             server.storage_footprint(b).unwrap(),
@@ -1378,7 +1333,7 @@ mod tests {
         let (bare, _) = protected_fixture(40);
         server.upload(bytes.clone(), params.clone()).unwrap();
         server.upload(bare.clone(), Vec::new()).unwrap();
-        assert_eq!(server.sig_memo.lock().unwrap().len(), 2);
+        assert_eq!(server.contents().entries.len(), 2);
         assert_eq!(
             server.search_signature(&bytes, &params),
             PspServer::probe_signature(&bytes, Some(&params))
@@ -1400,13 +1355,13 @@ mod tests {
             PspServer::probe_signature(&bytes, None)
         );
         assert_eq!(server.search_signature(&[1, 2, 3], &[]), None);
-        assert_eq!(server.sig_memo.lock().unwrap().len(), 2);
+        assert_eq!(server.contents().entries.len(), 2);
     }
 
     #[test]
     fn sig_memo_holds_exactly_the_stored_content_identities() {
         // Two photos share one bitstream under different params: two
-        // content identities, one byte allocation.
+        // content identities.
         let server = PspServer::new();
         let (bytes, params) = protected_fixture(6);
         let mut other = PublicParams::from_bytes(&params).unwrap();
@@ -1414,23 +1369,27 @@ mod tests {
         let other = other.to_bytes();
         let a = server.upload(bytes.clone(), params.clone()).unwrap();
         let b = server.upload(bytes.clone(), other.clone()).unwrap();
-        assert_eq!(server.sig_memo.lock().unwrap().len(), 2);
+        assert_eq!(server.contents().entries.len(), 2);
         let old = [
             ContentId::of(&bytes, &params),
             ContentId::of(&bytes, &other),
         ];
         // Each in-place transform retires one identity while the other
-        // still holds the bytes; neither may outlive its last photo.
+        // is still held; neither may outlive its last photo.
         server.transform(a, &Transformation::Rotate90).unwrap();
         server.transform(b, &Transformation::FlipVertical).unwrap();
         let stored: Vec<ContentId> = [a, b].iter().map(|&id| content_of(&server, id)).collect();
-        let memo = server.sig_memo.lock().unwrap();
-        assert_eq!(memo.len(), 2, "one slot per stored identity");
+        let contents = server.contents();
+        assert_eq!(contents.entries.len(), 2, "one entry per stored identity");
         for content in &old {
-            assert!(!memo.contains_key(content), "retired identity leaked");
+            assert!(
+                !contents.entries.contains_key(content),
+                "retired identity leaked"
+            );
         }
         for content in &stored {
-            assert_eq!(memo[content].refs, 1);
+            assert_eq!(contents.entries[content].refs, 1);
+            assert!(contents.entries[content].sig.is_some());
         }
     }
 

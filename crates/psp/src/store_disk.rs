@@ -9,12 +9,16 @@
 //! ```
 //!
 //! Photo bitstreams and parameter blobs live inside the log as
-//! [`WalRecord::Blob`] frames keyed by their SHA-256, and each distinct
-//! blob is logged once: a re-upload of identical bytes frames only its
-//! `Upload` record. The hash must be collision-resistant — dedup trusts
-//! it, so with a craftable hash (FNV, CRC) one uploader could pre-log a
-//! colliding blob and alias a later upload's content. Stores from builds
-//! that kept blobs in a `segments/` directory do not open.
+//! [`WalRecord::Blob`] frames keyed by their SHA-256, framed unless a
+//! stored photo holds that content: a re-upload of a held photo's exact
+//! bytes and params frames only its `Upload` record. Held content is
+//! always in the log — the log is append-only, and the server holds only
+//! content that came from a committed batch or from replay — while
+//! content an in-place transform retired is framed again when it comes
+//! back. The hash must be collision-resistant — dedup trusts it, so with
+//! a craftable hash (FNV, CRC) one uploader could pre-log colliding
+//! content and alias a later upload's. Stores from builds that kept blobs
+//! in a `segments/` directory do not open.
 //!
 //! # Durability protocol
 //!
@@ -24,7 +28,7 @@
 //!
 //! 1. append its batch with one `write_all`, then one `sync_data`; for a
 //!    photo the batch is `[Blob(bytes)] [Blob(params)] Upload|Transform`,
-//!    blobs the log already holds left out;
+//!    both blobs left out when a stored photo holds that content;
 //! 2. apply the change in memory (the [`PspServer`] or the grant state);
 //! 3. acknowledge the client.
 //!
@@ -43,7 +47,7 @@
 //! content identity in memory too — and the grant mailbox verbatim; it
 //! fails loudly on a bad frame with intact frames after it. Serving reads
 //! (`download`, `download_transformed`, …) never touch the disk — they hit
-//! the in-memory sharded store and transform cache, so persistence costs
+//! the in-memory store and transform cache, so persistence costs
 //! writes only.
 
 use crate::net::proto::{hex, MAX_FRAME_LEN};
@@ -51,7 +55,7 @@ use crate::store::{ContentId, PhotoId, PspConfig, PspServer};
 use crate::wal::{Batch, Wal, WalRecord};
 use crate::{PspError, Result};
 use puppies_transform::Transformation;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fs;
 use std::io;
 use std::path::Path;
@@ -91,9 +95,6 @@ pub struct DiskStore {
     server: PspServer,
     wal: Mutex<Wal>,
     grants: Mutex<GrantState>,
-    /// SHA-256 of every blob the log holds durably (rebuilt at replay):
-    /// a blob in here is never framed again.
-    logged: Mutex<HashSet<[u8; 32]>>,
     recovery: RecoveryStats,
     /// Durability-path failures (WAL append/sync) since open. Nonzero
     /// means acknowledged-durability can no longer be promised, so
@@ -219,7 +220,6 @@ impl DiskStore {
             server,
             wal: Mutex::new(wal),
             grants: Mutex::new(grants),
-            logged: Mutex::new(blobs.into_keys().collect()),
             recovery,
             io_failures: AtomicU64::new(0),
         })
@@ -300,28 +300,21 @@ impl DiskStore {
         })
     }
 
-    /// The log step of a photo mutation: frames each blob the log does
-    /// not hold yet, then `record`, and commits them as one synced batch;
-    /// once it is durable its blobs count as logged.
+    /// The log step of a photo mutation: frames its two blobs unless a
+    /// stored photo holds that content (the log then holds them already),
+    /// then `record`, and commits them as one synced batch.
     fn log_photo(&self, blobs: [&[u8]; 2], content: ContentId, record: &WalRecord) -> Result<()> {
         let shas = [content.bytes_sha, content.params_sha];
-        let fresh = {
-            let logged = self.logged.lock().unwrap_or_else(PoisonError::into_inner);
-            [
-                !logged.contains(&shas[0]),
-                !logged.contains(&shas[1]) && shas[1] != shas[0],
-            ]
-        };
+        let held = self.server.holds(&content);
         let frames: usize = blobs.iter().map(|b| Batch::blob_frame_len(b.len())).sum();
         let mut batch = Batch::with_capacity(frames + 128);
         for i in 0..2 {
-            if fresh[i] {
-                batch.blob(&shas[i], blobs[i]);
-            } else {
-                // An exact duplicate of a logged blob costs no disk bytes;
-                // counted so the dedup layer's savings show up on /metrics
-                // alongside the in-memory interner's.
+            if held || (i == 1 && shas[1] == shas[0]) {
+                // A blob the log already holds costs no disk bytes;
+                // counted so the dedup's savings show up on /metrics.
                 puppies_obs::counted!("psp.sig.segment_shared");
+            } else {
+                batch.blob(&shas[i], blobs[i]);
             }
         }
         batch.record(record);
@@ -331,12 +324,6 @@ impl DiskStore {
             .unwrap_or_else(PoisonError::into_inner)
             .commit(&batch)
             .map_err(|e| io_err(e, "appending wal"));
-        if r.is_ok() {
-            self.logged
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .extend(shas);
-        }
         self.note_io(r)
     }
 
@@ -673,6 +660,52 @@ mod tests {
         drop(store);
         let store = open(&dir);
         assert_eq!(store.server().download(c).unwrap().as_ref(), &[42u8; 500]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn retired_content_is_framed_again() {
+        use puppies_core::{protect, OwnerKey, ProtectOptions};
+        use puppies_image::{Rect, Rgb, RgbImage};
+        let img = RgbImage::from_fn(64, 64, |x, y| Rgb::new(x as u8, y as u8 * 3, 90));
+        let key = OwnerKey::from_seed([8; 32]);
+        let p = protect(
+            &img,
+            &[Rect::new(8, 8, 16, 16)],
+            &key,
+            &ProtectOptions::default(),
+        )
+        .unwrap();
+        let (bytes, params) = (p.bytes, p.params.to_bytes());
+        let dir = tmp("reframe");
+        let wal_len = || fs::metadata(dir.join("wal.log")).unwrap().len();
+        let (x, rotated) = {
+            let store = open(&dir);
+            let x = store.upload(bytes.clone(), params.clone()).unwrap();
+            store.transform(x, &Transformation::Rotate180).unwrap();
+            // No stored photo holds X's content now, so its re-upload
+            // frames both blobs again.
+            let before = wal_len();
+            store.upload(bytes.clone(), params.clone()).unwrap();
+            let frames = Batch::blob_frame_len(bytes.len()) + Batch::blob_frame_len(params.len());
+            assert_eq!(wal_len() - before, frames as u64 + 85);
+            // Now one does: the next re-upload logs only its record.
+            let before = wal_len();
+            store.upload(bytes.clone(), params.clone()).unwrap();
+            assert_eq!(wal_len() - before, 85);
+            (x, store.server().download(x).unwrap())
+        };
+        let store = open(&dir);
+        assert_eq!(store.server().len(), 3);
+        assert_eq!(store.server().download(x).unwrap(), rotated);
+        for id in [x.0 + 1, x.0 + 2] {
+            let server = store.server();
+            assert_eq!(server.download(PhotoId(id)).unwrap().as_ref(), &bytes[..]);
+            assert_eq!(
+                server.download_params(PhotoId(id)).unwrap().as_ref(),
+                &params[..]
+            );
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -279,7 +279,6 @@ fn readyz_is_503_until_recovery_publishes_the_store() {
 
     // Liveness answers before replay; readiness and the store do not.
     assert_eq!(raw_get(&addr, "/healthz", ""), 200);
-    assert_eq!(raw_get(&addr, "/health", ""), 200);
     assert_eq!(raw_get(&addr, "/readyz", ""), 503);
     let mut client = Client::connect(&addr).unwrap();
     assert!(!client.ready().unwrap());
@@ -288,6 +287,8 @@ fn readyz_is_503_until_recovery_publishes_the_store() {
     let stats = recovery.run().unwrap();
     assert!(stats.records > 0, "seeded WAL should replay records");
     assert_eq!(raw_get(&addr, "/readyz", ""), 200);
+    // One liveness path: the old `/health` alias is gone.
+    assert_eq!(raw_get(&addr, "/health", ""), 404);
     let mut client = Client::connect(&addr).unwrap();
     assert!(client.ready().unwrap());
     assert_eq!(client.download(seeded_id).unwrap(), bytes);
@@ -407,7 +408,11 @@ fn trace_header_stitches_one_tree_and_malformed_headers_are_safe() {
         "x-puppies-trace: 1-2-3\r\n",
         "x-puppies-trace: ffffffffffffffffff-1\r\n",
     ] {
-        assert_eq!(raw_get(&run.addr, "/health", extra), 200, "extra={extra:?}");
+        assert_eq!(
+            raw_get(&run.addr, "/healthz", extra),
+            200,
+            "extra={extra:?}"
+        );
     }
 
     let session = puppies_obs::Obs::install();

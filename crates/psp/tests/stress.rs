@@ -114,18 +114,20 @@ fn mixed_ops_from_eight_threads_no_deadlock_and_exact_accounting() {
     });
     // Footprint accounting survived the races exactly: the incremental
     // total equals a fresh walk over every stored photo, counting each
-    // shared byte allocation once (exact-duplicate uploads intern their
-    // bytes, so re-uploaded fixtures share one buffer).
+    // shared allocation once (exact duplicates share their bytes and
+    // their params, so re-uploaded fixtures share one buffer of each).
     let mut walked = 0u64;
     let mut count = 0usize;
-    let mut seen_bytes = std::collections::HashSet::new();
+    let mut seen = std::collections::HashSet::new();
     for id in 0..u64::MAX {
         match server.download(PhotoId(id)) {
             Ok(bytes) => {
-                if seen_bytes.insert(bytes.as_ptr() as usize) {
-                    walked += bytes.len() as u64;
+                let params = server.download_params(PhotoId(id)).unwrap();
+                for blob in [bytes, params] {
+                    if seen.insert(blob.as_ptr() as usize) {
+                        walked += blob.len() as u64;
+                    }
                 }
-                walked += server.download_params(PhotoId(id)).unwrap().len() as u64;
                 count += 1;
             }
             Err(_) => break, // ids are dense from 0
